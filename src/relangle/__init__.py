@@ -30,6 +30,7 @@ from .coupling import (
 )
 from .errors import CapacityError, ConsistencyError, ImpossibleOutcomeError
 from .estimation import (
+    KERNEL_TWICE_J_LIMIT,
     AngleDensity,
     DiscreteAngleDistribution,
     EstimationReport,

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import SpinQuantumNumber
+from .coupling import total_j_values
 from .errors import CapacityError, ConsistencyError
 from .estimation import (
     DiscreteAngleDistribution,
     RotInvariantPovm,
+    _block_probability_matrix,
     average_information_gain,
     infogain_curve,
-    outcome_probabilities,
     parallel_antiparallel_prior,
     uniform_direction_prior,
 )
@@ -41,9 +42,6 @@ CURVE_SCENARIOS = {
     "c": ("uniform-directions", "optimal"),
     "d": ("uniform-directions", "optimal-local"),
 }
-
-_PRIOR_KIND = {"pap": "parallel-antiparallel", "uniform": "uniform-directions"}
-
 
 class UsageError(ValueError):
     """Bad command-line configuration (exit code 2)."""
@@ -269,11 +267,13 @@ def _cmd_probs(cfg: ScenarioConfig) -> str:
         grid = [cfg.alpha]
     else:
         grid = np.linspace(0.0, math.pi, DEFAULT_ALPHA_GRID_POINTS).tolist()
-    rows = []
-    for alpha in grid:
-        probabilities = outcome_probabilities(cfg.j1, cfg.j2, alpha)
-        for J in sorted(probabilities):
-            rows.append((alpha, str(J), probabilities[J]))
+    probabilities = _block_probability_matrix(cfg.j1, cfg.j2, np.array(grid)).T.tolist()
+    labels = [str(J) for J in total_j_values(cfg.j1, cfg.j2)]
+    rows = [
+        (alpha, J, p)
+        for alpha, column in zip(grid, probabilities)
+        for J, p in zip(labels, column)
+    ]
     if fmt == "csv":
         lines = ["alpha,J,probability"]
         lines += [f"{_csv(alpha)},{J},{_csv(p)}" for alpha, J, p in rows]

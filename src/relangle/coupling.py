@@ -19,6 +19,7 @@ from .errors import CapacityError
 
 __all__ = [
     "DENSE_DIMENSION_CAP",
+    "check_dense_capacity",
     "total_j_values",
     "clebsch_gordan",
     "CouplingBlock",
@@ -136,7 +137,8 @@ class Projector:
     matrix: np.ndarray
 
 
-def _check_capacity(j1: SpinQuantumNumber, j2: SpinQuantumNumber) -> None:
+def check_dense_capacity(j1: SpinQuantumNumber, j2: SpinQuantumNumber) -> None:
+    """Raise CapacityError when the (j1, j2) product space exceeds the dense cap."""
     dim = j1.dimension * j2.dimension
     if dim > DENSE_DIMENSION_CAP:
         raise CapacityError(
@@ -170,7 +172,7 @@ def _decomposition(twice_j1: int, twice_j2: int) -> CouplingDecomposition:
 def decomposition(j1, j2) -> CouplingDecomposition:
     """Isometries from every total-spin block into the (j1, j2) product space."""
     j1, j2 = spin(j1), spin(j2)
-    _check_capacity(j1, j2)
+    check_dense_capacity(j1, j2)
     return _decomposition(j1.twice_j, j2.twice_j)
 
 
@@ -185,7 +187,7 @@ def _projector_matrix(twice_j1: int, twice_j2: int, twice_J: int) -> np.ndarray:
 def projector(j1, j2, J) -> Projector:
     """Projector onto the total-spin-J block of the (j1, j2) product space."""
     j1, j2, J = spin(j1), spin(j2), spin(J)
-    _check_capacity(j1, j2)
+    check_dense_capacity(j1, j2)
     if J not in total_j_values(j1, j2):
         raise ValueError(f"J={J} outside the range for ({j1}, {j2})")
     return Projector(J, _projector_matrix(j1.twice_j, j2.twice_j, J.twice_j))

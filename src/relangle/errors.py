@@ -4,7 +4,8 @@ __all__ = ["CapacityError", "ImpossibleOutcomeError", "ConsistencyError"]
 
 
 class CapacityError(ValueError):
-    """A dense-matrix request exceeds the supported dimension cap."""
+    """A request exceeds a size limit: the dense dimension cap or the
+    likelihood kernel's limit on the smaller spin."""
 
 
 class ImpossibleOutcomeError(ValueError):

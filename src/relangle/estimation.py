@@ -1,12 +1,18 @@
 """Bayesian estimation of the relative angle between two spin coherent states.
 
 Measurements are rotationally invariant POVMs, i.e. weighted sums of the
-total-spin projectors.  Outcome probabilities for a pair at relative angle
-alpha use closed forms whenever one of the spins is 1/2 and the dense block
-machinery otherwise.  Information gains are Kullback-Leibler divergences of
-the posterior from the prior, in bits.  Integrals over continuous priors use
-Gauss-Legendre quadrature on [0, pi] with node doubling until two successive
-values agree to 1e-10.
+total-spin projectors.  Every result is a fold of one likelihood, the
+total-spin distribution p(J | alpha) of a coherent pair at relative angle
+alpha, which has a closed form for every spin pair: with the larger spin a
+along +z and the smaller spin b at angle alpha,
+
+    p(J | alpha) = sum_k T[J, k] s^k (1 - s)^(2b - k),   s = sin^2(alpha / 2),
+
+where T[J, k] = |<a a; b b-k | J, a+b-k>|^2 C(2b, k) is a table of exact
+rationals, one float per entry.  No dense matrix is built.  Information
+gains are Kullback-Leibler divergences of the posterior from the prior, in
+bits.  Integrals over continuous priors use Gauss-Legendre quadrature on
+[0, pi] with node doubling until two successive values agree to 1e-10.
 """
 
 import math
@@ -15,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import Direction, SpinQuantumNumber, coherent_state, spin
+from .angular import SpinQuantumNumber, spin
 from .coupling import decomposition, total_j_values
-from .errors import ConsistencyError, ImpossibleOutcomeError
+from .errors import CapacityError, ConsistencyError, ImpossibleOutcomeError
 from .states import DensityMatrix, InvariantState, invariant_average
 
 __all__ = [
@@ -40,10 +46,16 @@ __all__ = [
     "born_limit_check",
     "PRIOR_KINDS",
     "POVM_KINDS",
+    "KERNEL_TWICE_J_LIMIT",
 ]
 
 PRIOR_KINDS = ("parallel-antiparallel", "uniform-directions")
 POVM_KINDS = ("optimal", "optimal-local")
+
+# Largest 2 min(j1, j2) the likelihood kernel accepts.  Its exact table has
+# (2b + 1)^2 / 2 entries with integers of a few hundred digits; at this limit
+# it builds in well under a second, and the larger spin is unrestricted.
+KERNEL_TWICE_J_LIMIT = 200
 
 _QUAD_TOL = 1e-10
 _QUAD_START = 16
@@ -200,30 +212,62 @@ class RotInvariantPovm:
         return matrix
 
 
+@lru_cache(maxsize=128)
+def _likelihood_table(twice_a: int, twice_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T[J, k] = |<a a; b b-k | J, a+b-k>|^2 C(2b, k) for spins a >= b, with
+    the exponents k and 2b - k of the binomial basis as float columns.
+
+    Rows follow increasing J, columns k = 0 .. 2b.  With x = a + b - J the
+    entry vanishes unless x <= k, and otherwise equals
+
+        (2J+1) P(2a, x) (2b-x)! (2b)! / [P(2a+2b-x+1, k+1) x! (k-x)! ((2b-k)!)^2]
+
+    with P(n, r) = n! / (n-r)!.  Every factorial is at most (2b)!, and the
+    quotient of Python integers rounds once, so each entry is the correctly
+    rounded float of the exact rational.
+    """
+    factorial = [math.factorial(n) for n in range(twice_b + 1)]
+    table = np.zeros((twice_b + 1, twice_b + 1))
+    for x in range(twice_b + 1):
+        twice_J = twice_a + twice_b - 2 * x
+        head = (twice_J + 1) * math.perm(twice_a, x) * factorial[twice_b - x] * factorial[twice_b]
+        for k in range(x, twice_b + 1):
+            den = (
+                math.perm(twice_a + twice_b - x + 1, k + 1)
+                * factorial[x]
+                * factorial[k - x]
+                * factorial[twice_b - k] ** 2
+            )
+            table[twice_b - x, k] = head / den
+    k = np.arange(twice_b + 1.0)[:, None]
+    rest = twice_b - k
+    for array in (table, k, rest):
+        array.setflags(write=False)
+    return table, k, rest
+
+
 def _block_probability_matrix(j1: SpinQuantumNumber, j2: SpinQuantumNumber, alphas: np.ndarray) -> np.ndarray:
     """p(J | alpha) for a product coherent pair, shape (n_blocks, n_alphas).
 
-    Rows follow increasing J.  Closed form when either spin is 1/2; dense
-    block projection otherwise.
+    Rows follow increasing J.  The likelihood is symmetric in the two spins,
+    so the larger one, a, is fixed along +z and the smaller one, b, is the
+    binomial (Wigner-d) mixture |d^b_{b-k,b}(alpha)|^2 = C(2b, k) s^k (1-s)^(2b-k)
+    of its m = b - k components, s = sin^2(alpha/2); the exact table
+    ``_likelihood_table`` carries the stretched Clebsch-Gordan weights.
+    Raises CapacityError when 2 min(j1, j2) exceeds ``KERNEL_TWICE_J_LIMIT``.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if np.any(alphas < -1e-9) or np.any(alphas > math.pi + 1e-9):
+    if alphas.size and (alphas.min() < -1e-9 or alphas.max() > math.pi + 1e-9):
         raise ValueError("relative angles must lie in [0, pi]")
-    n_blocks = len(total_j_values(j1, j2))
-    if n_blocks == 1:
-        return np.ones((1, alphas.size))
-    if j1.twice_j == 1 or j2.twice_j == 1:
-        twice_big = max(j1.twice_j, j2.twice_j)
-        p_low = (twice_big / (twice_big + 1.0)) * np.sin(alphas / 2.0) ** 2
-        return np.vstack([p_low, 1.0 - p_low])
-    dec = decomposition(j1, j2)
-    top1 = coherent_state(j1, Direction(0.0, 0.0)).amplitudes
-    result = np.empty((n_blocks, alphas.size))
-    for col, alpha in enumerate(alphas):
-        psi = np.kron(top1, coherent_state(j2, Direction(float(alpha), 0.0)).amplitudes)
-        for row, block in enumerate(dec.blocks):
-            result[row, col] = float(np.sum(np.abs(block.isometry.T @ psi) ** 2))
-    return result
+    twice_a, twice_b = max(j1.twice_j, j2.twice_j), min(j1.twice_j, j2.twice_j)
+    if twice_b > KERNEL_TWICE_J_LIMIT:
+        raise CapacityError(
+            f"the smaller spin {SpinQuantumNumber(twice_b)} exceeds the likelihood kernel's "
+            f"limit 2*min(j1, j2) <= {KERNEL_TWICE_J_LIMIT}"
+        )
+    table, k, rest = _likelihood_table(twice_a, twice_b)
+    half = 0.5 * alphas
+    return table @ ((np.sin(half) ** 2) ** k * (np.cos(half) ** 2) ** rest)
 
 
 def outcome_probabilities(j1, j2, alpha: float) -> dict:

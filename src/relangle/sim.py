@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import Direction, Rotation, coherent_state, rotation_matrix, spin
+from .coupling import check_dense_capacity
 from .errors import ConsistencyError
 from .estimation import (
     AngleDensity,
@@ -99,10 +100,14 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Repeat the single-shot experiment: draw an angle from the prior and a
     collective orientation from the invariant measure, prepare the coherent
-    pair, sample an outcome, and score its information gain."""
+    pair, sample an outcome, and score its information gain.
+
+    Each trial builds the dense pair state, so pairs above the dense cap raise
+    CapacityError before any work is done."""
     j1, j2 = spin(j1), spin(j2)
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    check_dense_capacity(j1, j2)
     report = average_information_gain(j1, j2, prior, povm)
     gain_by_label = {entry.label: entry.information_gain_bits for entry in report.outcomes}
     analytic = np.array([entry.probability for entry in report.outcomes])

@@ -1,9 +1,11 @@
 import json
 import math
+import time
 
 import pytest
 
 from relangle.cli import ScenarioConfig, main
+from relangle.estimation import _likelihood_table
 
 
 def run_cli(capsys, *args):
@@ -57,6 +59,31 @@ class TestProbs:
         assert payload["schema"] == 1
         assert payload["j2"] == "1"
         assert abs(sum(row["probability"] for row in payload["rows"]) - 1.0) < 1e-9
+
+    def test_pair_above_dense_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "probs", "--j1", "50", "--j2", "400", "--alpha", "pi/3")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 101
+        assert abs(sum(float(row[2]) for row in rows) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("probs", "--alpha", "pi/3"),
+            ("report", "--prior", "pap", "--povm", "optimal"),
+        ],
+    )
+    def test_past_kernel_limit_exits_2_before_building(self, capsys, args):
+        # one step past 2 min(j1, j2) <= 200: refused before the exact table is built
+        cached = _likelihood_table.cache_info().currsize
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, args[0], "--j1", "201/2", "--j2", "800", *args[1:])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert "2*min(j1, j2) <= 200" in err
+        assert _likelihood_table.cache_info().currsize == cached
 
     def test_invalid_spin_exits_2_and_names_field(self, capsys):
         code, out, err = run_cli(capsys, "probs", "--j1", "abc", "--j2", "1/2")
@@ -211,6 +238,22 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out)
         assert payload["n_trials"] == 1
+
+    def test_pair_above_dense_cap_exits_2(self, capsys, monkeypatch):
+        # product dimension 65 * 65 = 4225, just above the cap: refused before
+        # the report or the first dense trial state is built
+        def report_not_allowed(*args):
+            raise AssertionError("analytic report built before the dense-cap check")
+
+        monkeypatch.setattr("relangle.sim.average_information_gain", report_not_allowed)
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--j1", "32", "--j2", "32", "--prior", "pap", "--n", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the dense cap 4096" in err
 
     def test_same_seed_byte_identical(self, capsys):
         args = [

@@ -7,12 +7,14 @@ from relangle import (
     AngleDensity,
     DiscreteAngleDistribution,
     ImpossibleOutcomeError,
+    KERNEL_TWICE_J_LIMIT,
     RotInvariantPovm,
     average_information_gain,
     bayes_update,
     born_limit_check,
     clebsch_gordan,
     coherent_state,
+    decomposition,
     infogain_curve,
     information_gain,
     map_estimate,
@@ -48,6 +50,20 @@ def gain_triplet_uniform():
 
 GAIN_TRIPLET_UNIFORM = gain_triplet_uniform()
 AVERAGE_UNIFORM = 0.25 * GAIN_SINGLET_UNIFORM + 0.75 * GAIN_TRIPLET_UNIFORM
+
+
+def dense_block_probabilities(j1, j2, alphas):
+    """Reference p(J | alpha): spin j1 along +z, spin j2 at angle alpha, both
+    coherent states built as vectors and projected onto the dense
+    Clebsch-Gordan isometries of every block (rows in increasing J)."""
+    dec = decomposition(j1, j2)
+    top1 = coherent_state(j1, Direction(0.0, 0.0)).amplitudes
+    result = np.empty((len(dec.blocks), len(alphas)))
+    for col, alpha in enumerate(alphas):
+        psi = np.kron(top1, coherent_state(j2, Direction(float(alpha), 0.0)).amplitudes)
+        for row, block in enumerate(dec.blocks):
+            result[row, col] = float(np.sum(np.abs(block.isometry.T @ psi) ** 2))
+    return result
 
 
 class TestOutcomeProbabilities:
@@ -96,6 +112,35 @@ class TestOutcomeProbabilities:
                     amp += c1[i1] * c2[i2] * clebsch_gordan(j1, j2, tm1, tm2, J, twice_m)
                 oracle += abs(amp) ** 2
             assert abs(outcome_probability(j1, j2, J, alpha) - oracle) < 1e-11
+
+    @pytest.mark.parametrize(
+        "j1_text, j2_text, n_alphas",
+        [
+            ("1/2", "1/2", 13),
+            ("1/2", "3", 13),
+            ("4", "1/2", 13),
+            ("1", "3/2", 13),
+            ("3/2", "1", 13),
+            ("2", "2", 13),
+            ("5/2", "7", 13),
+            ("7", "5/2", 13),
+            ("3", "9/2", 13),
+            ("10", "10", 13),
+            ("255/2", "15/2", 3),  # product dimension 4096, the dense cap
+        ],
+    )
+    def test_kernel_matches_dense_oracle(self, j1_text, j2_text, n_alphas):
+        j1, j2 = spin(j1_text), spin(j2_text)
+        alphas = np.linspace(0.0, math.pi, n_alphas)
+        closed = np.array([list(outcome_probabilities(j1, j2, a).values()) for a in alphas]).T
+        assert np.max(np.abs(closed - dense_block_probabilities(j1, j2, alphas))) <= 1e-12
+
+    def test_columns_sum_to_one_at_kernel_limit(self):
+        small, large = spin(KERNEL_TWICE_J_LIMIT // 2), spin(800)
+        povm = RotInvariantPovm.projective(small, large)
+        probabilities = povm_outcome_probabilities(povm, np.linspace(0.0, math.pi, 181))
+        assert probabilities.min() >= 0.0
+        assert np.max(np.abs(probabilities.sum(axis=0) - 1.0)) < 1e-13
 
     def test_probabilities_sum_to_one(self):
         grid = np.linspace(0.0, math.pi, 181)
