@@ -257,7 +257,8 @@ def _block_probability_matrix(j1: SpinQuantumNumber, j2: SpinQuantumNumber, alph
     Raises CapacityError when 2 min(j1, j2) exceeds ``KERNEL_TWICE_J_LIMIT``.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if alphas.size and (alphas.min() < -1e-9 or alphas.max() > math.pi + 1e-9):
+    # written as "not inside" so that NaN angles fail it too
+    if alphas.size and not (alphas.min() >= -1e-9 and alphas.max() <= math.pi + 1e-9):
         raise ValueError("relative angles must lie in [0, pi]")
     twice_a, twice_b = max(j1.twice_j, j2.twice_j), min(j1.twice_j, j2.twice_j)
     if twice_b > KERNEL_TWICE_J_LIMIT:

@@ -2,9 +2,9 @@
 and repeated single-shot experiments used to validate the analytic results.
 
 Every routine takes an explicit numpy Generator or integer seed; replaying a
-seed reproduces every sample bit-exactly.  Experiments derive one child seed
-per trial index, so trials are independent and could run in any order without
-changing the summary.
+seed reproduces every sample bit-exactly.  Experiments run in chunks of
+``CHUNK_TRIALS`` trials and derive one child seed per chunk index, so chunks
+are independent and could run in any order without changing the summary.
 """
 
 import math
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import Direction, Rotation, coherent_state, rotation_matrix, spin
+from .angular import Rotation, spin
 from .coupling import check_dense_capacity
 from .errors import ConsistencyError
 from .estimation import (
@@ -20,11 +20,14 @@ from .estimation import (
     DiscreteAngleDistribution,
     RotInvariantPovm,
     average_information_gain,
+    povm_outcome_probabilities,
     povm_probabilities_from_state,
 )
-from .states import DensityMatrix
 
 __all__ = ["ExperimentSummary", "haar_rotation", "sample_outcome", "run_experiment"]
+
+# Trials drawn from one child generator; fixed, so a seed maps to one summary.
+CHUNK_TRIALS = 8192
 
 
 def haar_rotation(rng: np.random.Generator) -> Rotation:
@@ -72,13 +75,14 @@ class ExperimentSummary:
 
 
 def _prior_sampler(prior):
+    """Return draw(rng, size): ``size`` angles from the prior by inverse CDF."""
     if isinstance(prior, DiscreteAngleDistribution):
         cumulative = np.cumsum(prior.weights)
         support = prior.alphas
 
-        def draw(rng):
-            k = int(np.searchsorted(cumulative, rng.random(), side="right"))
-            return float(support[min(k, support.size - 1)])
+        def draw(rng, size):
+            k = np.searchsorted(cumulative, rng.random(size), side="right")
+            return support[np.minimum(k, support.size - 1)]
 
         return draw
     if isinstance(prior, AngleDensity):
@@ -88,52 +92,64 @@ def _prior_sampler(prior):
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * steps)])
         cdf /= cdf[-1]
 
-        def draw(rng):
-            return float(np.interp(rng.random(), cdf, grid))
+        def draw(rng, size):
+            return np.interp(rng.random(size), cdf, grid)
 
         return draw
     raise TypeError(f"cannot sample from {type(prior).__name__}")
 
 
+def _sample_chunk(povm: RotInvariantPovm, alphas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Outcome counts for one trial at each angle, one uniform draw per trial."""
+    probabilities = povm_outcome_probabilities(povm, alphas)
+    totals = probabilities.sum(axis=0)
+    deviations = np.abs(totals - 1.0)
+    if not np.all(deviations <= 1e-9):  # written so that NaN fails too
+        raise ConsistencyError(f"outcome probabilities sum to {totals[np.argmax(deviations)]}")
+    cumulative = np.cumsum(probabilities, axis=0)
+    # the count of cumulative entries <= u is searchsorted(..., side="right")
+    outcomes = (cumulative <= rng.random(alphas.size) * totals).sum(axis=0)
+    return np.bincount(np.minimum(outcomes, povm.n_outcomes - 1), minlength=povm.n_outcomes)
+
+
 def run_experiment(
     j1, j2, prior, povm: RotInvariantPovm, n_trials: int = 100_000, seed: int = 0
 ) -> ExperimentSummary:
-    """Repeat the single-shot experiment: draw an angle from the prior and a
-    collective orientation from the invariant measure, prepare the coherent
-    pair, sample an outcome, and score its information gain.
+    """Repeat the single-shot experiment: draw an angle from the prior,
+    sample an outcome of the coherent pair at that angle, and score its
+    information gain.
 
-    Each trial builds the dense pair state, so pairs above the dense cap raise
-    CapacityError before any work is done."""
+    The POVM commutes with every collective rotation, so the Haar-random
+    orientation of the pair cannot change an outcome probability, and each
+    trial samples straight from the closed-form likelihood p(outcome | alpha).
+    Trials run in chunks of ``CHUNK_TRIALS``; chunk c draws its angles and
+    then its outcomes from ``SeedSequence(seed, spawn_key=(c,))``.  The mean
+    gain and its standard error follow exactly from the outcome counts.
+
+    Pairs above the dense cap raise CapacityError before any work is done,
+    which keeps experiments within reach of the dense per-trial reference
+    they are checked against."""
     j1, j2 = spin(j1), spin(j2)
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     check_dense_capacity(j1, j2)
     report = average_information_gain(j1, j2, prior, povm)
-    gain_by_label = {entry.label: entry.information_gain_bits for entry in report.outcomes}
     analytic = np.array([entry.probability for entry in report.outcomes])
-    draw_angle = _prior_sampler(prior)
-    top1 = coherent_state(j1, Direction(0.0, 0.0)).amplitudes
-    dims = (j1.dimension, j2.dimension)
+    gains = np.array([entry.information_gain_bits for entry in report.outcomes])
+    draw_angles = _prior_sampler(prior)
 
     counts = np.zeros(povm.n_outcomes, dtype=np.int64)
-    gains = np.empty(n_trials)
-    for trial in range(n_trials):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
-        alpha = draw_angle(rng)
-        omega = haar_rotation(rng)
-        u1 = rotation_matrix(j1, omega) @ top1
-        u2 = rotation_matrix(j2, omega) @ coherent_state(j2, Direction(alpha, 0.0)).amplitudes
-        psi = np.kron(u1, u2)
-        rho = DensityMatrix(np.outer(psi, psi.conj()), dims)
-        label = sample_outcome(rho, povm, rng)
-        k = povm.index(label)
-        counts[k] += 1
-        gains[trial] = gain_by_label[label]
+    for chunk, start in enumerate(range(0, n_trials, CHUNK_TRIALS)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+        alphas = draw_angles(rng, min(CHUNK_TRIALS, n_trials - start))
+        counts += _sample_chunk(povm, alphas, rng)
 
     frequencies = counts / n_trials
+    mean_gain = float(counts @ gains) / n_trials
     if n_trials > 1:
         freq_se = np.sqrt(frequencies * (1.0 - frequencies) / (n_trials - 1))
-        gain_se = float(gains.std(ddof=1) / math.sqrt(n_trials))
+        variance = float(counts @ (gains - mean_gain) ** 2) / (n_trials - 1)
+        gain_se = math.sqrt(variance / n_trials)
     else:
         freq_se = np.zeros_like(frequencies)
         gain_se = 0.0
@@ -143,7 +159,7 @@ def run_experiment(
         counts=counts,
         frequencies=frequencies,
         frequency_standard_errors=freq_se,
-        mean_gain_bits=float(gains.mean()),
+        mean_gain_bits=mean_gain,
         gain_standard_error_bits=gain_se,
         analytic_probabilities=analytic,
         analytic_average_gain_bits=report.average_gain_bits,

@@ -85,6 +85,12 @@ class TestProbs:
         assert "2*min(j1, j2) <= 200" in err
         assert _likelihood_table.cache_info().currsize == cached
 
+    def test_nan_angle_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "probs", "--j1", "1", "--j2", "1", "--alpha", "nan")
+        assert code == 2
+        assert out == ""
+        assert "relative angles must lie in [0, pi]" in err
+
     def test_invalid_spin_exits_2_and_names_field(self, capsys):
         code, out, err = run_cli(capsys, "probs", "--j1", "abc", "--j2", "1/2")
         assert code == 2

@@ -28,6 +28,7 @@ from relangle import (
     uniform_direction_prior,
 )
 from relangle.angular import Direction, Rotation
+from relangle.estimation import _block_probability_matrix
 from relangle.states import collective_rotate, product_coherent_pair
 
 HALF = spin("1/2")
@@ -156,6 +157,11 @@ class TestOutcomeProbabilities:
     def test_alpha_outside_range_raises(self):
         with pytest.raises(ValueError):
             outcome_probability(HALF, HALF, spin(0), 4.0)
+
+    @pytest.mark.parametrize("alphas", [[math.nan], [0.1, math.nan]])
+    def test_nan_alpha_raises(self, alphas):
+        with pytest.raises(ValueError):
+            _block_probability_matrix(spin(1), spin(1), np.array(alphas))
 
 
 class TestPovm:

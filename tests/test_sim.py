@@ -1,11 +1,18 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import relangle.sim as sim_module
 from relangle import (
     ConsistencyError,
+    CouplingDecomposition,
+    DensityMatrix,
     RotInvariantPovm,
+    average_information_gain,
+    coherent_state,
     haar_rotation,
     optimal_local_povm,
     parallel_antiparallel_prior,
@@ -13,11 +20,45 @@ from relangle import (
     run_experiment,
     sample_outcome,
     spin,
+    uniform_direction_prior,
 )
 from relangle.angular import Direction
+from relangle.sim import CHUNK_TRIALS, _prior_sampler
 from relangle.states import InvariantState, collective_rotate, product_coherent_pair
 
 HALF = spin("1/2")
+
+# the three pairs of the benchmark's Monte Carlo mix: (j1, j2, prior, POVM)
+MC_CASES = (
+    (HALF, HALF, parallel_antiparallel_prior, lambda: RotInvariantPovm.projective(HALF, HALF)),
+    (HALF, spin("3/2"), uniform_direction_prior, lambda: optimal_local_povm(spin("3/2"))),
+    (spin(2), spin(3), uniform_direction_prior, lambda: RotInvariantPovm.projective(2, 3)),
+)
+
+
+def dense_run_experiment(j1, j2, prior, povm, n_trials, seed):
+    """Outcome counts of the experiment simulated one dense state per trial.
+
+    Each trial draws an angle and a Haar-random collective orientation from
+    its own child generator, rotates the dense coherent pair, and samples the
+    outcome from its group-averaged block weights: the reference that the
+    closed-form sampling in ``run_experiment`` must agree with.
+    """
+    j1, j2 = spin(j1), spin(j2)
+    draw_angles = _prior_sampler(prior)
+    top1 = coherent_state(j1, Direction(0.0, 0.0)).amplitudes
+    dims = (j1.dimension, j2.dimension)
+    counts = np.zeros(povm.n_outcomes, dtype=np.int64)
+    for trial in range(n_trials):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
+        alpha = float(draw_angles(rng, 1)[0])
+        omega = haar_rotation(rng)
+        u1 = rotation_matrix(j1, omega) @ top1
+        u2 = rotation_matrix(j2, omega) @ coherent_state(j2, Direction(alpha, 0.0)).amplitudes
+        psi = np.kron(u1, u2)
+        rho = DensityMatrix(np.outer(psi, psi.conj()), dims)
+        counts[povm.index(sample_outcome(rho, povm, rng))] += 1
+    return counts
 
 
 class TestHaarRotation:
@@ -192,3 +233,105 @@ class TestRunExperiment:
             summary.frequencies, summary.analytic_probabilities, summary.frequency_standard_errors
         ):
             assert abs(freq - p) <= 5.0 * se + 1e-12
+
+
+class TestChunkedExperiment:
+    def test_dense_oracle_agrees_within_five_sigma(self):
+        n = 2000
+        for j1, j2, make_prior, make_povm in MC_CASES:
+            prior, povm = make_prior(), make_povm()
+            dense = dense_run_experiment(j1, j2, prior, povm, n, seed=61) / n
+            fast = run_experiment(j1, j2, prior, povm, n, seed=62).frequencies
+            pooled = 0.5 * (dense + fast)
+            sigma = np.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
+            assert np.all(np.abs(dense - fast) <= 5.0 * sigma + 1e-12), (j1, j2)
+
+    def test_never_builds_dense_states(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_experiment took the dense per-trial path")
+
+        for name in ("relangle", "relangle.angular", "relangle.sim", "relangle.states",
+                     "relangle.coupling", "relangle.estimation", "relangle.locc"):
+            module = sys.modules[name]
+            if vars(module).get("rotation_matrix") is rotation_matrix:
+                monkeypatch.setattr(module, "rotation_matrix", forbidden)
+        monkeypatch.setattr(DensityMatrix, "__init__", forbidden)
+        monkeypatch.setattr(CouplingDecomposition, "block_probabilities", forbidden)
+        monkeypatch.setattr(sim_module, "haar_rotation", forbidden)
+        for j1, j2, make_prior, make_povm in MC_CASES:
+            summary = run_experiment(j1, j2, make_prior(), make_povm(), 500, seed=63)
+            assert int(summary.counts.sum()) == 500
+
+    @pytest.mark.parametrize(
+        "n", [CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1, 2 * CHUNK_TRIALS + 1]
+    )
+    def test_chunk_edges(self, n):
+        args = (HALF, HALF, parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, HALF))
+        first = run_experiment(*args, n, seed=64)
+        second = run_experiment(*args, n, seed=64)
+        assert int(first.counts.sum()) == n
+        assert np.array_equal(first.counts, second.counts)
+        assert first.mean_gain_bits == second.mean_gain_bits
+        assert first.gain_standard_error_bits == second.gain_standard_error_bits
+        # one child seed per chunk: the full first chunk is shared with a
+        # longer run, so the counts differ by the trials past it
+        if n > CHUNK_TRIALS:
+            head = run_experiment(*args, CHUNK_TRIALS, seed=64)
+            assert np.all(first.counts >= head.counts)
+
+    def test_gain_summary_matches_per_trial_formulas(self):
+        for j1, j2, make_prior, make_povm in (MC_CASES[0], MC_CASES[2]):
+            prior, povm = make_prior(), make_povm()
+            summary = run_experiment(j1, j2, prior, povm, 20_000, seed=65)
+            report = average_information_gain(j1, j2, prior, povm)
+            gains = np.repeat([entry.information_gain_bits for entry in report.outcomes],
+                              summary.counts)
+            standard_error = gains.std(ddof=1) / math.sqrt(gains.size)
+            assert summary.mean_gain_bits == pytest.approx(gains.mean(), rel=1e-12, abs=0.0)
+            assert summary.gain_standard_error_bits == pytest.approx(
+                standard_error, rel=1e-12, abs=0.0
+            )
+
+    @pytest.mark.parametrize("leak", [0.3, math.nan])
+    def test_consistency_error_on_leaky_probabilities(self, monkeypatch, leak):
+        monkeypatch.setattr(
+            sim_module,
+            "povm_outcome_probabilities",
+            lambda povm, alphas: np.full((povm.n_outcomes, np.size(alphas)), leak),
+        )
+        with pytest.raises(ConsistencyError):
+            run_experiment(
+                HALF, HALF, parallel_antiparallel_prior(),
+                RotInvariantPovm.projective(HALF, HALF), 100, seed=66,
+            )
+
+    def test_memory_does_not_grow_with_trials(self):
+        prior, povm = uniform_direction_prior(), RotInvariantPovm.projective(2, 3)
+        tracemalloc.start()
+        try:
+            summary = run_experiment(spin(2), spin(3), prior, povm, 1_000_000, seed=67)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.n_trials == 1_000_000
+        assert peak < 16 * 2**20
+
+
+class TestPriorSampler:
+    def test_uniform_direction_kolmogorov_smirnov(self):
+        n = 100_000
+        draw = _prior_sampler(uniform_direction_prior())
+        samples = np.sort(draw(np.random.default_rng(68), n))
+        cdf = 0.5 * (1.0 - np.cos(samples))
+        empirical_hi = np.arange(1, n + 1) / n
+        empirical_lo = np.arange(0, n) / n
+        ks = max(np.max(empirical_hi - cdf), np.max(cdf - empirical_lo))
+        assert ks < 1.63 / math.sqrt(n)  # 1% critical value
+
+    def test_parallel_antiparallel_support_and_frequency(self):
+        n = 100_000
+        draw = _prior_sampler(parallel_antiparallel_prior())
+        samples = draw(np.random.default_rng(69), n)
+        assert set(np.unique(samples)) <= {0.0, math.pi}
+        sigma = math.sqrt(0.25 / n)
+        assert abs(np.mean(samples == math.pi) - 0.5) <= 5.0 * sigma
