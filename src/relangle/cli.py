@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +19,16 @@ from .coupling import total_j_values
 from .errors import CapacityError, ConsistencyError
 from .estimation import (
     DiscreteAngleDistribution,
-    RotInvariantPovm,
     _block_probability_matrix,
+    _make_povm,
+    _make_prior,
     average_information_gain,
     infogain_curve,
-    parallel_antiparallel_prior,
-    uniform_direction_prior,
 )
-from .locc import optimal_local_povm, ppt_threshold
+from .locc import ppt_threshold
 from .sim import run_experiment
 
-__all__ = ["ScenarioConfig", "main"]
+__all__ = ["main"]
 
 SCHEMA_VERSION = 1
 DEFAULT_ALPHA_GRID_POINTS = 181
@@ -43,15 +41,23 @@ CURVE_SCENARIOS = {
     "d": ("uniform-directions", "optimal-local"),
 }
 
-class UsageError(ValueError):
-    """Bad command-line configuration (exit code 2)."""
+# --prior and --povm names for the kinds in PRIOR_KINDS and POVM_KINDS
+_KINDS = {
+    "pap": "parallel-antiparallel",
+    "uniform": "uniform-directions",
+    "optimal": "optimal",
+    "local": "optimal-local",
+}
 
 
 def _spin_type(text: str) -> SpinQuantumNumber:
     try:
-        return SpinQuantumNumber.from_string(text)
+        value = SpinQuantumNumber.from_string(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if value.twice_j == 0:
+        raise argparse.ArgumentTypeError("spin must be at least 1/2")
+    return value
 
 
 def _alpha_type(text: str) -> float:
@@ -101,10 +107,10 @@ def _curves_type(text: str) -> tuple[str, ...]:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (default: csv for tables, json for reports)")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--seed", type=_seed_type, default=None, help="RNG seed (u64)")
+    formatted = argparse.ArgumentParser(add_help=False, parents=[common])
+    formatted.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="output format (default: csv)")
 
     parser = argparse.ArgumentParser(
         prog="relangle",
@@ -112,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("probs", parents=[common],
+    p = sub.add_parser("probs", parents=[formatted],
                        help="outcome probabilities of the total-spin measurement")
     p.add_argument("--j1", type=_spin_type, required=True)
     p.add_argument("--j2", type=_spin_type, required=True)
@@ -126,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", choices=("pap", "uniform"), required=True)
     p.add_argument("--povm", choices=("optimal", "local"), required=True)
 
-    p = sub.add_parser("curve", parents=[common],
+    p = sub.add_parser("curve", parents=[formatted],
                        help="average information gain versus j for a spin-1/2 probe")
     p.add_argument("--j-min", type=_spin_type, default=SpinQuantumNumber(1))
     p.add_argument("--j-max", type=_spin_type, default=SpinQuantumNumber(20))
@@ -146,87 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", choices=("pap", "uniform"), required=True)
     p.add_argument("--povm", choices=("optimal", "local"), default="optimal")
     p.add_argument("--n", type=_trials_type, default=100_000, help="number of trials")
+    p.add_argument("--seed", type=_seed_type, default=0, help="RNG seed (u64, default: 0)")
 
     return parser
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Canonical form of a parsed command line."""
-
-    command: str
-    j1: SpinQuantumNumber | None = None
-    j2: SpinQuantumNumber | None = None
-    j: SpinQuantumNumber | None = None
-    prior: str | None = None
-    povm: str | None = None
-    alpha: float | None = None
-    j_min: SpinQuantumNumber | None = None
-    j_max: SpinQuantumNumber | None = None
-    j_step: SpinQuantumNumber | None = None
-    curves: tuple[str, ...] | None = None
-    n_trials: int | None = None
-    seed: int | None = None
-    fmt: str | None = None
-    out: str | None = None
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "ScenarioConfig":
-        get = lambda name: getattr(ns, name, None)
-        return cls(
-            command=ns.command,
-            j1=get("j1"),
-            j2=get("j2"),
-            j=get("j"),
-            prior=get("prior"),
-            povm=get("povm"),
-            alpha=get("alpha"),
-            j_min=get("j_min"),
-            j_max=get("j_max"),
-            j_step=get("j_step"),
-            curves=get("curves"),
-            n_trials=get("n"),
-            seed=get("seed"),
-            fmt=get("format"),
-            out=get("out"),
-        )
-
-    @classmethod
-    def from_args(cls, argv) -> "ScenarioConfig":
-        return cls.from_namespace(_build_parser().parse_args(argv))
-
-    def to_args(self) -> list[str]:
-        """Canonical argument list; parsing it reproduces this config."""
-        args = [self.command]
-        if self.j1 is not None:
-            args += ["--j1", str(self.j1)]
-        if self.j2 is not None:
-            args += ["--j2", str(self.j2)]
-        if self.j is not None:
-            args += ["--j", str(self.j)]
-        if self.prior is not None:
-            args += ["--prior", self.prior]
-        if self.povm is not None:
-            args += ["--povm", self.povm]
-        if self.alpha is not None:
-            args += ["--alpha", repr(self.alpha)]
-        if self.j_min is not None:
-            args += ["--j-min", str(self.j_min)]
-        if self.j_max is not None:
-            args += ["--j-max", str(self.j_max)]
-        if self.j_step is not None:
-            args += ["--j-step", str(self.j_step)]
-        if self.curves is not None:
-            args += ["--curves", ",".join(self.curves)]
-        if self.n_trials is not None:
-            args += ["--n", str(self.n_trials)]
-        if self.seed is not None:
-            args += ["--seed", str(self.seed)]
-        if self.fmt is not None:
-            args += ["--format", self.fmt]
-        if self.out is not None:
-            args += ["--out", self.out]
-        return args
 
 
 def _sig10(x: float) -> float:
@@ -242,39 +170,24 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload) + "\n"
 
 
-def _resolve_format(cfg: ScenarioConfig, default: str, allowed: tuple[str, ...]) -> str:
-    fmt = cfg.fmt or default
-    if fmt not in allowed:
-        raise UsageError(f"command {cfg.command!r} supports only --format {'/'.join(allowed)}")
-    return fmt
+def _scenario(args: argparse.Namespace) -> tuple:
+    """The prior and the POVM named by --prior and --povm."""
+    return _make_prior(_KINDS[args.prior]), _make_povm(_KINDS[args.povm], args.j1, args.j2)
 
 
-def _make_prior(name: str):
-    return parallel_antiparallel_prior() if name == "pap" else uniform_direction_prior()
-
-
-def _make_povm(cfg: ScenarioConfig) -> RotInvariantPovm:
-    if cfg.povm == "optimal":
-        return RotInvariantPovm.projective(cfg.j1, cfg.j2)
-    if cfg.j1 != SpinQuantumNumber(1):
-        raise UsageError("--povm local requires --j1 1/2")
-    return optimal_local_povm(cfg.j2)
-
-
-def _cmd_probs(cfg: ScenarioConfig) -> str:
-    fmt = _resolve_format(cfg, "csv", ("csv", "json"))
-    if cfg.alpha is not None:
-        grid = [cfg.alpha]
+def _cmd_probs(args: argparse.Namespace) -> str:
+    if args.alpha is not None:
+        grid = [args.alpha]
     else:
         grid = np.linspace(0.0, math.pi, DEFAULT_ALPHA_GRID_POINTS).tolist()
-    probabilities = _block_probability_matrix(cfg.j1, cfg.j2, np.array(grid)).T.tolist()
-    labels = [str(J) for J in total_j_values(cfg.j1, cfg.j2)]
+    probabilities = _block_probability_matrix(args.j1, args.j2, np.array(grid)).T.tolist()
+    labels = [str(J) for J in total_j_values(args.j1, args.j2)]
     rows = [
         (alpha, J, p)
         for alpha, column in zip(grid, probabilities)
         for J, p in zip(labels, column)
     ]
-    if fmt == "csv":
+    if args.format == "csv":
         lines = ["alpha,J,probability"]
         lines += [f"{_csv(alpha)},{J},{_csv(p)}" for alpha, J, p in rows]
         return "\n".join(lines) + "\n"
@@ -282,8 +195,8 @@ def _cmd_probs(cfg: ScenarioConfig) -> str:
         {
             "schema": SCHEMA_VERSION,
             "command": "probs",
-            "j1": str(cfg.j1),
-            "j2": str(cfg.j2),
+            "j1": str(args.j1),
+            "j2": str(args.j2),
             "rows": [
                 {"alpha": _sig10(alpha), "J": J, "probability": _sig10(p)}
                 for alpha, J, p in rows
@@ -312,17 +225,16 @@ def _serialize_posterior(posterior) -> dict | None:
     }
 
 
-def _cmd_report(cfg: ScenarioConfig) -> str:
-    _resolve_format(cfg, "json", ("json",))
-    report = average_information_gain(cfg.j1, cfg.j2, _make_prior(cfg.prior), _make_povm(cfg))
+def _cmd_report(args: argparse.Namespace) -> str:
+    report = average_information_gain(args.j1, args.j2, *_scenario(args))
     return _json_text(
         {
             "schema": SCHEMA_VERSION,
             "command": "report",
-            "j1": str(cfg.j1),
-            "j2": str(cfg.j2),
-            "prior": cfg.prior,
-            "povm": cfg.povm,
+            "j1": str(args.j1),
+            "j2": str(args.j2),
+            "prior": args.prior,
+            "povm": args.povm,
             "outcomes": [
                 {
                     "label": entry.label,
@@ -337,20 +249,17 @@ def _cmd_report(cfg: ScenarioConfig) -> str:
     )
 
 
-def _cmd_curve(cfg: ScenarioConfig) -> str:
-    fmt = _resolve_format(cfg, "csv", ("csv", "json"))
-    if cfg.j_step.twice_j == 0:
-        raise UsageError("--j-step must be positive")
-    twice_values = range(cfg.j_min.twice_j, cfg.j_max.twice_j + 1, cfg.j_step.twice_j)
+def _cmd_curve(args: argparse.Namespace) -> str:
+    twice_values = range(args.j_min.twice_j, args.j_max.twice_j + 1, args.j_step.twice_j)
     j_list = [SpinQuantumNumber(tj) for tj in twice_values]
     if not j_list:
-        raise UsageError("empty j range")
+        raise ValueError("empty j range")
     rows = []
-    for letter in cfg.curves:
+    for letter in args.curves:
         prior_kind, povm_kind = CURVE_SCENARIOS[letter]
         for j, gain in infogain_curve(j_list, prior_kind, povm_kind):
             rows.append((str(j), gain, letter))
-    if fmt == "csv":
+    if args.format == "csv":
         lines = ["j,I_av_bits,scenario"]
         lines += [f"{j},{_csv(gain)},{letter}" for j, gain, letter in rows]
         return "\n".join(lines) + "\n"
@@ -366,17 +275,16 @@ def _cmd_curve(cfg: ScenarioConfig) -> str:
     )
 
 
-def _cmd_ppt(cfg: ScenarioConfig) -> str:
-    _resolve_format(cfg, "json", ("json",))
-    if cfg.j.twice_j > 10:
+def _cmd_ppt(args: argparse.Namespace) -> str:
+    if args.j.twice_j > 10:
         raise CapacityError("ppt supports j up to 5 on the dense path")
-    x_star = ppt_threshold(cfg.j)
-    predicted = 1.0 / (cfg.j.twice_j + 2.0)
+    x_star = ppt_threshold(args.j)
+    predicted = 1.0 / (args.j.twice_j + 2.0)
     return _json_text(
         {
             "schema": SCHEMA_VERSION,
             "command": "ppt",
-            "j": str(cfg.j),
+            "j": str(args.j),
             "x_star": _sig10(x_star),
             "predicted": _sig10(predicted),
             "abs_diff": _sig10(abs(x_star - predicted)),
@@ -384,22 +292,18 @@ def _cmd_ppt(cfg: ScenarioConfig) -> str:
     )
 
 
-def _cmd_simulate(cfg: ScenarioConfig) -> str:
-    _resolve_format(cfg, "json", ("json",))
-    seed = cfg.seed if cfg.seed is not None else 0
-    summary = run_experiment(
-        cfg.j1, cfg.j2, _make_prior(cfg.prior), _make_povm(cfg), cfg.n_trials, seed
-    )
+def _cmd_simulate(args: argparse.Namespace) -> str:
+    summary = run_experiment(args.j1, args.j2, *_scenario(args), args.n, args.seed)
     return _json_text(
         {
             "schema": SCHEMA_VERSION,
             "command": "simulate",
-            "j1": str(cfg.j1),
-            "j2": str(cfg.j2),
-            "prior": cfg.prior,
-            "povm": cfg.povm,
+            "j1": str(args.j1),
+            "j2": str(args.j2),
+            "prior": args.prior,
+            "povm": args.povm,
             "n_trials": summary.n_trials,
-            "seed": seed,
+            "seed": args.seed,
             "outcomes": [
                 {
                     "label": label,
@@ -433,23 +337,19 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        namespace = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    config = ScenarioConfig.from_namespace(namespace)
     try:
-        text = _DISPATCH[config.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        text = _DISPATCH[args.command](args)
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # domain and capacity errors are configuration errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.out:
-        with open(config.out, "w", newline="\n") as handle:
+    if args.out:
+        with open(args.out, "w", newline="\n") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

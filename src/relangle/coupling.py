@@ -176,18 +176,15 @@ def decomposition(j1, j2) -> CouplingDecomposition:
     return _decomposition(j1.twice_j, j2.twice_j)
 
 
-@lru_cache(maxsize=256)
-def _projector_matrix(twice_j1: int, twice_j2: int, twice_J: int) -> np.ndarray:
-    block = _decomposition(twice_j1, twice_j2).block(SpinQuantumNumber(twice_J))
-    matrix = block.isometry @ block.isometry.T
-    matrix.setflags(write=False)
-    return matrix
-
-
 def projector(j1, j2, J) -> Projector:
-    """Projector onto the total-spin-J block of the (j1, j2) product space."""
+    """Projector onto the total-spin-J block of the (j1, j2) product space.
+
+    Built on each call, not cached: dense states and POVM elements sum one
+    projector per block, and caching them would hold a dim^2 matrix per block.
+    """
     j1, j2, J = spin(j1), spin(j2), spin(J)
     check_dense_capacity(j1, j2)
     if J not in total_j_values(j1, j2):
         raise ValueError(f"J={J} outside the range for ({j1}, {j2})")
-    return Projector(J, _projector_matrix(j1.twice_j, j2.twice_j, J.twice_j))
+    isometry = _decomposition(j1.twice_j, j2.twice_j).block(J).isometry
+    return Projector(J, isometry @ isometry.T)

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import SpinQuantumNumber, spin
-from .coupling import decomposition, total_j_values
+from .coupling import projector, total_j_values
 from .errors import CapacityError, ConsistencyError, ImpossibleOutcomeError
 from .states import DensityMatrix, InvariantState, invariant_average
 
@@ -203,12 +203,11 @@ class RotInvariantPovm:
 
     def element_matrix(self, k: int) -> np.ndarray:
         """Dense matrix of element k (subject to the dense dimension cap)."""
-        dec = decomposition(self.j1, self.j2)
         dim = self.j1.dimension * self.j2.dimension
         matrix = np.zeros((dim, dim))
-        for weight, block in zip(self.weights[k], dec.blocks):
+        for weight, J in zip(self.weights[k], self.j_values):
             if weight != 0.0:
-                matrix += weight * (block.isometry @ block.isometry.T)
+                matrix += weight * projector(self.j1, self.j2, J).matrix
         return matrix
 
 
@@ -468,12 +467,27 @@ def map_estimate(posterior) -> float:
     return _golden_section_max(lambda x: float(posterior.pdf(np.array([x]))[0]), lo, hi)
 
 
-def _make_prior(prior_kind: str):
-    if prior_kind == "parallel-antiparallel":
+def _make_prior(kind: str):
+    """The prior of the given kind in ``PRIOR_KINDS``."""
+    if kind == "parallel-antiparallel":
         return parallel_antiparallel_prior()
-    if prior_kind == "uniform-directions":
+    if kind == "uniform-directions":
         return uniform_direction_prior()
-    raise ValueError(f"prior kind must be one of {PRIOR_KINDS}, got {prior_kind!r}")
+    raise ValueError(f"prior kind must be one of {PRIOR_KINDS}, got {kind!r}")
+
+
+def _make_povm(kind: str, j1, j2) -> RotInvariantPovm:
+    """The POVM of the given kind in ``POVM_KINDS`` on the pair (j1, j2); the
+    optimal local POVM exists only for a spin-1/2 probe j1."""
+    if kind == "optimal":
+        return RotInvariantPovm.projective(j1, j2)
+    if kind != "optimal-local":
+        raise ValueError(f"povm kind must be one of {POVM_KINDS}, got {kind!r}")
+    if spin(j1) != SpinQuantumNumber(1):
+        raise ValueError(f"the optimal-local POVM needs j1 = 1/2, got j1 = {spin(j1)}")
+    from .locc import optimal_local_povm
+
+    return optimal_local_povm(j2)
 
 
 def infogain_curve(j_list, prior_kind: str, povm_kind: str) -> list:
@@ -482,19 +496,11 @@ def infogain_curve(j_list, prior_kind: str, povm_kind: str) -> list:
     Returns one (j, average gain in bits) row per entry of ``j_list``; all
     probabilities come from the closed forms, so large j is cheap.
     """
-    if povm_kind not in POVM_KINDS:
-        raise ValueError(f"povm kind must be one of {POVM_KINDS}, got {povm_kind!r}")
     half = SpinQuantumNumber(1)
+    prior = _make_prior(prior_kind)
     rows = []
-    for j in j_list:
-        j = spin(j)
-        if povm_kind == "optimal":
-            povm = RotInvariantPovm.projective(half, j)
-        else:
-            from .locc import optimal_local_povm
-
-            povm = optimal_local_povm(j)
-        report = average_information_gain(half, j, _make_prior(prior_kind), povm)
+    for j in map(spin, j_list):
+        report = average_information_gain(half, j, prior, _make_povm(povm_kind, half, j))
         rows.append((j, report.average_gain_bits))
     return rows
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import Direction, Rotation, SpinQuantumNumber, coherent_state, rotation_matrix, spin
-from .coupling import decomposition, total_j_values
+from .coupling import decomposition, projector, total_j_values
 from .errors import ConsistencyError
 
 __all__ = [
@@ -90,13 +90,10 @@ class InvariantState:
 
     def reconstruct(self) -> DensityMatrix:
         """Dense form sum_J p_J Pi_J / (2J + 1)."""
-        dec = decomposition(self.j1, self.j2)
         dim = self.j1.dimension * self.j2.dimension
         matrix = np.zeros((dim, dim), dtype=complex)
-        for block in dec.blocks:
-            matrix += (self.weights[block.J] / block.J.dimension) * (
-                block.isometry @ block.isometry.T
-            )
+        for J in total_j_values(self.j1, self.j2):
+            matrix += (self.weights[J] / J.dimension) * projector(self.j1, self.j2, J).matrix
         return DensityMatrix(matrix, (self.j1.dimension, self.j2.dimension))
 
 
@@ -136,8 +133,7 @@ def werner_state(p: float) -> DensityMatrix:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing probability must lie in [0, 1], got {p}")
     half = spin("1/2")
-    dec = decomposition(half, half)
-    singlet = dec.block(0).isometry
-    triplet = dec.block(1).isometry
-    matrix = p * (singlet @ singlet.T) + (1.0 - p) / 3.0 * (triplet @ triplet.T)
+    singlet = projector(half, half, 0).matrix
+    triplet = projector(half, half, 1).matrix
+    matrix = p * singlet + (1.0 - p) / 3.0 * triplet
     return DensityMatrix(matrix.astype(complex), (2, 2))

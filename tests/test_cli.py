@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from relangle.cli import ScenarioConfig, main
+from relangle.cli import main
 from relangle.estimation import _likelihood_table
 
 
@@ -287,20 +287,46 @@ class TestOutputAndConfig:
         assert text.startswith("alpha,J,probability\n")
         assert "\r" not in text
 
-    def test_config_roundtrip(self):
-        samples = [
-            ["report", "--j1", "1/2", "--j2", "3", "--prior", "uniform", "--povm", "local"],
-            ["probs", "--j1", "1", "--j2", "3/2", "--alpha", "0.25", "--format", "json"],
-            ["curve", "--j-min", "1/2", "--j-max", "5", "--j-step", "1/2", "--curves", "a,c"],
-            ["ppt", "--j", "2"],
-            ["simulate", "--j1", "1/2", "--j2", "1/2", "--prior", "pap", "--n", "10", "--seed", "3"],
-        ]
-        for argv in samples:
-            config = ScenarioConfig.from_args(argv)
-            canonical = config.to_args()
-            assert ScenarioConfig.from_args(canonical) == config
-            assert ScenarioConfig.from_args(canonical).to_args() == canonical
-
     def test_missing_subcommand_exits_2(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2
+
+
+class TestFlagsAndSpins:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["probs", "--j1", "0", "--j2", "1"],
+            ["report", "--j1", "0", "--j2", "1", "--prior", "uniform", "--povm", "optimal"],
+            ["simulate", "--j1", "1/2", "--j2", "0", "--prior", "pap", "--n", "10"],
+            ["curve", "--j-step", "0"],
+        ],
+    )
+    def test_spin_zero_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "spin must be at least 1/2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--j1", "1/2", "--j2", "1/2", "--prior", "pap", "--povm", "optimal",
+             "--format", "json"],
+            ["ppt", "--j", "1", "--format", "json"],
+            ["probs", "--j1", "1", "--j2", "1", "--seed", "3"],
+            ["curve", "--seed", "1"],
+        ],
+    )
+    def test_flag_on_command_that_ignores_it_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_simulate_seed_defaults_to_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--j1", "1/2", "--j2", "1/2", "--prior", "pap", "--n", "10"
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == 0

@@ -28,7 +28,7 @@ from relangle import (
     uniform_direction_prior,
 )
 from relangle.angular import Direction, Rotation
-from relangle.estimation import _block_probability_matrix
+from relangle.estimation import _block_probability_matrix, _make_povm, _make_prior
 from relangle.states import collective_rotate, product_coherent_pair
 
 HALF = spin("1/2")
@@ -404,6 +404,20 @@ class TestInfoGainCurve:
             infogain_curve([HALF], "parallel-antiparallel", "bogus")
         with pytest.raises(ValueError):
             infogain_curve([HALF], "bogus", "optimal")
+
+
+class TestScenarioFactories:
+    def test_unknown_prior_kind_names_the_kinds(self):
+        with pytest.raises(ValueError, match="parallel-antiparallel.*uniform-directions"):
+            _make_prior("x")
+
+    def test_unknown_povm_kind_names_the_kinds(self):
+        with pytest.raises(ValueError, match="optimal.*optimal-local"):
+            _make_povm("x", HALF, HALF)
+
+    def test_local_povm_needs_spin_half_probe(self):
+        with pytest.raises(ValueError, match="local"):
+            _make_povm("optimal-local", 1, 1)
 
 
 class TestBornLimit:
