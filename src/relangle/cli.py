@@ -23,7 +23,6 @@ from .estimation import (
     _make_povm,
     _make_prior,
     average_information_gain,
-    infogain_curve,
 )
 from .locc import ppt_threshold
 from .sim import run_experiment
@@ -31,6 +30,7 @@ from .sim import run_experiment
 __all__ = ["main"]
 
 SCHEMA_VERSION = 1
+_HALF = SpinQuantumNumber(1)
 DEFAULT_ALPHA_GRID_POINTS = 181
 
 # Fig-style curve letters: (prior kind, POVM kind)
@@ -136,7 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="average information gain versus j for a spin-1/2 probe")
     p.add_argument("--j-min", type=_spin_type, default=SpinQuantumNumber(1))
     p.add_argument("--j-max", type=_spin_type, default=SpinQuantumNumber(20))
-    p.add_argument("--j-step", type=_spin_type, default=SpinQuantumNumber(1))
+    p.add_argument("--j-step", type=_spin_type, default=SpinQuantumNumber(1),
+                   help="must land on --j-max, unless it is longer than the whole range, "
+                        "which gives --j-min alone")
     p.add_argument("--curves", type=_curves_type, default=("a", "b", "c", "d"),
                    help="comma-separated subset of a,b,c,d "
                         "(a: pap/optimal, b: pap/local, c: uniform/optimal, d: uniform/local)")
@@ -251,14 +253,25 @@ def _cmd_report(args: argparse.Namespace) -> str:
 
 def _cmd_curve(args: argparse.Namespace) -> str:
     twice_values = range(args.j_min.twice_j, args.j_max.twice_j + 1, args.j_step.twice_j)
-    j_list = [SpinQuantumNumber(tj) for tj in twice_values]
-    if not j_list:
+    if not twice_values:
         raise ValueError("empty j range")
-    rows = []
-    for letter in args.curves:
-        prior_kind, povm_kind = CURVE_SCENARIOS[letter]
-        for j, gain in infogain_curve(j_list, prior_kind, povm_kind):
-            rows.append((str(j), gain, letter))
+    if len(twice_values) > 1 and twice_values[-1] != args.j_max.twice_j:
+        raise ValueError(
+            f"--j-step {args.j_step} from --j-min {args.j_min} skips past --j-max {args.j_max} "
+            f"(the last j would be {SpinQuantumNumber(twice_values[-1])})"
+        )
+    j_list = [SpinQuantumNumber(tj) for tj in twice_values]
+    priors = {letter: _make_prior(CURVE_SCENARIOS[letter][0]) for letter in args.curves}
+    gains = {letter: [] for letter in args.curves}
+    # j outermost, so that each pair's likelihood table is built once for all scenarios
+    for j in j_list:
+        for letter in args.curves:
+            povm = _make_povm(CURVE_SCENARIOS[letter][1], _HALF, j)
+            report = average_information_gain(_HALF, j, priors[letter], povm)
+            gains[letter].append(report.average_gain_bits)
+    rows = [
+        (str(j), gain, letter) for letter in args.curves for j, gain in zip(j_list, gains[letter])
+    ]
     if args.format == "csv":
         lines = ["j,I_av_bits,scenario"]
         lines += [f"{j},{_csv(gain)},{letter}" for j, gain, letter in rows]

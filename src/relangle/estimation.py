@@ -9,10 +9,13 @@ along +z and the smaller spin b at angle alpha,
     p(J | alpha) = sum_k T[J, k] s^k (1 - s)^(2b - k),   s = sin^2(alpha / 2),
 
 where T[J, k] = |<a a; b b-k | J, a+b-k>|^2 C(2b, k) is a table of exact
-rationals, one float per entry.  No dense matrix is built.  Information
-gains are Kullback-Leibler divergences of the posterior from the prior, in
-bits.  Integrals over continuous priors use Gauss-Legendre quadrature on
-[0, pi] with node doubling until two successive values agree to 1e-10.
+rationals, one float per entry.  No dense matrix is built.  As ds =
+sin(alpha)/2 dalpha, a density is a coefficient vector on the basis
+s^k (1 - s)^(n - k); a posterior is the prior's vector convolved with a row
+of T, and its evidence is exact with the Beta integrals k!(n-k)!/(n+1)!.
+Information gains are Kullback-Leibler divergences in bits; only one between
+densities needs quadrature, Gauss-Legendre in alpha, unless the posterior is
+linear and the prior constant in s (any spin-1/2 probe, uniform prior).
 """
 
 import math
@@ -57,10 +60,9 @@ POVM_KINDS = ("optimal", "optimal-local")
 # it builds in well under a second, and the larger spin is unrestricted.
 KERNEL_TWICE_J_LIMIT = 200
 
-_QUAD_TOL = 1e-10
-_QUAD_START = 16
-_QUAD_MAX = 16384
-
+# Largest degree of an AngleDensity: past it the coefficients of a normalised
+# density on the basis s^k (1 - s)^(n - k) overflow a float (C(1000, 500) = 2.7e299).
+_MAX_DENSITY_DEGREE = 1000
 
 @lru_cache(maxsize=16)
 def _quad_rule(n: int):
@@ -72,17 +74,16 @@ def _quad_rule(n: int):
     return nodes, weights
 
 
-def _adaptive_integral(f, tol: float = _QUAD_TOL) -> tuple[float, int]:
-    """Integrate a vectorized function over [0, pi]; returns (value, nodes used)."""
+def _adaptive_integral(f, tol: float = 1e-10) -> tuple[float, int]:
+    """Integrate a vectorized function over [0, pi] with 16, 32, ... 16384 nodes
+    until two successive values agree to ``tol``; returns (value, nodes used)."""
     previous = None
-    n = _QUAD_START
-    while n <= _QUAD_MAX:
+    for n in (2**p for p in range(4, 15)):
         nodes, weights = _quad_rule(n)
         value = float(np.dot(weights, f(nodes)))
         if previous is not None and abs(value - previous) < tol:
             return value, n
         previous = value
-        n *= 2
     raise ConsistencyError("quadrature failed to converge; integrand is not smooth enough")
 
 
@@ -99,13 +100,14 @@ class DiscreteAngleDistribution:
         weights = np.array(self.weights, dtype=float)
         if alphas.ndim != 1 or alphas.shape != weights.shape:
             raise ValueError("support points and weights must be 1-d arrays of equal length")
-        if np.any(alphas < -1e-12) or np.any(alphas > math.pi + 1e-12):
+        # min/max comparisons written so that NaN fails them too
+        if alphas.size and not (alphas.min() >= -1e-12 and alphas.max() <= math.pi + 1e-12):
             raise ValueError("support points must lie in [0, pi]")
-        if np.any(weights < -1e-12):
+        if weights.size and not weights.min() >= -1e-12:
             raise ValueError("weights must be non-negative")
-        weights = np.clip(weights, 0.0, None)
+        weights = np.maximum(weights, 0.0)
         total = float(weights.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1")
         alphas.setflags(write=False)
         weights.setflags(write=False)
@@ -113,28 +115,51 @@ class DiscreteAngleDistribution:
         object.__setattr__(self, "weights", weights)
 
 
+@lru_cache(maxsize=128)
+def _beta_weights(n: int) -> np.ndarray:
+    """Integrals over s in [0, 1] of s^k (1 - s)^(n - k), k = 0 .. n: the exact
+    rationals k! (n - k)! / (n + 1)! = 1 / ((n + 1) C(n, k)), rounded once each."""
+    if n > _MAX_DENSITY_DEGREE:
+        raise CapacityError(f"a density of degree {n} exceeds the limit {_MAX_DENSITY_DEGREE}")
+    weights = np.array([1 / ((n + 1) * math.comb(n, k)) for k in range(n + 1)])
+    weights.setflags(write=False)
+    return weights
+
+
+def _s_basis(alphas: np.ndarray, n: int) -> np.ndarray:
+    """s^k (1 - s)^(n - k), k = 0 .. n (rows), at each angle (columns); 1 - s is
+    taken as cos^2(alpha/2), which keeps small values relatively accurate."""
+    half = 0.5 * alphas
+    k = np.arange(n + 1.0)[:, None]
+    return (np.sin(half) ** 2) ** k * (np.cos(half) ** 2) ** (n - k)
+
+
 class AngleDensity:
-    """Distribution over the relative angle given by a density on [0, pi].
+    """Distribution over the relative angle with a polynomial density in s:
+    ``coefficients[k]`` multiplies s^k (1 - s)^(n - k) for degree n, so
+    pdf(alpha) = sum_k c_k s^k (1 - s)^(n - k) sin(alpha) / 2.  Coefficients
+    must be non-negative and are checked to integrate to one exactly."""
 
-    The density callable must accept a numpy array of angles and is checked to
-    integrate to one at construction.
-    """
-
-    def __init__(self, pdf, outcome_label: str | None = None):
-        self._pdf = pdf
-        self.outcome_label = outcome_label
-        total, nodes_used = _adaptive_integral(self.pdf)
-        if abs(total - 1.0) > 1e-10:
+    def __init__(self, coefficients, outcome_label: str | None = None):
+        coefficients = np.array(coefficients, dtype=float)
+        # written so that NaN fails too
+        if coefficients.ndim != 1 or coefficients.size == 0 or not np.all(coefficients >= 0.0):
+            raise ValueError("coefficients must be a non-empty 1-d array of non-negative numbers")
+        total = float(coefficients @ _beta_weights(coefficients.size - 1))
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"density integrates to {total}, expected 1")
-        self._nodes_hint = nodes_used
-
-    def pdf(self, alphas) -> np.ndarray:
-        return np.asarray(self._pdf(np.asarray(alphas, dtype=float)), dtype=float)
+        coefficients.setflags(write=False)
+        self.coefficients = coefficients
+        self.outcome_label = outcome_label
 
     @property
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature nodes and weights at the converged resolution."""
-        return _quad_rule(self._nodes_hint)
+    def degree(self) -> int:
+        return self.coefficients.size - 1
+
+    def pdf(self, alphas) -> np.ndarray:
+        alphas = np.asarray(alphas, dtype=float)
+        values = self.coefficients @ _s_basis(alphas.ravel(), self.degree)
+        return values.reshape(alphas.shape) * (0.5 * np.sin(alphas))
 
 
 def parallel_antiparallel_prior() -> DiscreteAngleDistribution:
@@ -143,8 +168,8 @@ def parallel_antiparallel_prior() -> DiscreteAngleDistribution:
 
 
 def uniform_direction_prior() -> AngleDensity:
-    """Prior on the angle when each spin direction is uniform on the sphere."""
-    return AngleDensity(lambda a: 0.5 * np.sin(a))
+    """Prior sin(alpha)/2 of independently uniform directions: uniform in s."""
+    return AngleDensity([1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,11 +197,10 @@ class RotInvariantPovm:
             raise ValueError(f"weights shape {weights.shape} does not match labels x blocks")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("outcome labels must be unique")
-        if np.any(weights < -1e-12):
+        if weights.size and not weights.min() >= -1e-12:  # NaN fails too
             raise ValueError("POVM weights must be non-negative")
-        weights = np.clip(weights, 0.0, None)
-        columns = weights.sum(axis=0)
-        if np.max(np.abs(columns - 1.0)) > 1e-12:
+        weights = np.maximum(weights, 0.0)
+        if not np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-12:
             raise ValueError("weights for each block must sum to 1 over outcomes")
         weights.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -212,9 +236,8 @@ class RotInvariantPovm:
 
 
 @lru_cache(maxsize=128)
-def _likelihood_table(twice_a: int, twice_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """T[J, k] = |<a a; b b-k | J, a+b-k>|^2 C(2b, k) for spins a >= b, with
-    the exponents k and 2b - k of the binomial basis as float columns.
+def _likelihood_table(twice_b: int, twice_a: int) -> np.ndarray:
+    """T[J, k] = |<a a; b b-k | J, a+b-k>|^2 C(2b, k) for spins b <= a, sorted.
 
     Rows follow increasing J, columns k = 0 .. 2b.  With x = a + b - J the
     entry vanishes unless x <= k, and otherwise equals
@@ -223,8 +246,11 @@ def _likelihood_table(twice_a: int, twice_b: int) -> tuple[np.ndarray, np.ndarra
 
     with P(n, r) = n! / (n-r)!.  Every factorial is at most (2b)!, and the
     quotient of Python integers rounds once, so each entry is the correctly
-    rounded float of the exact rational.
+    rounded float of the exact rational.  CapacityError past the kernel limit.
     """
+    if twice_b > KERNEL_TWICE_J_LIMIT:
+        raise CapacityError(f"the smaller spin {SpinQuantumNumber(twice_b)} exceeds the likelihood "
+                            f"kernel's limit 2*min(j1, j2) <= {KERNEL_TWICE_J_LIMIT}")
     factorial = [math.factorial(n) for n in range(twice_b + 1)]
     table = np.zeros((twice_b + 1, twice_b + 1))
     for x in range(twice_b + 1):
@@ -238,36 +264,24 @@ def _likelihood_table(twice_a: int, twice_b: int) -> tuple[np.ndarray, np.ndarra
                 * factorial[twice_b - k] ** 2
             )
             table[twice_b - x, k] = head / den
-    k = np.arange(twice_b + 1.0)[:, None]
-    rest = twice_b - k
-    for array in (table, k, rest):
-        array.setflags(write=False)
-    return table, k, rest
+    table.setflags(write=False)
+    return table
 
 
 def _block_probability_matrix(j1: SpinQuantumNumber, j2: SpinQuantumNumber, alphas: np.ndarray) -> np.ndarray:
     """p(J | alpha) for a product coherent pair, shape (n_blocks, n_alphas).
 
-    Rows follow increasing J.  The likelihood is symmetric in the two spins,
-    so the larger one, a, is fixed along +z and the smaller one, b, is the
-    binomial (Wigner-d) mixture |d^b_{b-k,b}(alpha)|^2 = C(2b, k) s^k (1-s)^(2b-k)
-    of its m = b - k components, s = sin^2(alpha/2); the exact table
-    ``_likelihood_table`` carries the stretched Clebsch-Gordan weights.
-    Raises CapacityError when 2 min(j1, j2) exceeds ``KERNEL_TWICE_J_LIMIT``.
+    Rows follow increasing J.  The likelihood is symmetric in the two spins:
+    the larger one, a, is fixed along +z, and the smaller one, b, is the
+    binomial (Wigner-d) mixture C(2b, k) s^k (1-s)^(2b-k) of its m = b - k
+    components; ``_likelihood_table`` carries the Clebsch-Gordan weights.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     # written as "not inside" so that NaN angles fail it too
     if alphas.size and not (alphas.min() >= -1e-9 and alphas.max() <= math.pi + 1e-9):
         raise ValueError("relative angles must lie in [0, pi]")
-    twice_a, twice_b = max(j1.twice_j, j2.twice_j), min(j1.twice_j, j2.twice_j)
-    if twice_b > KERNEL_TWICE_J_LIMIT:
-        raise CapacityError(
-            f"the smaller spin {SpinQuantumNumber(twice_b)} exceeds the likelihood kernel's "
-            f"limit 2*min(j1, j2) <= {KERNEL_TWICE_J_LIMIT}"
-        )
-    table, k, rest = _likelihood_table(twice_a, twice_b)
-    half = 0.5 * alphas
-    return table @ ((np.sin(half) ** 2) ** k * (np.cos(half) ** 2) ** rest)
+    table = _likelihood_table(*sorted((j1.twice_j, j2.twice_j)))
+    return table @ _s_basis(alphas, table.shape[1] - 1)
 
 
 def outcome_probabilities(j1, j2, alpha: float) -> dict:
@@ -304,36 +318,47 @@ def povm_probabilities_from_state(povm: RotInvariantPovm, state) -> np.ndarray:
     return povm.weights @ block_probs
 
 
-def _outcome_prior_probability(prior, povm: RotInvariantPovm, k: int) -> float:
+def _joint_rows(prior, j1, j2, povm: RotInvariantPovm) -> tuple[np.ndarray, np.ndarray]:
+    """Evidences P(o) and joint rows; row o over P(o) is the posterior's weights (discrete
+    prior: one likelihood call) or coefficients (density: no term of P(o) cancels)."""
+    if (povm.j1, povm.j2) != (spin(j1), spin(j2)):
+        raise ValueError("POVM does not act on the requested spin pair")
     if isinstance(prior, DiscreteAngleDistribution):
-        likelihood = povm_outcome_probabilities(povm, prior.alphas)[k]
-        return float(np.dot(prior.weights, likelihood))
-    value, _ = _adaptive_integral(
-        lambda a: povm_outcome_probabilities(povm, a)[k] * prior.pdf(a)
-    )
-    return value
+        likelihood = povm_outcome_probabilities(povm, prior.alphas)
+        return likelihood @ prior.weights, likelihood * prior.weights
+    likelihood = povm.weights @ _likelihood_table(*sorted((povm.j1.twice_j, povm.j2.twice_j)))
+    beta = _beta_weights(prior.degree + likelihood.shape[1] - 1)  # checks the degree first
+    rows = np.array([np.convolve(prior.coefficients, row) for row in likelihood])
+    return rows @ beta, rows
+
+
+def _posterior(prior, row: np.ndarray, evidence: float, label: str):
+    if isinstance(prior, DiscreteAngleDistribution):
+        return DiscreteAngleDistribution(prior.alphas, row / evidence, outcome_label=label)
+    return AngleDensity(row / evidence, outcome_label=label)
 
 
 def bayes_update(prior, j1, j2, povm: RotInvariantPovm, outcome: str):
     """Posterior over the relative angle after observing the given outcome."""
-    j1, j2 = spin(j1), spin(j2)
-    if (povm.j1, povm.j2) != (j1, j2):
-        raise ValueError("POVM does not act on the requested spin pair")
     k = povm.index(outcome)
-    p_outcome = _outcome_prior_probability(prior, povm, k)
+    evidence, rows = _joint_rows(prior, j1, j2, povm)
+    p_outcome = float(evidence[k])
     if p_outcome <= 1e-14:
         raise ImpossibleOutcomeError(
             f"outcome {outcome!r} has probability {p_outcome} under this prior"
         )
-    if isinstance(prior, DiscreteAngleDistribution):
-        likelihood = povm_outcome_probabilities(povm, prior.alphas)[k]
-        return DiscreteAngleDistribution(
-            prior.alphas, prior.weights * likelihood / p_outcome, outcome_label=outcome
-        )
-    return AngleDensity(
-        lambda a: povm_outcome_probabilities(povm, a)[k] * prior.pdf(a) / p_outcome,
-        outcome_label=outcome,
-    )
+    return _posterior(prior, rows[k], p_outcome, outcome)
+
+
+def _linear_x_log_x(c0: float, c1: float) -> float:
+    """int_0^1 q ln q ds for q = c0 (1 - s) + c1 s >= 0: (F(c1) - F(c0)) / (c1 - c0) with
+    F(x) = x^2 ln x / 2 - x^2 / 4; where that cancels (|t| < 0.1), its even series in t."""
+    m, t = 0.5 * (c0 + c1), (c1 - c0) / (c0 + c1)
+    if abs(t) < 0.1:
+        series = sum(t**n / ((n + 1) * n * (n - 1)) for n in range(20, 0, -2))  # even n
+        return m * math.log(m) + m * series
+    F = [x * x * math.log(x) / 2 - x * x / 4 if x > 0.0 else 0.0 for x in (c0, c1)]
+    return (F[1] - F[0]) / (c1 - c0)
 
 
 def information_gain(prior, posterior) -> float:
@@ -346,9 +371,8 @@ def information_gain(prior, posterior) -> float:
     if isinstance(prior, DiscreteAngleDistribution):
         if not isinstance(posterior, DiscreteAngleDistribution):
             raise ValueError("prior and posterior must share the same representation")
-        if prior.alphas.shape != posterior.alphas.shape or np.max(
-            np.abs(prior.alphas - posterior.alphas)
-        ) > 1e-12:
+        same_shape = prior.alphas.shape == posterior.alphas.shape
+        if not (same_shape and np.abs(prior.alphas - posterior.alphas).max() <= 1e-12):
             raise ValueError("prior and posterior must share the same support points")
         q, p = posterior.weights, prior.weights
         if np.any((q > 1e-15) & (p <= 0.0)):
@@ -357,10 +381,12 @@ def information_gain(prior, posterior) -> float:
         return float(np.sum(q[mask] * np.log2(q[mask] / p[mask])))
     if not isinstance(posterior, AngleDensity):
         raise ValueError("prior and posterior must share the same representation")
+    if prior.degree == 0 and posterior.degree == 1:  # int q ln(q / p) ds, p constant
+        (p,), (c0, c1) = prior.coefficients.tolist(), posterior.coefficients.tolist()
+        return (_linear_x_log_x(c0, c1) - math.log(p) * 0.5 * (c0 + c1)) / math.log(2.0)
 
     def integrand(a):
-        q = posterior.pdf(a)
-        p = prior.pdf(a)
+        q, p = posterior.pdf(a), prior.pdf(a)
         if np.any((q > 1e-12) & (p <= 0.0)):
             raise ValueError("posterior is not absolutely continuous w.r.t. the prior")
         out = np.zeros_like(q)
@@ -413,58 +439,36 @@ class EstimationReport:
 
 def average_information_gain(j1, j2, prior, povm: RotInvariantPovm) -> EstimationReport:
     """Full estimation report for a prior and a rotationally invariant POVM."""
-    j1, j2 = spin(j1), spin(j2)
-    entries = []
-    average = 0.0
-    for k, label in enumerate(povm.labels):
-        p_outcome = _outcome_prior_probability(prior, povm, k)
+    evidence, rows = _joint_rows(prior, j1, j2, povm)
+    entries, average = [], 0.0
+    for label, p_outcome, row in zip(povm.labels, evidence.tolist(), rows):
         if p_outcome <= 1e-14:
             entries.append(OutcomeReport(label, 0.0, None, 0.0))
             continue
-        posterior = bayes_update(prior, j1, j2, povm, label)
+        posterior = _posterior(prior, row, p_outcome, label)
         gain = information_gain(prior, posterior)
         entries.append(OutcomeReport(label, p_outcome, posterior, gain))
         average += p_outcome * gain
     return EstimationReport(povm, tuple(entries), average)
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-8) -> float:
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def map_estimate(posterior) -> float:
     """Maximizer of the posterior over [0, pi].
 
     Discrete posteriors return the max-weight support point, breaking ties in
-    favor of the smaller angle.  Densities are maximized by golden-section
-    search seeded from the best quadrature node.
-    """
+    favor of the smaller angle.  Densities are searched on a uniform grid in
+    alpha that grows with the degree, then on 65-point grids between the two
+    neighbours of the best point until they are 1e-9 apart."""
     if isinstance(posterior, DiscreteAngleDistribution):
         best = float(np.max(posterior.weights))
         candidates = posterior.alphas[posterior.weights >= best - 1e-15]
         return float(np.min(candidates))
-    nodes, _ = _quad_rule(max(64, posterior._nodes_hint))
-    candidates = np.concatenate([[0.0], nodes, [math.pi]])
-    values = posterior.pdf(candidates)
-    best = int(np.argmax(values))
-    spacing = math.pi / nodes.size
-    lo = max(0.0, candidates[best] - spacing)
-    hi = min(math.pi, candidates[best] + spacing)
-    return _golden_section_max(lambda x: float(posterior.pdf(np.array([x]))[0]), lo, hi)
+    lo, hi, points = 0.0, math.pi, 16 * posterior.degree + 65
+    while hi - lo > 1e-9:
+        grid = np.linspace(lo, hi, points)
+        best = int(np.argmax(posterior.pdf(grid)))
+        lo, hi, points = grid[max(best - 1, 0)], grid[min(best + 1, points - 1)], 65
+    return 0.5 * (lo + hi)
 
 
 def _make_prior(kind: str):
@@ -491,18 +495,14 @@ def _make_povm(kind: str, j1, j2) -> RotInvariantPovm:
 
 
 def infogain_curve(j_list, prior_kind: str, povm_kind: str) -> list:
-    """Average information gain versus j for a spin-1/2 paired with a spin-j.
-
-    Returns one (j, average gain in bits) row per entry of ``j_list``; all
-    probabilities come from the closed forms, so large j is cheap.
-    """
-    half = SpinQuantumNumber(1)
-    prior = _make_prior(prior_kind)
-    rows = []
-    for j in map(spin, j_list):
-        report = average_information_gain(half, j, prior, _make_povm(povm_kind, half, j))
-        rows.append((j, report.average_gain_bits))
-    return rows
+    """Average information gain versus j for a spin-1/2 paired with a spin-j:
+    one (j, bits) row per entry of ``j_list``, from closed forms at any j."""
+    half, prior = SpinQuantumNumber(1), _make_prior(prior_kind)
+    reports = (
+        (j, average_information_gain(half, j, prior, _make_povm(povm_kind, half, j)))
+        for j in map(spin, j_list)
+    )
+    return [(j, report.average_gain_bits) for j, report in reports]
 
 
 def born_limit_check(j1, alpha: float, j2) -> float:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +199,27 @@ class TestCurve:
         code, _, _ = run_cli(capsys, "curve", "--curves", "z")
         assert code == 2
 
+    def test_step_longer_than_range_gives_j_min_alone(self, capsys):
+        code, out, _ = run_cli(capsys, "curve", "--j-min", "1", "--j-max", "2", "--j-step", "5")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == ["1"] * 4
+
+    def test_step_skipping_past_j_max_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "curve", "--j-min", "1", "--j-max", "7", "--j-step", "5")
+        assert code == 2
+        assert out == ""
+        assert "skips past --j-max 7" in err
+        assert "the last j would be 6" in err
+
+    def test_each_likelihood_table_built_once(self, capsys):
+        # 200 values of j, more than the table cache holds: with j outermost every
+        # table serves all four scenarios before it is evicted
+        _likelihood_table.cache_clear()
+        code, _, _ = run_cli(capsys, "curve", "--j-min", "1/2", "--j-max", "100", "--j-step", "1/2")
+        assert code == 0
+        assert _likelihood_table.cache_info().misses == 200
+
 
 class TestPpt:
     def test_two_qubits(self, capsys):
@@ -330,3 +355,20 @@ class TestFlagsAndSpins:
         )
         assert code == 0
         assert json.loads(out)["seed"] == 0
+
+
+class TestNumpyOnly:
+    def test_import_loads_neither_scipy_nor_sympy(self):
+        # a fresh interpreter, so that modules the test suite imports do not count
+        script = (
+            "import sys, relangle, relangle.cli\n"
+            "loaded = sorted({'scipy', 'sympy'} & {name.split('.')[0] for name in sys.modules})\n"
+            "print(','.join(loaded))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == ""

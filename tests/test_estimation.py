@@ -5,6 +5,7 @@ import pytest
 
 from relangle import (
     AngleDensity,
+    CapacityError,
     DiscreteAngleDistribution,
     ImpossibleOutcomeError,
     KERNEL_TWICE_J_LIMIT,
@@ -28,7 +29,7 @@ from relangle import (
     uniform_direction_prior,
 )
 from relangle.angular import Direction, Rotation
-from relangle.estimation import _block_probability_matrix, _make_povm, _make_prior
+from relangle.estimation import _block_probability_matrix, _joint_rows, _make_povm, _make_prior
 from relangle.states import collective_rotate, product_coherent_pair
 
 HALF = spin("1/2")
@@ -65,6 +66,15 @@ def dense_block_probabilities(j1, j2, alphas):
         for row, block in enumerate(dec.blocks):
             result[row, col] = float(np.sum(np.abs(block.isometry.T @ psi) ** 2))
     return result
+
+
+def gauss_legendre_alpha(f, n=256):
+    """Reference integral of a vectorized function over alpha in [0, pi] with a
+    fixed n-node Gauss-Legendre rule in alpha, independent of the s-basis.  At
+    256 nodes it integrates every likelihood here to about 1e-14 relative;
+    numpy's rule itself drifts by about 1e-13 at 2048 nodes."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * math.pi * (f(0.5 * math.pi * (x + 1.0)) @ w)
 
 
 class TestOutcomeProbabilities:
@@ -357,6 +367,100 @@ class TestAverageInformationGain:
                 assert np.max(np.abs(rotated - base)) < 1e-10
 
 
+def oracle_evidences(prior, povm):
+    """P(o) = integral of p(o | alpha) prior(alpha) over alpha, by quadrature."""
+    return gauss_legendre_alpha(lambda a: povm_outcome_probabilities(povm, a) * prior.pdf(a))
+
+
+def oracle_gain(prior, povm, k):
+    """KL in bits of the posterior after outcome k from a density prior, both
+    built pointwise from the likelihood and integrated by quadrature."""
+    evidence = oracle_evidences(prior, povm)[k]
+
+    def integrand(a):
+        p = prior.pdf(a)
+        q = povm_outcome_probabilities(povm, a)[k] * p / evidence
+        out = np.zeros_like(q)
+        mask = q > 0.0
+        out[mask] = q[mask] * np.log2(q[mask] / p[mask])
+        return out
+
+    return gauss_legendre_alpha(integrand)
+
+
+class TestExactEvidencesAndGains:
+    @pytest.mark.parametrize("j1, j2", [(1, 1), (5, 5), (20, 60), (100, 100), (100, 800)])
+    def test_uniform_prior_evidences(self, j1, j2):
+        prior = uniform_direction_prior()
+        povm = RotInvariantPovm.projective(j1, j2)
+        evidence, _ = _joint_rows(prior, j1, j2, povm)
+        assert np.max(np.abs(evidence / oracle_evidences(prior, povm) - 1.0)) < 1e-12
+        assert abs(float(evidence.sum()) - 1.0) < 1e-14
+        # uniform directions average each coherent state to the maximally mixed one
+        dimensions = (2 * j1 + 1) * (2 * j2 + 1)
+        block_sizes = np.array([J.twice_j + 1.0 for J in povm.j_values])
+        assert np.max(np.abs(evidence * dimensions / block_sizes - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize("povm_kind", ["optimal", "optimal-local"])  # curves c and d
+    @pytest.mark.parametrize("j", ["1/2", "1", "5", "50", "500"])
+    def test_linear_posterior_gain_matches_quadrature(self, povm_kind, j):
+        prior = uniform_direction_prior()
+        povm = _make_povm(povm_kind, HALF, j)
+        report = average_information_gain(HALF, j, prior, povm)
+        for k, entry in enumerate(report.outcomes):
+            assert entry.posterior.degree == 1
+            assert abs(entry.information_gain_bits - oracle_gain(prior, povm, k)) < 1e-12
+
+    @pytest.mark.parametrize("high_weight", [0.5, 0.5 + 1e-9, 0.5 + 1e-7, 0.52, 0.5 + 0.0525, 0.6])
+    def test_nearly_uninformative_povm(self, high_weight):
+        # posteriors with nearly equal end values take the series branch (|t| < 0.1)
+        j_values = tuple(total_j_values(HALF, HALF))
+        weights = [[0.5, high_weight], [0.5, 1.0 - high_weight]]
+        povm = RotInvariantPovm(HALF, HALF, ("x", "y"), j_values, weights)
+        prior = uniform_direction_prior()
+        report = average_information_gain(HALF, HALF, prior, povm)
+        for k, entry in enumerate(report.outcomes):
+            assert entry.information_gain_bits >= -1e-15  # rounding of a unit mass
+            assert abs(entry.information_gain_bits - oracle_gain(prior, povm, k)) < 1e-14
+        if high_weight == 0.5:
+            assert report.average_gain_bits == 0.0
+
+    @pytest.mark.parametrize("j", [50, 500])
+    def test_curve_c_approaches_classical_limit_as_one_over_j(self, j):
+        gain = infogain_curve([spin(j)], "uniform-directions", "optimal")[0][1]
+        assert 0.3 < (GAIN_SINGLET_UNIFORM - gain) * j < 0.4
+
+
+class TestSequentialUpdate:
+    def test_degree_limit_is_a_capacity_error(self):
+        # degree 200 per update at (100, 800): five updates reach the limit 1000
+        povm = RotInvariantPovm.projective(spin(100), spin(800))
+        posterior = uniform_direction_prior()
+        for _ in range(5):
+            posterior = bayes_update(posterior, 100, 800, povm, povm.labels[100])
+        assert posterior.degree == 1000
+        assert abs(gauss_legendre_alpha(posterior.pdf, 1024) - 1.0) < 1e-12
+        with pytest.raises(CapacityError, match="degree 1200 exceeds the limit 1000"):
+            bayes_update(posterior, 100, 800, povm, povm.labels[100])
+        with pytest.raises(CapacityError):
+            AngleDensity(np.full(1002, 1.0))
+
+    def test_density_posterior_update_matches_pointwise_product(self):
+        prior = uniform_direction_prior()
+        povm = RotInvariantPovm.projective(spin(1), spin(2))
+        first = bayes_update(prior, 1, 2, povm, "J=1")
+        second = bayes_update(first, 1, 2, povm, "J=3")
+        assert second.degree == 4
+
+        def joint(a):
+            likelihood = povm_outcome_probabilities(povm, a)
+            return likelihood[0] * likelihood[2] * prior.pdf(a)
+
+        grid = np.linspace(0.0, math.pi, 181)
+        expected = joint(grid) / gauss_legendre_alpha(joint)
+        assert np.max(np.abs(second.pdf(grid) - expected)) < 1e-12
+
+
 class TestMapEstimate:
     def test_singlet_posterior_peak(self):
         prior = uniform_direction_prior()
@@ -379,6 +483,28 @@ class TestMapEstimate:
     def test_discrete_tie_breaks_to_smaller_angle(self):
         posterior = DiscreteAngleDistribution(np.array([0.5, 2.5]), np.array([0.5, 0.5]))
         assert map_estimate(posterior) == 0.5
+
+    def test_peaked_posterior_matches_fine_grid(self):
+        prior = uniform_direction_prior()
+        povm = RotInvariantPovm.projective(spin(20), spin(60))
+        posterior = bayes_update(prior, 20, 60, povm, povm.labels[0])
+        grid = np.linspace(0.0, math.pi, 400_001)
+        best = grid[int(np.argmax(posterior.pdf(grid)))]
+        assert abs(map_estimate(posterior) - best) < 1e-5
+
+    @pytest.mark.parametrize("k", [40, 160])
+    def test_narrow_peak_over_broad_bump(self, k):
+        # a spike about 0.07 wide in alpha, 10% above the maximum 1/2 of the
+        # uniform prior it is mixed with: a coarse seed grid settles on the bump
+        n = 200
+        grid = np.linspace(0.0, math.pi, 400_001)
+        broad = np.array([math.comb(n, i) for i in range(n + 1)], dtype=float)  # 1 in s
+        spike = np.zeros(n + 1)
+        spike[k] = (n + 1) * math.comb(n, k)
+        weight = 0.55 / float(np.max(AngleDensity(spike).pdf(grid)))
+        density = AngleDensity((1.0 - weight) * broad + weight * spike)
+        best = grid[int(np.argmax(density.pdf(grid)))]
+        assert abs(map_estimate(density) - best) < 1e-5
 
 
 class TestInfoGainCurve:
@@ -451,9 +577,19 @@ class TestDistributions:
 
     def test_density_requires_normalization(self):
         with pytest.raises(ValueError):
-            AngleDensity(lambda a: np.sin(a))
+            AngleDensity([2.0])
+
+    @pytest.mark.parametrize("coefficients", [[], [[1.0]], [2.0, -0.5, 0.5], [math.nan, 1.0]])
+    def test_density_rejects_malformed_coefficients(self, coefficients):
+        with pytest.raises(ValueError):
+            AngleDensity(coefficients)
+
+    def test_density_pdf_keeps_the_input_shape(self):
+        density = AngleDensity([0.5, 3.0, 1.0])
+        assert density.pdf(0.3).shape == ()
+        assert density.pdf(np.full((2, 3), 0.3)).shape == (2, 3)
+        assert abs(gauss_legendre_alpha(density.pdf) - 1.0) < 1e-14
 
     def test_uniform_prior_normalized(self):
         prior = uniform_direction_prior()
-        nodes, weights = prior.grid
-        assert abs(float(np.dot(weights, prior.pdf(nodes))) - 1.0) < 1e-10
+        assert abs(gauss_legendre_alpha(prior.pdf) - 1.0) < 1e-10
