@@ -23,6 +23,7 @@ from .estimation import (
     _make_povm,
     _make_prior,
     average_information_gain,
+    infogain_curve,
 )
 from .locc import ppt_threshold
 from .sim import run_experiment
@@ -30,7 +31,6 @@ from .sim import run_experiment
 __all__ = ["main"]
 
 SCHEMA_VERSION = 1
-_HALF = SpinQuantumNumber(1)
 DEFAULT_ALPHA_GRID_POINTS = 181
 
 # Fig-style curve letters: (prior kind, POVM kind)
@@ -261,17 +261,11 @@ def _cmd_curve(args: argparse.Namespace) -> str:
             f"(the last j would be {SpinQuantumNumber(twice_values[-1])})"
         )
     j_list = [SpinQuantumNumber(tj) for tj in twice_values]
-    priors = {letter: _make_prior(CURVE_SCENARIOS[letter][0]) for letter in args.curves}
-    gains = {letter: [] for letter in args.curves}
-    # j outermost, so that each pair's likelihood table is built once for all scenarios
-    for j in j_list:
-        for letter in args.curves:
-            povm = _make_povm(CURVE_SCENARIOS[letter][1], _HALF, j)
-            report = average_information_gain(_HALF, j, priors[letter], povm)
-            gains[letter].append(report.average_gain_bits)
-    rows = [
-        (str(j), gain, letter) for letter in args.curves for j, gain in zip(j_list, gains[letter])
-    ]
+    rows = []
+    for letter in args.curves:
+        prior_kind, povm_kind = CURVE_SCENARIOS[letter]
+        for j, gain in infogain_curve(j_list, prior_kind, povm_kind):
+            rows.append((str(j), gain, letter))
     if args.format == "csv":
         lines = ["j,I_av_bits,scenario"]
         lines += [f"{j},{_csv(gain)},{letter}" for j, gain, letter in rows]

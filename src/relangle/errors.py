@@ -4,9 +4,8 @@ __all__ = ["CapacityError", "ImpossibleOutcomeError", "ConsistencyError"]
 
 
 class CapacityError(ValueError):
-    """A request exceeds a size limit: the dense dimension cap, the
-    likelihood kernel's limit on the smaller spin, or the largest degree of
-    a polynomial density."""
+    """A request exceeds a size limit: the dense dimension cap or the
+    likelihood kernel's limit on the smaller spin."""
 
 
 class ImpossibleOutcomeError(ValueError):

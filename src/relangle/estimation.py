@@ -10,12 +10,14 @@ along +z and the smaller spin b at angle alpha,
 
 where T[J, k] = |<a a; b b-k | J, a+b-k>|^2 C(2b, k) is a table of exact
 rationals, one float per entry.  No dense matrix is built.  As ds =
-sin(alpha)/2 dalpha, a density is a coefficient vector on the basis
-s^k (1 - s)^(n - k); a posterior is the prior's vector convolved with a row
-of T, and its evidence is exact with the Beta integrals k!(n-k)!/(n+1)!.
-Information gains are Kullback-Leibler divergences in bits; only one between
-densities needs quadrature, Gauss-Legendre in alpha, unless the posterior is
-linear and the prior constant in s (any spin-1/2 probe, uniform prior).
+sin(alpha)/2 dalpha, a density is a polynomial in s held by its Bernstein
+coefficients (``polynomials``), whose mean is its integral.  A posterior's
+coefficients are the Bernstein product of the prior's with a row of T
+divided by C(2b, k), and its evidence is their mean, so evidences and
+posteriors need no quadrature.  Information gains are Kullback-Leibler
+divergences in bits; only one between densities needs quadrature,
+Gauss-Legendre in alpha, unless the posterior is linear and the prior
+constant in s (any spin-1/2 probe, uniform prior).
 """
 
 import math
@@ -27,6 +29,7 @@ import numpy as np
 from .angular import SpinQuantumNumber, spin
 from .coupling import projector, total_j_values
 from .errors import CapacityError, ConsistencyError, ImpossibleOutcomeError
+from .polynomials import bernstein_from_power, bernstein_product, bernstein_values, power_basis
 from .states import DensityMatrix, InvariantState, invariant_average
 
 __all__ = [
@@ -60,9 +63,10 @@ POVM_KINDS = ("optimal", "optimal-local")
 # it builds in well under a second, and the larger spin is unrestricted.
 KERNEL_TWICE_J_LIMIT = 200
 
-# Largest degree of an AngleDensity: past it the coefficients of a normalised
-# density on the basis s^k (1 - s)^(n - k) overflow a float (C(1000, 500) = 2.7e299).
-_MAX_DENSITY_DEGREE = 1000
+_QUAD_TOL = 1e-10
+_QUAD_START = 16
+_QUAD_MAX = 16384
+
 
 @lru_cache(maxsize=16)
 def _quad_rule(n: int):
@@ -74,16 +78,17 @@ def _quad_rule(n: int):
     return nodes, weights
 
 
-def _adaptive_integral(f, tol: float = 1e-10) -> tuple[float, int]:
-    """Integrate a vectorized function over [0, pi] with 16, 32, ... 16384 nodes
-    until two successive values agree to ``tol``; returns (value, nodes used)."""
+def _adaptive_integral(f, tol: float = _QUAD_TOL) -> tuple[float, int]:
+    """Integrate a vectorized function over [0, pi]; returns (value, nodes used)."""
     previous = None
-    for n in (2**p for p in range(4, 15)):
+    n = _QUAD_START
+    while n <= _QUAD_MAX:
         nodes, weights = _quad_rule(n)
         value = float(np.dot(weights, f(nodes)))
         if previous is not None and abs(value - previous) < tol:
             return value, n
         previous = value
+        n *= 2
     raise ConsistencyError("quadrature failed to converge; integrand is not smooth enough")
 
 
@@ -115,37 +120,23 @@ class DiscreteAngleDistribution:
         object.__setattr__(self, "weights", weights)
 
 
-@lru_cache(maxsize=128)
-def _beta_weights(n: int) -> np.ndarray:
-    """Integrals over s in [0, 1] of s^k (1 - s)^(n - k), k = 0 .. n: the exact
-    rationals k! (n - k)! / (n + 1)! = 1 / ((n + 1) C(n, k)), rounded once each."""
-    if n > _MAX_DENSITY_DEGREE:
-        raise CapacityError(f"a density of degree {n} exceeds the limit {_MAX_DENSITY_DEGREE}")
-    weights = np.array([1 / ((n + 1) * math.comb(n, k)) for k in range(n + 1)])
-    weights.setflags(write=False)
-    return weights
-
-
-def _s_basis(alphas: np.ndarray, n: int) -> np.ndarray:
-    """s^k (1 - s)^(n - k), k = 0 .. n (rows), at each angle (columns); 1 - s is
-    taken as cos^2(alpha/2), which keeps small values relatively accurate."""
-    half = 0.5 * alphas
-    k = np.arange(n + 1.0)[:, None]
-    return (np.sin(half) ** 2) ** k * (np.cos(half) ** 2) ** (n - k)
-
-
 class AngleDensity:
-    """Distribution over the relative angle with a polynomial density in s:
-    ``coefficients[k]`` multiplies s^k (1 - s)^(n - k) for degree n, so
-    pdf(alpha) = sum_k c_k s^k (1 - s)^(n - k) sin(alpha) / 2.  Coefficients
-    must be non-negative and are checked to integrate to one exactly."""
+    """Distribution over the relative angle with a polynomial density in s of
+    degree n, held by its Bernstein coefficients b_k:
+
+        pdf(alpha) = sum_k b_k C(n, k) s^k (1 - s)^(n - k) sin(alpha) / 2.
+
+    Each basis polynomial integrates to 1 / (n + 1) over s, so the density
+    integrates to the mean of b; it is checked to be one.  The coefficients
+    must be non-negative, and the uniform density is b_k = 1 at any degree.
+    """
 
     def __init__(self, coefficients, outcome_label: str | None = None):
         coefficients = np.array(coefficients, dtype=float)
         # written so that NaN fails too
         if coefficients.ndim != 1 or coefficients.size == 0 or not np.all(coefficients >= 0.0):
             raise ValueError("coefficients must be a non-empty 1-d array of non-negative numbers")
-        total = float(coefficients @ _beta_weights(coefficients.size - 1))
+        total = float(coefficients.sum()) / coefficients.size
         if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"density integrates to {total}, expected 1")
         coefficients.setflags(write=False)
@@ -158,8 +149,7 @@ class AngleDensity:
 
     def pdf(self, alphas) -> np.ndarray:
         alphas = np.asarray(alphas, dtype=float)
-        values = self.coefficients @ _s_basis(alphas.ravel(), self.degree)
-        return values.reshape(alphas.shape) * (0.5 * np.sin(alphas))
+        return bernstein_values(self.coefficients, alphas) * (0.5 * np.sin(alphas))
 
 
 def parallel_antiparallel_prior() -> DiscreteAngleDistribution:
@@ -271,17 +261,19 @@ def _likelihood_table(twice_b: int, twice_a: int) -> np.ndarray:
 def _block_probability_matrix(j1: SpinQuantumNumber, j2: SpinQuantumNumber, alphas: np.ndarray) -> np.ndarray:
     """p(J | alpha) for a product coherent pair, shape (n_blocks, n_alphas).
 
-    Rows follow increasing J.  The likelihood is symmetric in the two spins:
-    the larger one, a, is fixed along +z, and the smaller one, b, is the
-    binomial (Wigner-d) mixture C(2b, k) s^k (1-s)^(2b-k) of its m = b - k
-    components; ``_likelihood_table`` carries the Clebsch-Gordan weights.
+    Rows follow increasing J.  The likelihood is symmetric in the two spins,
+    so the larger one, a, is fixed along +z and the smaller one, b, is the
+    binomial (Wigner-d) mixture |d^b_{b-k,b}(alpha)|^2 = C(2b, k) s^k (1-s)^(2b-k)
+    of its m = b - k components, s = sin^2(alpha/2); the exact table
+    ``_likelihood_table`` carries the stretched Clebsch-Gordan weights.
+    Raises CapacityError when 2 min(j1, j2) exceeds ``KERNEL_TWICE_J_LIMIT``.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     # written as "not inside" so that NaN angles fail it too
     if alphas.size and not (alphas.min() >= -1e-9 and alphas.max() <= math.pi + 1e-9):
         raise ValueError("relative angles must lie in [0, pi]")
     table = _likelihood_table(*sorted((j1.twice_j, j2.twice_j)))
-    return table @ _s_basis(alphas, table.shape[1] - 1)
+    return table @ power_basis(alphas, table.shape[1] - 1)
 
 
 def outcome_probabilities(j1, j2, alpha: float) -> dict:
@@ -320,16 +312,17 @@ def povm_probabilities_from_state(povm: RotInvariantPovm, state) -> np.ndarray:
 
 def _joint_rows(prior, j1, j2, povm: RotInvariantPovm) -> tuple[np.ndarray, np.ndarray]:
     """Evidences P(o) and joint rows; row o over P(o) is the posterior's weights (discrete
-    prior: one likelihood call) or coefficients (density: no term of P(o) cancels)."""
+    prior: one likelihood call) or Bernstein coefficients (density: P(o) is the row's mean,
+    a sum of non-negative terms)."""
     if (povm.j1, povm.j2) != (spin(j1), spin(j2)):
         raise ValueError("POVM does not act on the requested spin pair")
     if isinstance(prior, DiscreteAngleDistribution):
         likelihood = povm_outcome_probabilities(povm, prior.alphas)
         return likelihood @ prior.weights, likelihood * prior.weights
-    likelihood = povm.weights @ _likelihood_table(*sorted((povm.j1.twice_j, povm.j2.twice_j)))
-    beta = _beta_weights(prior.degree + likelihood.shape[1] - 1)  # checks the degree first
-    rows = np.array([np.convolve(prior.coefficients, row) for row in likelihood])
-    return rows @ beta, rows
+    table = _likelihood_table(*sorted((povm.j1.twice_j, povm.j2.twice_j)))
+    likelihood = bernstein_from_power(povm.weights @ table)
+    rows = np.array([bernstein_product(prior.coefficients, row) for row in likelihood])
+    return rows.sum(axis=1) / rows.shape[1], rows
 
 
 def _posterior(prior, row: np.ndarray, evidence: float, label: str):
@@ -371,8 +364,9 @@ def information_gain(prior, posterior) -> float:
     if isinstance(prior, DiscreteAngleDistribution):
         if not isinstance(posterior, DiscreteAngleDistribution):
             raise ValueError("prior and posterior must share the same representation")
-        same_shape = prior.alphas.shape == posterior.alphas.shape
-        if not (same_shape and np.abs(prior.alphas - posterior.alphas).max() <= 1e-12):
+        if prior.alphas.shape != posterior.alphas.shape or np.max(
+            np.abs(prior.alphas - posterior.alphas)
+        ) > 1e-12:
             raise ValueError("prior and posterior must share the same support points")
         q, p = posterior.weights, prior.weights
         if np.any((q > 1e-15) & (p <= 0.0)):
@@ -386,7 +380,8 @@ def information_gain(prior, posterior) -> float:
         return (_linear_x_log_x(c0, c1) - math.log(p) * 0.5 * (c0 + c1)) / math.log(2.0)
 
     def integrand(a):
-        q, p = posterior.pdf(a), prior.pdf(a)
+        q = posterior.pdf(a)
+        p = prior.pdf(a)
         if np.any((q > 1e-12) & (p <= 0.0)):
             raise ValueError("posterior is not absolutely continuous w.r.t. the prior")
         out = np.zeros_like(q)
@@ -495,14 +490,18 @@ def _make_povm(kind: str, j1, j2) -> RotInvariantPovm:
 
 
 def infogain_curve(j_list, prior_kind: str, povm_kind: str) -> list:
-    """Average information gain versus j for a spin-1/2 paired with a spin-j:
-    one (j, bits) row per entry of ``j_list``, from closed forms at any j."""
-    half, prior = SpinQuantumNumber(1), _make_prior(prior_kind)
-    reports = (
-        (j, average_information_gain(half, j, prior, _make_povm(povm_kind, half, j)))
-        for j in map(spin, j_list)
-    )
-    return [(j, report.average_gain_bits) for j, report in reports]
+    """Average information gain versus j for a spin-1/2 paired with a spin-j.
+
+    Returns one (j, average gain in bits) row per entry of ``j_list``; all
+    probabilities come from the closed forms, so large j is cheap.
+    """
+    half = SpinQuantumNumber(1)
+    prior = _make_prior(prior_kind)
+    rows = []
+    for j in map(spin, j_list):
+        report = average_information_gain(half, j, prior, _make_povm(povm_kind, half, j))
+        rows.append((j, report.average_gain_bits))
+    return rows
 
 
 def born_limit_check(j1, alpha: float, j2) -> float:

@@ -212,14 +212,6 @@ class TestCurve:
         assert "skips past --j-max 7" in err
         assert "the last j would be 6" in err
 
-    def test_each_likelihood_table_built_once(self, capsys):
-        # 200 values of j, more than the table cache holds: with j outermost every
-        # table serves all four scenarios before it is evicted
-        _likelihood_table.cache_clear()
-        code, _, _ = run_cli(capsys, "curve", "--j-min", "1/2", "--j-max", "100", "--j-step", "1/2")
-        assert code == 0
-        assert _likelihood_table.cache_info().misses == 200
-
 
 class TestPpt:
     def test_two_qubits(self, capsys):

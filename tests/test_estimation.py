@@ -1,11 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from relangle import (
     AngleDensity,
-    CapacityError,
     DiscreteAngleDistribution,
     ImpossibleOutcomeError,
     KERNEL_TWICE_J_LIMIT,
@@ -432,18 +432,44 @@ class TestExactEvidencesAndGains:
 
 
 class TestSequentialUpdate:
-    def test_degree_limit_is_a_capacity_error(self):
-        # degree 200 per update at (100, 800): five updates reach the limit 1000
+    def test_repeated_updates_have_no_degree_limit(self):
+        # degree 200 per update at (100, 800): ten updates reach degree 2000,
+        # where C(2000, 1000) = 2e600 would overflow unscaled coefficients
         povm = RotInvariantPovm.projective(spin(100), spin(800))
+        k = 100
         posterior = uniform_direction_prior()
-        for _ in range(5):
-            posterior = bayes_update(posterior, 100, 800, povm, povm.labels[100])
-        assert posterior.degree == 1000
+        for _ in range(10):
+            posterior = bayes_update(posterior, 100, 800, povm, povm.labels[k])
+        assert posterior.degree == 2000
+        assert np.all(np.isfinite(posterior.coefficients))
         assert abs(gauss_legendre_alpha(posterior.pdf, 1024) - 1.0) < 1e-12
-        with pytest.raises(CapacityError, match="degree 1200 exceeds the limit 1000"):
-            bayes_update(posterior, 100, 800, povm, povm.labels[100])
-        with pytest.raises(CapacityError):
-            AngleDensity(np.full(1002, 1.0))
+
+        def joint(a):
+            return povm_outcome_probabilities(povm, a)[k] ** 10 * np.sin(a) / 2.0
+
+        grid = np.linspace(0.0, math.pi, 721)
+        expected = joint(grid) / gauss_legendre_alpha(joint, 1024)
+        assert np.max(np.abs(posterior.pdf(grid) - expected)) < 1e-11 * np.max(expected)
+
+    def test_many_small_updates_and_their_map_in_bounded_memory(self):
+        # 600 updates at (1, 2) reach degree 1200; the MAP search evaluates the
+        # density at 16 * 1200 + 65 angles, block by block
+        povm = RotInvariantPovm.projective(spin(1), spin(2))
+        posterior = uniform_direction_prior()
+        for _ in range(600):
+            posterior = bayes_update(posterior, 1, 2, povm, "J=2")
+        assert posterior.degree == 1200
+        assert abs(gauss_legendre_alpha(posterior.pdf, 1024) - 1.0) < 1e-12
+        tracemalloc.start()
+        try:
+            estimate = map_estimate(posterior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # one (1201 x 19265) basis array alone would be 185 MB
+        grid = np.linspace(1e-9, math.pi - 1e-9, 400_001)
+        log_density = 600 * np.log(povm_outcome_probabilities(povm, grid)[1]) + np.log(np.sin(grid))
+        assert abs(estimate - grid[int(np.argmax(log_density))]) < 1e-5
 
     def test_density_posterior_update_matches_pointwise_product(self):
         prior = uniform_direction_prior()
@@ -498,9 +524,9 @@ class TestMapEstimate:
         # uniform prior it is mixed with: a coarse seed grid settles on the bump
         n = 200
         grid = np.linspace(0.0, math.pi, 400_001)
-        broad = np.array([math.comb(n, i) for i in range(n + 1)], dtype=float)  # 1 in s
+        broad = np.ones(n + 1)  # uniform in s
         spike = np.zeros(n + 1)
-        spike[k] = (n + 1) * math.comb(n, k)
+        spike[k] = n + 1.0  # one normalised basis polynomial
         weight = 0.55 / float(np.max(AngleDensity(spike).pdf(grid)))
         density = AngleDensity((1.0 - weight) * broad + weight * spike)
         best = grid[int(np.argmax(density.pdf(grid)))]
@@ -585,7 +611,7 @@ class TestDistributions:
             AngleDensity(coefficients)
 
     def test_density_pdf_keeps_the_input_shape(self):
-        density = AngleDensity([0.5, 3.0, 1.0])
+        density = AngleDensity([0.5, 1.5, 1.0])
         assert density.pdf(0.3).shape == ()
         assert density.pdf(np.full((2, 3), 0.3)).shape == (2, 3)
         assert abs(gauss_legendre_alpha(density.pdf) - 1.0) < 1e-14
