@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,43 @@ def total_j_squared(j1, j2):
     eye1, eye2 = np.eye(j1.dimension), np.eye(j2.dimension)
     total = [np.kron(a, eye2) + np.kron(eye1, b) for a, b in zip(ops1, ops2)]
     return sum(op @ op for op in total)
+
+
+def exact_clebsch_gordan(tj1, tj2, tm1, tm2, tJ, tM):
+    """Racah's sum for <j1 m1; j2 m2 | J M> in exact rationals, rounded once.
+
+    Arguments are doubled quantum numbers.  The coefficient is sqrt(norm) * sum
+    with both factors rational, so its square is exact before the rounding.
+    """
+    if tM != tm1 + tm2:
+        return 0.0
+
+    def f(twice_n):
+        return math.factorial(twice_n // 2)
+
+    norm = Fraction(
+        (tJ + 1) * f(tJ + tj1 - tj2) * f(tJ - tj1 + tj2) * f(tj1 + tj2 - tJ) * f(tJ + tM)
+        * f(tJ - tM) * f(tj1 - tm1) * f(tj1 + tm1) * f(tj2 - tm2) * f(tj2 + tm2),
+        f(tj1 + tj2 + tJ + 2),
+    )
+    total = Fraction(0)
+    for k in range((tj1 + tj2 - tJ) // 2 + 1):
+        args = (2 * k, tj1 + tj2 - tJ - 2 * k, tj1 - tm1 - 2 * k, tj2 + tm2 - 2 * k,
+                tJ - tj2 + tm1 + 2 * k, tJ - tj1 - tm2 + 2 * k)
+        if min(args) >= 0:
+            total += Fraction((-1) ** k, math.prod(f(a) for a in args))
+    return math.copysign(math.sqrt(norm * total * total), total)
+
+
+def apply_total_j_squared(j1, j2, vectors):
+    """J^2 = j1(j1+1) + j2(j2+1) + 2 J1.J2 applied to the columns of vectors on
+    the product space, through the single-spin operators, without forming a
+    dim^2 matrix."""
+    psi = vectors.reshape(j1.dimension, j2.dimension, -1)
+    result = (j1.as_float * (j1.as_float + 1) + j2.as_float * (j2.as_float + 1)) * psi
+    for a, b in zip(angular_momentum_operators(j1), angular_momentum_operators(j2)):
+        result = result + 2 * np.einsum("ij,kl,jlc->ikc", a, b, psi, optimize=True)
+    return result.reshape(vectors.shape)
 
 
 def cg_table(j1, j2, J, twice_M):
@@ -91,6 +129,26 @@ class TestClebschGordan:
         with pytest.raises(ValueError):
             clebsch_gordan(spin(1), spin(1), 1, 0, spin(1), 1)
 
+    def test_matches_exact_racah_sum(self):
+        # every coefficient of every pair up to (3, 3), both orders and all
+        # integer/half-integer mixes, against the exact rational oracle
+        for twice_j1 in range(7):
+            for twice_j2 in range(7):
+                j1, j2 = SpinQuantumNumber(twice_j1), SpinQuantumNumber(twice_j2)
+                for J in total_j_values(j1, j2):
+                    for tm1 in j1.twice_m_values():
+                        for tm2 in j2.twice_m_values():
+                            if abs(tm1 + tm2) > J.twice_j:
+                                continue
+                            exact = exact_clebsch_gordan(twice_j1, twice_j2, tm1, tm2, J.twice_j,
+                                                         tm1 + tm2)
+                            value = clebsch_gordan(j1, j2, tm1, tm2, J, tm1 + tm2)
+                            assert abs(value - exact) < 1e-14
+
+    def test_capacity_error_past_the_dense_cap(self):
+        with pytest.raises(CapacityError):
+            clebsch_gordan(spin(32), spin(32), 0, 0, spin(0), 0)
+
     def test_orthogonality(self):
         # full (m1, m2) tables for different (J, M) are orthonormal under the
         # Frobenius inner product
@@ -114,7 +172,7 @@ class TestDecomposition:
 
     def test_block_dimensions(self):
         dec = decomposition(HALF, spin(1))
-        sizes = [block.J.dimension for block in dec.blocks]
+        sizes = [dec.block(J).isometry.shape[1] for J in dec.j_values]
         assert sizes == [2, 4]
         assert sum(sizes) == 6
 
@@ -125,20 +183,123 @@ class TestDecomposition:
             j1, j2 = SpinQuantumNumber(twice_j1), SpinQuantumNumber(twice_j2)
             dec = decomposition(j1, j2)
             j_squared = total_j_squared(j1, j2)
-            for block in dec.blocks:
+            for block in map(dec.block, dec.j_values):
                 jj = block.J.as_float * (block.J.as_float + 1.0)
                 residual = j_squared @ block.isometry - jj * block.isometry
                 assert np.max(np.abs(residual)) < 1e-10
 
+    def test_isometry_intertwines_rotations(self):
+        # V_J^T (R_j1 x R_j2) V_J = R_J fixes the relative sign of every column,
+        # which projectors and block weights do not see
+        rng = np.random.default_rng(4)
+        pairs = ((HALF, HALF), (spin(1), spin("3/2")), (spin("3/2"), spin(1)), (spin(2), HALF))
+        for j1, j2 in pairs:
+            dec = decomposition(j1, j2)
+            r = Rotation(rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi),
+                         rng.uniform(0, 2 * math.pi))
+            u = np.kron(rotation_matrix(j1, r), rotation_matrix(j2, r))
+            for J in dec.j_values:
+                v = dec.block(J).isometry
+                assert np.max(np.abs(v.T @ u @ v - rotation_matrix(J, r))) < 1e-12
+
     def test_orthonormal_columns(self):
         dec = decomposition(spin("3/2"), spin(2))
-        stacked = np.hstack([block.isometry for block in dec.blocks])
+        stacked = np.hstack([dec.block(J).isometry for J in dec.j_values])
         gram = stacked.T @ stacked
         assert np.max(np.abs(gram - np.eye(stacked.shape[1]))) < 1e-12
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             decomposition(spin(40), spin(40))
+
+    def test_cached_entry_is_small_at_the_cap(self):
+        # the cache holds sectors, not dense isometries (134 MB at this pair)
+        dec = decomposition(spin("63/2"), spin("63/2"))
+        arrays = [value for value in vars(dec).values() if isinstance(value, np.ndarray)]
+        assert arrays
+        assert sum(array.nbytes for array in arrays) < 4e6
+
+
+class TestBlockProbabilities:
+    @pytest.mark.parametrize(
+        "j1_text, j2_text",
+        [("1/2", "1/2"), ("1", "3/2"), ("3/2", "1"), ("7/2", "1"), ("1", "7/2"),
+         ("5/2", "1/2"), ("2", "2"), ("0", "3/2")],
+    )
+    def test_mixed_state_matches_dense_projectors(self, j1_text, j2_text):
+        # oracle: projectors onto the eigenspaces of the dense total J^2
+        j1, j2 = spin(j1_text), spin(j2_text)
+        eigenvalues, vectors = np.linalg.eigh(total_j_squared(j1, j2))
+        rng = np.random.default_rng(j1.twice_j * 16 + j2.twice_j)
+        dim = j1.dimension * j2.dimension
+        for _ in range(3):
+            # full-rank mixed state with complex entries
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+            expected = []
+            for J in total_j_values(j1, j2):
+                u = vectors[:, np.abs(eigenvalues - J.as_float * (J.as_float + 1)) < 1e-6]
+                assert u.shape[1] == J.dimension
+                expected.append(float(np.trace(u.conj().T @ rho @ u).real))
+            probabilities = decomposition(j1, j2).block_probabilities(rho)
+            assert np.max(np.abs(probabilities - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("j1_text, j2_text", [("63/2", "63/2"), ("255/2", "15/2")])
+class TestDenseCap:
+    """Properties of the sector table at product dimension 4096, the dense cap."""
+
+    def test_sectors_orthonormal(self, j1_text, j2_text):
+        dec = decomposition(spin(j1_text), spin(j2_text))
+        count, n, _ = dec.sectors.shape
+        for i, sector in enumerate(dec.sectors):
+            # column k is padded (zero) in the sectors above M = J
+            expected = np.diag((np.arange(n) >= n - 1 - i).astype(float))
+            assert np.max(np.abs(sector.T @ sector - expected)) <= 1e-13
+
+    def test_sampled_entries_match_exact_racah_sum(self, j1_text, j2_text):
+        j1, j2 = spin(j1_text), spin(j2_text)
+        rng = np.random.default_rng(3)
+        js = total_j_values(j1, j2)
+        checked = 0
+        while checked < 150:
+            tm1 = j1.twice_j - 2 * int(rng.integers(j1.dimension))
+            tm2 = j2.twice_j - 2 * int(rng.integers(j2.dimension))
+            J = js[int(rng.integers(len(js)))]
+            if abs(tm1 + tm2) > J.twice_j:
+                continue
+            exact = exact_clebsch_gordan(j1.twice_j, j2.twice_j, tm1, tm2, J.twice_j, tm1 + tm2)
+            assert abs(clebsch_gordan(j1, j2, tm1, tm2, J, tm1 + tm2) - exact) <= 1e-13
+            checked += 1
+
+    def test_j_squared_residual_per_sector(self, j1_text, j2_text):
+        # J^2 = j1(j1+1) + j2(j2+1) + 2 J1.J2 restricted to each sector's rows
+        j1, j2 = spin(j1_text), spin(j2_text)
+        dec = decomposition(j1, j2)
+        count, n, _ = dec.sectors.shape
+        p1, p2 = np.divmod(dec.rows, j2.dimension)
+        j_squared = np.zeros((count, n, n), dtype=complex)
+        for a, b in zip(angular_momentum_operators(j1), angular_momentum_operators(j2)):
+            j_squared += 2 * a[p1[:, :, None], p1[:, None, :]] * b[p2[:, :, None], p2[:, None, :]]
+        j_squared += (j1.as_float * (j1.as_float + 1) + j2.as_float * (j2.as_float + 1)) * np.eye(n)
+        jj = np.array([J.as_float * (J.as_float + 1) for J in dec.j_values])
+        residual = j_squared @ dec.sectors - dec.sectors * jj
+        unpadded = np.arange(n) <= np.arange(count)[:, None]
+        # about 45 ulps of the largest eigenvalue
+        assert np.max(np.abs(residual[unpadded])) <= 1e-14 * jj[-1]
+
+    def test_lowest_and_highest_projectors(self, j1_text, j2_text):
+        # P = V V^T, so orthonormal columns make P idempotent and V_low^T V_high
+        # = 0 makes P_low P_high = 0; J^2 runs through the mirrored sectors too
+        j1, j2 = spin(j1_text), spin(j2_text)
+        dec = decomposition(j1, j2)
+        lowest, highest = dec.j_values[0], dec.j_values[-1]
+        low, high = dec.block(lowest).isometry, dec.block(highest).isometry
+        for J, v in ((lowest, low), (highest, high)):
+            assert np.max(np.abs(v.T @ v - np.eye(J.dimension))) <= 1e-13
+            residual = apply_total_j_squared(j1, j2, v) - J.as_float * (J.as_float + 1) * v
+            assert np.max(np.abs(residual)) <= 1e-14 * highest.as_float * (highest.as_float + 1)
+        assert np.max(np.abs(low.T @ high)) <= 1e-13
 
 
 class TestProjector:

@@ -59,11 +59,12 @@ def dense_block_probabilities(j1, j2, alphas):
     coherent states built as vectors and projected onto the dense
     Clebsch-Gordan isometries of every block (rows in increasing J)."""
     dec = decomposition(j1, j2)
+    blocks = [dec.block(J) for J in dec.j_values]
     top1 = coherent_state(j1, Direction(0.0, 0.0)).amplitudes
-    result = np.empty((len(dec.blocks), len(alphas)))
+    result = np.empty((len(blocks), len(alphas)))
     for col, alpha in enumerate(alphas):
         psi = np.kron(top1, coherent_state(j2, Direction(float(alpha), 0.0)).amplitudes)
-        for row, block in enumerate(dec.blocks):
+        for row, block in enumerate(blocks):
             result[row, col] = float(np.sum(np.abs(block.isometry.T @ psi) ** 2))
     return result
 
