@@ -26,7 +26,7 @@ from .estimation import (
     infogain_curve,
 )
 from .locc import ppt_threshold
-from .sim import run_experiment
+from .sim import MAX_TRIALS, run_experiment
 
 __all__ = ["main"]
 
@@ -90,8 +90,8 @@ def _trials_type(text: str) -> int:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"n must be an integer, got {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("n must be at least 1")
+    if not 1 <= value <= MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"n must lie in [1, 2**53], got {value}")
     return value
 
 

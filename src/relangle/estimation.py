@@ -18,11 +18,15 @@ posteriors need no quadrature.  Information gains are Kullback-Leibler
 divergences in bits; only one between densities needs quadrature,
 Gauss-Legendre in alpha, unless the posterior is linear and the prior
 constant in s (any spin-1/2 probe, uniform prior).
+
+Tables, POVM weights, evidences, posteriors and gains carry a leading axis
+of pairs sharing the smaller spin b: a report is a stack of one pair, and a
+gain-versus-j curve one stack for all its j, with the same checks.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -162,6 +166,17 @@ def uniform_direction_prior() -> AngleDensity:
     return AngleDensity([1.0])
 
 
+def _checked_povm_weights(weights: np.ndarray) -> np.ndarray:
+    """POVM weights (..., outcomes, blocks) clipped at zero; ValueError unless every weight
+    is at least -1e-12 and each block's weights sum to 1 over outcomes within 1e-12."""
+    if not (weights >= -1e-12).all():  # NaN fails too
+        raise ValueError("POVM weights must be non-negative")
+    weights = np.maximum(weights, 0.0)
+    if not (np.abs(weights.sum(axis=-2) - 1.0) <= 1e-12).all():
+        raise ValueError("weights for each block must sum to 1 over outcomes")
+    return weights
+
+
 @dataclass(frozen=True, eq=False)
 class RotInvariantPovm:
     """POVM commuting with all collective rotations.
@@ -187,11 +202,7 @@ class RotInvariantPovm:
             raise ValueError(f"weights shape {weights.shape} does not match labels x blocks")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("outcome labels must be unique")
-        if weights.size and not weights.min() >= -1e-12:  # NaN fails too
-            raise ValueError("POVM weights must be non-negative")
-        weights = np.maximum(weights, 0.0)
-        if not np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-12:
-            raise ValueError("weights for each block must sum to 1 over outcomes")
+        weights = _checked_povm_weights(weights)
         weights.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "j_values", expected)
@@ -225,9 +236,9 @@ class RotInvariantPovm:
         return matrix
 
 
-@lru_cache(maxsize=128)
-def _likelihood_table(twice_b: int, twice_a: int) -> np.ndarray:
-    """T[J, k] = |<a a; b b-k | J, a+b-k>|^2 C(2b, k) for spins b <= a, sorted.
+def _likelihood_tables(twice_b: int, twice_as) -> np.ndarray:
+    """T[J, k] = |<a a; b b-k | J, a+b-k>|^2 C(2b, k) for a shared smaller spin b and each
+    larger spin a >= b in ``twice_as``, stacked along a leading pair axis.
 
     Rows follow increasing J, columns k = 0 .. 2b.  With x = a + b - J the
     entry vanishes unless x <= k, and otherwise equals
@@ -242,20 +253,27 @@ def _likelihood_table(twice_b: int, twice_a: int) -> np.ndarray:
         raise CapacityError(f"the smaller spin {SpinQuantumNumber(twice_b)} exceeds the likelihood "
                             f"kernel's limit 2*min(j1, j2) <= {KERNEL_TWICE_J_LIMIT}")
     factorial = [math.factorial(n) for n in range(twice_b + 1)]
-    table = np.zeros((twice_b + 1, twice_b + 1))
-    for x in range(twice_b + 1):
-        twice_J = twice_a + twice_b - 2 * x
-        head = (twice_J + 1) * math.perm(twice_a, x) * factorial[twice_b - x] * factorial[twice_b]
-        for k in range(x, twice_b + 1):
-            den = (
-                math.perm(twice_a + twice_b - x + 1, k + 1)
-                * factorial[x]
-                * factorial[k - x]
-                * factorial[twice_b - k] ** 2
-            )
-            table[twice_b - x, k] = head / den
-    table.setflags(write=False)
-    return table
+    tables = np.zeros((len(twice_as), twice_b + 1, twice_b + 1))
+    for table, twice_a in zip(tables, twice_as):
+        for x in range(twice_b + 1):
+            twice_J = twice_a + twice_b - 2 * x
+            head = (twice_J + 1) * math.perm(twice_a, x) * factorial[twice_b - x] * factorial[twice_b]
+            for k in range(x, twice_b + 1):
+                den = (
+                    math.perm(twice_a + twice_b - x + 1, k + 1)
+                    * factorial[x]
+                    * factorial[k - x]
+                    * factorial[twice_b - k] ** 2
+                )
+                table[twice_b - x, k] = head / den
+    tables.setflags(write=False)
+    return tables
+
+
+@lru_cache(maxsize=128)
+def _likelihood_table(twice_b: int, twice_a: int) -> np.ndarray:
+    """The table of the single pair b <= a, a cached view of ``_likelihood_tables``."""
+    return _likelihood_tables(twice_b, (twice_a,))[0]
 
 
 def _block_probability_matrix(j1: SpinQuantumNumber, j2: SpinQuantumNumber, alphas: np.ndarray) -> np.ndarray:
@@ -310,48 +328,84 @@ def povm_probabilities_from_state(povm: RotInvariantPovm, state) -> np.ndarray:
     return povm.weights @ block_probs
 
 
-def _joint_rows(prior, j1, j2, povm: RotInvariantPovm) -> tuple[np.ndarray, np.ndarray]:
-    """Evidences P(o) and joint rows; row o over P(o) is the posterior's weights (discrete
-    prior: one likelihood call) or Bernstein coefficients (density: P(o) is the row's mean,
-    a sum of non-negative terms)."""
+def _stacked(j1, j2, povm: RotInvariantPovm) -> tuple[np.ndarray, np.ndarray]:
+    """The POVM's weights and its pair's likelihood table, as a stack of one pair."""
     if (povm.j1, povm.j2) != (spin(j1), spin(j2)):
         raise ValueError("POVM does not act on the requested spin pair")
-    if isinstance(prior, DiscreteAngleDistribution):
-        likelihood = povm_outcome_probabilities(povm, prior.alphas)
-        return likelihood @ prior.weights, likelihood * prior.weights
     table = _likelihood_table(*sorted((povm.j1.twice_j, povm.j2.twice_j)))
-    likelihood = bernstein_from_power(povm.weights @ table)
-    rows = np.array([bernstein_product(prior.coefficients, row) for row in likelihood])
-    return rows.sum(axis=1) / rows.shape[1], rows
+    return povm.weights[None], table[None]
 
 
-def _posterior(prior, row: np.ndarray, evidence: float, label: str):
+def _joint_rows(prior, weights: np.ndarray, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evidences P(o), shape (pairs, outcomes), and joint rows, one per pair and outcome, from
+    stacked POVM weights (pairs, outcomes, blocks) and likelihood tables (pairs, blocks, 2b+1).
+    Row o over P(o) is the posterior's weights (discrete prior: one likelihood evaluation) or
+    Bernstein coefficients (density: P(o) is the row's mean, a sum of non-negative terms)."""
     if isinstance(prior, DiscreteAngleDistribution):
-        return DiscreteAngleDistribution(prior.alphas, row / evidence, outcome_label=label)
-    return AngleDensity(row / evidence, outcome_label=label)
+        likelihood = weights @ (tables @ power_basis(prior.alphas, tables.shape[-1] - 1))
+        return likelihood @ prior.weights, likelihood * prior.weights
+    rows = bernstein_product(prior.coefficients, bernstein_from_power(weights @ tables))
+    return rows.sum(axis=-1) / rows.shape[-1], rows
+
+
+def _posterior(prior, weights: np.ndarray, label: str):
+    if isinstance(prior, DiscreteAngleDistribution):
+        return DiscreteAngleDistribution(prior.alphas, weights, outcome_label=label)
+    return AngleDensity(weights, outcome_label=label)
 
 
 def bayes_update(prior, j1, j2, povm: RotInvariantPovm, outcome: str):
     """Posterior over the relative angle after observing the given outcome."""
     k = povm.index(outcome)
-    evidence, rows = _joint_rows(prior, j1, j2, povm)
-    p_outcome = float(evidence[k])
+    evidence, rows = _joint_rows(prior, *_stacked(j1, j2, povm))
+    p_outcome = float(evidence[0, k])
     if p_outcome <= 1e-14:
         raise ImpossibleOutcomeError(
             f"outcome {outcome!r} has probability {p_outcome} under this prior"
         )
-    return _posterior(prior, rows[k], p_outcome, outcome)
+    return _posterior(prior, rows[0, k] / p_outcome, outcome)
 
 
-def _linear_x_log_x(c0: float, c1: float) -> float:
-    """int_0^1 q ln q ds for q = c0 (1 - s) + c1 s >= 0: (F(c1) - F(c0)) / (c1 - c0) with
-    F(x) = x^2 ln x / 2 - x^2 / 4; where that cancels (|t| < 0.1), its even series in t."""
+def _linear_x_log_x(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """int_0^1 q ln q ds for q = c0 (1 - s) + c1 s >= 0, elementwise: (F(c1) - F(c0)) / (c1 - c0)
+    with F(x) = x^2 ln x / 2 - x^2 / 4; where that cancels (|t| < 0.1), its even series in t."""
     m, t = 0.5 * (c0 + c1), (c1 - c0) / (c0 + c1)
-    if abs(t) < 0.1:
+    with np.errstate(divide="ignore", invalid="ignore"):  # at x = 0 and c0 = c1, replaced below
+        F0, F1 = (np.where(x > 0.0, x * x * np.log(x) / 2 - x * x / 4, 0.0) for x in (c0, c1))
+        values = np.asarray((F1 - F0) / (c1 - c0))
+    near = np.abs(t) < 0.1
+    if near.any():
+        m, t = m[near], t[near]
         series = sum(t**n / ((n + 1) * n * (n - 1)) for n in range(20, 0, -2))  # even n
-        return m * math.log(m) + m * series
-    F = [x * x * math.log(x) / 2 - x * x / 4 if x > 0.0 else 0.0 for x in (c0, c1)]
-    return (F[1] - F[0]) / (c1 - c0)
+        values[near] = m * np.log(m) + m * series
+    return values
+
+
+def _kl_terms(q: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
+    """q log2(q / p), with 0 log 0 = 0; ValueError where q exceeds tol and p is not positive."""
+    if np.any((q > tol) & (p <= 0.0)):
+        raise ValueError("posterior is not absolutely continuous w.r.t. the prior")
+    terms, mask = np.zeros(q.shape), q > 0.0
+    terms[mask] = q[mask] * np.log2(q[mask] / p[mask])
+    return terms
+
+
+def _kl_bits(prior, q: np.ndarray) -> np.ndarray:
+    """Kullback-Leibler divergence in bits from the prior of each posterior along the last
+    axis of q: its weights on the prior's support, or a density's Bernstein coefficients."""
+    if isinstance(prior, DiscreteAngleDistribution):
+        return _kl_terms(q, np.broadcast_to(prior.weights, q.shape), 1e-15).sum(axis=-1)
+    if prior.degree == 0 and q.shape[-1] == 2:  # int q ln(q / p) ds, p constant
+        (p,) = prior.coefficients.tolist()
+        c0, c1 = q[..., 0], q[..., 1]
+        return (_linear_x_log_x(c0, c1) - math.log(p) * 0.5 * (c0 + c1)) / math.log(2.0)
+
+    def integrand(coefficients, a):
+        return _kl_terms(bernstein_values(coefficients, a) * (0.5 * np.sin(a)), prior.pdf(a), 1e-12)
+
+    rows = q.reshape(-1, q.shape[-1])
+    gains = [_adaptive_integral(partial(integrand, row))[0] for row in rows]
+    return np.array(gains, dtype=float).reshape(q.shape[:-1])
 
 
 def information_gain(prior, posterior) -> float:
@@ -368,29 +422,40 @@ def information_gain(prior, posterior) -> float:
             np.abs(prior.alphas - posterior.alphas)
         ) > 1e-12:
             raise ValueError("prior and posterior must share the same support points")
-        q, p = posterior.weights, prior.weights
-        if np.any((q > 1e-15) & (p <= 0.0)):
-            raise ValueError("posterior is not absolutely continuous w.r.t. the prior")
-        mask = q > 0.0
-        return float(np.sum(q[mask] * np.log2(q[mask] / p[mask])))
+        return float(_kl_bits(prior, posterior.weights))
     if not isinstance(posterior, AngleDensity):
         raise ValueError("prior and posterior must share the same representation")
-    if prior.degree == 0 and posterior.degree == 1:  # int q ln(q / p) ds, p constant
-        (p,), (c0, c1) = prior.coefficients.tolist(), posterior.coefficients.tolist()
-        return (_linear_x_log_x(c0, c1) - math.log(p) * 0.5 * (c0 + c1)) / math.log(2.0)
+    return float(_kl_bits(prior, posterior.coefficients))
 
-    def integrand(a):
-        q = posterior.pdf(a)
-        p = prior.pdf(a)
-        if np.any((q > 1e-12) & (p <= 0.0)):
-            raise ValueError("posterior is not absolutely continuous w.r.t. the prior")
-        out = np.zeros_like(q)
-        mask = q > 0.0
-        out[mask] = q[mask] * np.log2(q[mask] / p[mask])
-        return out
 
-    value, _ = _adaptive_integral(integrand)
-    return value
+def _check_gains(probabilities: np.ndarray, gains: np.ndarray, average) -> None:
+    """ConsistencyError unless, for every pair, the outcome probabilities (last axis) sum to 1
+    within 1e-10, no gain is below -1e-12 and the average gain is the probability-weighted
+    sum of the gains within 1e-12; NaN fails every check."""
+    totals = probabilities.sum(axis=-1)
+    deviations = np.abs(totals - 1.0)
+    if not (deviations <= 1e-10).all():
+        total = np.ravel(totals)[np.argmax(deviations)]
+        raise ConsistencyError(f"outcome probabilities sum to {total}, expected 1")
+    if not (gains >= -1e-12).all():
+        raise ConsistencyError("negative information gain in report")
+    if not (np.abs((probabilities * gains).sum(axis=-1) - average) <= 1e-12).all():
+        raise ConsistencyError("average gain is inconsistent with the outcome table")
+
+
+def _gains(prior, weights: np.ndarray, tables: np.ndarray) -> tuple:
+    """Outcome probabilities and gains (pairs, outcomes), posteriors (pairs, outcomes, n) and
+    average gains (pairs,) for a stack of pairs, checked by ``_check_gains``.  An outcome
+    with evidence at most 1e-14 cannot occur: its probability and gain are zero."""
+    evidence, rows = _joint_rows(prior, weights, tables)
+    possible = evidence > 1e-14
+    probabilities = np.where(possible, evidence, 0.0)
+    posteriors = rows / np.where(possible, evidence, 1.0)[..., None]
+    gains = np.zeros(evidence.shape)
+    gains[possible] = _kl_bits(prior, posteriors[possible])
+    average = (probabilities * gains).sum(axis=-1)
+    _check_gains(probabilities, gains, average)
+    return probabilities, posteriors, gains, average
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,14 +481,11 @@ class EstimationReport:
     average_gain_bits: float
 
     def __post_init__(self):
-        total = sum(o.probability for o in self.outcomes)
-        if abs(total - 1.0) > 1e-10:
-            raise ConsistencyError(f"outcome probabilities sum to {total}, expected 1")
-        if any(o.information_gain_bits < -1e-12 for o in self.outcomes):
-            raise ConsistencyError("negative information gain in report")
-        recomputed = sum(o.probability * o.information_gain_bits for o in self.outcomes)
-        if abs(recomputed - self.average_gain_bits) > 1e-12:
-            raise ConsistencyError("average gain is inconsistent with the outcome table")
+        _check_gains(
+            np.array([o.probability for o in self.outcomes], dtype=float),
+            np.array([o.information_gain_bits for o in self.outcomes], dtype=float),
+            self.average_gain_bits,
+        )
 
     def outcome(self, label: str) -> OutcomeReport:
         for entry in self.outcomes:
@@ -433,18 +495,15 @@ class EstimationReport:
 
 
 def average_information_gain(j1, j2, prior, povm: RotInvariantPovm) -> EstimationReport:
-    """Full estimation report for a prior and a rotationally invariant POVM."""
-    evidence, rows = _joint_rows(prior, j1, j2, povm)
-    entries, average = [], 0.0
-    for label, p_outcome, row in zip(povm.labels, evidence.tolist(), rows):
-        if p_outcome <= 1e-14:
-            entries.append(OutcomeReport(label, 0.0, None, 0.0))
-            continue
-        posterior = _posterior(prior, row, p_outcome, label)
-        gain = information_gain(prior, posterior)
-        entries.append(OutcomeReport(label, p_outcome, posterior, gain))
-        average += p_outcome * gain
-    return EstimationReport(povm, tuple(entries), average)
+    """Full estimation report for a prior and a rotationally invariant POVM: the stack of
+    one pair, with a posterior object for each outcome that can occur."""
+    probabilities, posteriors, gains, average = _gains(prior, *_stacked(j1, j2, povm))
+    entries = tuple(
+        OutcomeReport(label, p, _posterior(prior, q, label) if p > 0.0 else None, gain)
+        for label, p, q, gain in zip(povm.labels, probabilities[0].tolist(), posteriors[0],
+                                     gains[0].tolist())
+    )
+    return EstimationReport(povm, entries, float(average[0]))
 
 
 def map_estimate(posterior) -> float:
@@ -492,16 +551,27 @@ def _make_povm(kind: str, j1, j2) -> RotInvariantPovm:
 def infogain_curve(j_list, prior_kind: str, povm_kind: str) -> list:
     """Average information gain versus j for a spin-1/2 paired with a spin-j.
 
-    Returns one (j, average gain in bits) row per entry of ``j_list``; all
-    probabilities come from the closed forms, so large j is cheap.
+    Returns one (j, average gain in bits) row per entry of ``j_list``.  The
+    spin-1/2 is the smaller spin of every pair, so the curve is one stack of
+    pairs: one exact-table build and one fold over the pair axis, with no
+    POVM or posterior object built.  Each row is the ``average_gain_bits`` of
+    ``average_information_gain`` on its pair.
     """
-    half = SpinQuantumNumber(1)
     prior = _make_prior(prior_kind)
-    rows = []
-    for j in map(spin, j_list):
-        report = average_information_gain(half, j, prior, _make_povm(povm_kind, half, j))
-        rows.append((j, report.average_gain_bits))
-    return rows
+    js = [spin(j) for j in j_list]
+    twice_as = [j.twice_j for j in js]
+    if 0 in twice_as:
+        raise ValueError("the spin j must be at least 1/2")
+    if povm_kind == "optimal":
+        weights = np.broadcast_to(np.eye(2), (len(js), 2, 2))
+    elif povm_kind == "optimal-local":
+        from .locc import _optimal_local_weights
+
+        weights = _optimal_local_weights(twice_as)
+    else:
+        raise ValueError(f"povm kind must be one of {POVM_KINDS}, got {povm_kind!r}")
+    average = _gains(prior, _checked_povm_weights(weights), _likelihood_tables(1, twice_as))[3]
+    return list(zip(js, average.tolist()))
 
 
 def born_limit_check(j1, alpha: float, j2) -> float:
@@ -510,15 +580,17 @@ def born_limit_check(j1, alpha: float, j2) -> float:
     alpha.
 
     Outcome J = j2 + m is matched with the magnetic quantum number m of the
-    projective measurement along the axis; the deviation reported is the
+    projective measurement along the axis, whose Born probability for the
+    coherent state at angle alpha is C(2 j1, k) s^k (1 - s)^(2 j1 - k) with
+    k = j1 - m and s = sin^2(alpha / 2); the deviation reported is the
     maximum over outcomes of the absolute probability difference.
     """
-    from .angular import Rotation, rotation_matrix
-
     j1, j2 = spin(j1), spin(j2)
     if j2.twice_j < j1.twice_j:
         raise ValueError("the second spin defines the reference direction and must be the larger")
-    block_probs = _block_probability_matrix(j1, j2, np.array([alpha]))[:, 0]
-    amplitudes = rotation_matrix(j1, Rotation(0.0, float(alpha), 0.0))[:, 0]
-    born = np.abs(amplitudes) ** 2  # ordered by decreasing m
+    alphas = np.array([alpha], dtype=float)
+    block_probs = _block_probability_matrix(j1, j2, alphas)[:, 0]
+    n = j1.twice_j
+    binomials = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    born = binomials * power_basis(alphas, n)[:, 0]  # ordered by decreasing m
     return float(np.max(np.abs(block_probs - born[::-1])))

@@ -105,9 +105,20 @@ def optimal_local_povm(j) -> RotInvariantPovm:
         raise ValueError("the larger spin must be at least 1/2")
     half = SpinQuantumNumber(1)
     j_values = tuple(total_j_values(half, j))
-    high_weight = (j.twice_j + 1.0) / (j.twice_j + 2.0)
-    weights = np.array([[0.0, high_weight], [1.0, 1.0 - high_weight]])
+    weights = _optimal_local_weights([j.twice_j])[0]
     return RotInvariantPovm(half, j, (ALIGNED, ANTIALIGNED), j_values, weights)
+
+
+def _optimal_local_weights(twice_js) -> np.ndarray:
+    """Weights of ``optimal_local_povm`` for each j = twice_j / 2, stacked: shape
+    (pairs, 2, 2), outcomes (aligned, anti-aligned) by blocks (low J, high J)."""
+    twice_js = np.asarray(twice_js, dtype=float)
+    high_weight = (twice_js + 1.0) / (twice_js + 2.0)
+    weights = np.zeros((high_weight.size, 2, 2))
+    weights[:, 0, 1] = high_weight
+    weights[:, 1, 0] = 1.0
+    weights[:, 1, 1] = 1.0 - high_weight
+    return weights
 
 
 @dataclass(frozen=True)

@@ -91,19 +91,20 @@ def bernstein_values(coefficients: np.ndarray, alphas) -> np.ndarray:
 
 
 def bernstein_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bernstein coefficients of the product of two polynomials, from theirs.
+    """Bernstein coefficients of the product of two polynomials, from theirs
+    (the last axis runs over the coefficients; leading axes broadcast).
 
     Entry i + j collects a_i b_j C(m, i) C(d, j) / C(m + d, i + j) for degrees
     m and d; each weight is at most one and comes from log-binomials, so no
     degree overflows a float.  A degree-0 factor just scales the other.
     """
-    if a.size < b.size:
+    if a.shape[-1] < b.shape[-1]:
         a, b = b, a
-    m, d = a.size - 1, b.size - 1
+    m, d = a.shape[-1] - 1, b.shape[-1] - 1
     if d == 0:
-        return a * b[0]
+        return a * b
     log_a, log_b, log_ab = log_binomials(m), log_binomials(d), log_binomials(m + d)
-    product = np.zeros(m + d + 1)
+    product = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (m + d + 1,))
     for j in range(d + 1):
-        product[j:j + m + 1] += b[j] * a * np.exp(log_a + log_b[j] - log_ab[j:j + m + 1])
+        product[..., j:j + m + 1] += b[..., j:j + 1] * a * np.exp(log_a + log_b[j] - log_ab[j:j + m + 1])
     return product

@@ -24,10 +24,14 @@ from .estimation import (
     povm_probabilities_from_state,
 )
 
-__all__ = ["ExperimentSummary", "haar_rotation", "sample_outcome", "run_experiment"]
+__all__ = ["ExperimentSummary", "haar_rotation", "sample_outcome", "run_experiment", "MAX_TRIALS"]
 
 # Trials drawn from one child generator; fixed, so a seed maps to one summary.
 CHUNK_TRIALS = 8192
+
+# Largest trial count: up to 2**53 every count is an exact float, so the
+# frequencies counts / n and the gain sum counts @ gains round only once.
+MAX_TRIALS = 2**53
 
 
 def haar_rotation(rng: np.random.Generator) -> Rotation:
@@ -128,10 +132,11 @@ def run_experiment(
 
     Pairs above the dense cap raise CapacityError before any work is done,
     which keeps experiments within reach of the dense per-trial reference
-    they are checked against."""
+    they are checked against.  So does a trial count outside
+    [1, ``MAX_TRIALS``], with ValueError."""
     j1, j2 = spin(j1), spin(j2)
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"n_trials must lie in [1, 2**53], got {n_trials}")
     check_dense_capacity(j1, j2)
     report = average_information_gain(j1, j2, prior, povm)
     analytic = np.array([entry.probability for entry in report.outcomes])

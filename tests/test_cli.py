@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from relangle.cli import main
-from relangle.estimation import _likelihood_table
+import relangle.estimation as estimation_module
+import relangle.sim as sim_module
+from relangle.cli import _trials_type, main
+from relangle.estimation import RotInvariantPovm, _likelihood_table
+from relangle.sim import MAX_TRIALS
 
 
 def run_cli(capsys, *args):
@@ -94,6 +97,29 @@ class TestProbs:
         assert code == 2
         assert out == ""
         assert "relative angles must lie in [0, pi]" in err
+
+    @pytest.mark.parametrize("alpha", ["0", "pi", "3.1415926540", "-1e-10"])
+    def test_angles_at_the_ends_exit_0(self, capsys, alpha):
+        # 3.1415926540 and -1e-10 lie inside the kernel's 1e-9 slack around [0, pi];
+        # a negative angle must be joined to its flag with "="
+        code, out, _ = run_cli(capsys, "probs", "--j1", "1", "--j2", "3/2", f"--alpha={alpha}")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 3
+        assert abs(sum(float(row[2]) for row in rows) - 1.0) < 1e-11  # 12 printed digits
+
+    @pytest.mark.parametrize("alpha", ["3.14159266", "-2e-9", "inf"])
+    def test_angles_past_the_slack_exit_2(self, capsys, alpha):
+        code, out, err = run_cli(capsys, "probs", "--j1", "1", "--j2", "3/2", f"--alpha={alpha}")
+        assert code == 2
+        assert out == ""
+        assert "relative angles must lie in [0, pi]" in err
+
+    def test_negative_angle_as_separate_argument_is_read_as_a_flag(self, capsys):
+        code, out, err = run_cli(capsys, "probs", "--j1", "1", "--j2", "3/2", "--alpha", "-1e-10")
+        assert code == 2
+        assert out == ""
+        assert "--alpha: expected one argument" in err
 
     def test_invalid_spin_exits_2_and_names_field(self, capsys):
         code, out, err = run_cli(capsys, "probs", "--j1", "abc", "--j2", "1/2")
@@ -212,6 +238,34 @@ class TestCurve:
         assert "skips past --j-max 7" in err
         assert "the last j would be 6" in err
 
+    def test_leaky_table_exits_1(self, capsys, monkeypatch):
+        tables = estimation_module._likelihood_tables
+        monkeypatch.setattr(estimation_module, "_likelihood_tables",
+                            lambda twice_b, twice_as: 0.999 * tables(twice_b, twice_as))
+        code, out, err = run_cli(capsys, "curve", "--j-max", "3", "--curves", "c")
+        assert code == 1
+        assert out == ""
+        assert "internal error: outcome probabilities sum to" in err
+
+    def test_builds_one_table_stack_per_scenario_and_no_povm(self, capsys, monkeypatch):
+        calls = {"tables": 0, "povms": 0}
+        tables, povm_init = estimation_module._likelihood_tables, RotInvariantPovm.__post_init__
+
+        def counted_tables(*args):
+            calls["tables"] += 1
+            return tables(*args)
+
+        def counted_povm(self):
+            calls["povms"] += 1
+            povm_init(self)
+
+        monkeypatch.setattr(estimation_module, "_likelihood_tables", counted_tables)
+        monkeypatch.setattr(RotInvariantPovm, "__post_init__", counted_povm)
+        code, out, _ = run_cli(capsys, "curve", "--j-min", "1/2", "--j-max", "500", "--j-step", "1/2")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 4 * 1000
+        assert calls == {"tables": 4, "povms": 0}
+
 
 class TestPpt:
     def test_two_qubits(self, capsys):
@@ -277,6 +331,22 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "exceeds the dense cap 4096" in err
+
+    def test_trials_past_exact_counts_exit_2_before_sampling(self, capsys, monkeypatch):
+        # past 2**53 the counts are no longer exact floats; no trial may run
+        def no_trials(*args):
+            raise AssertionError("trials sampled")
+
+        monkeypatch.setattr(sim_module, "_sample_chunk", no_trials)
+        assert _trials_type(str(MAX_TRIALS)) == MAX_TRIALS == 2**53
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--j1", "1/2", "--j2", "1/2", "--prior", "pap", "--n", str(MAX_TRIALS + 1),
+        )
+        assert code == 2
+        assert out == ""
+        assert "n must lie in [1, 2**53]" in err
 
     def test_same_seed_byte_identical(self, capsys):
         args = [

@@ -4,12 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import relangle.estimation as estimation_module
 from relangle import (
     AngleDensity,
+    ConsistencyError,
     DiscreteAngleDistribution,
     ImpossibleOutcomeError,
     KERNEL_TWICE_J_LIMIT,
     RotInvariantPovm,
+    SpinQuantumNumber,
     average_information_gain,
     bayes_update,
     born_limit_check,
@@ -28,8 +31,16 @@ from relangle import (
     total_j_values,
     uniform_direction_prior,
 )
-from relangle.angular import Direction, Rotation
-from relangle.estimation import _block_probability_matrix, _joint_rows, _make_povm, _make_prior
+from relangle.angular import Direction, Rotation, rotation_matrix
+from relangle.estimation import (
+    _block_probability_matrix,
+    _joint_rows,
+    _likelihood_table,
+    _likelihood_tables,
+    _make_povm,
+    _make_prior,
+    _stacked,
+)
 from relangle.states import collective_rotate, product_coherent_pair
 
 HALF = spin("1/2")
@@ -394,7 +405,7 @@ class TestExactEvidencesAndGains:
     def test_uniform_prior_evidences(self, j1, j2):
         prior = uniform_direction_prior()
         povm = RotInvariantPovm.projective(j1, j2)
-        evidence, _ = _joint_rows(prior, j1, j2, povm)
+        evidence = _joint_rows(prior, *_stacked(j1, j2, povm))[0][0]
         assert np.max(np.abs(evidence / oracle_evidences(prior, povm) - 1.0)) < 1e-12
         assert abs(float(evidence.sum()) - 1.0) < 1e-14
         # uniform directions average each coherent state to the maximally mixed one
@@ -558,6 +569,45 @@ class TestInfoGainCurve:
         with pytest.raises(ValueError):
             infogain_curve([HALF], "bogus", "optimal")
 
+    @pytest.mark.parametrize("prior_kind", ["parallel-antiparallel", "uniform-directions"])
+    @pytest.mark.parametrize("povm_kind", ["optimal", "optimal-local"])
+    def test_stack_equals_one_report_per_j_bit_for_bit(self, prior_kind, povm_kind):
+        j_list = [spin(f"{twice_j}/2") for twice_j in range(1, 101)]
+        rows = infogain_curve(j_list, prior_kind, povm_kind)
+        assert [j for j, _ in rows] == j_list
+        prior = _make_prior(prior_kind)
+        for j, gain in rows:
+            report = average_information_gain(HALF, j, prior, _make_povm(povm_kind, HALF, j))
+            assert gain == report.average_gain_bits
+
+    def test_empty_and_repeated_j(self):
+        assert infogain_curve([], "uniform-directions", "optimal-local") == []
+        rows = infogain_curve([spin(3), HALF, spin(3)], "parallel-antiparallel", "optimal")
+        assert rows[0] == rows[2]
+        assert abs(rows[1][1] - AVERAGE_PAP) < 1e-14
+
+    def test_rejects_spin_zero(self):
+        with pytest.raises(ValueError, match="at least 1/2"):
+            infogain_curve([HALF, 0], "parallel-antiparallel", "optimal")
+
+    def test_leaky_table_raises_consistency_error(self, monkeypatch):
+        tables = _likelihood_tables
+        monkeypatch.setattr(estimation_module, "_likelihood_tables",
+                            lambda twice_b, twice_as: 1.001 * tables(twice_b, twice_as))
+        with pytest.raises(ConsistencyError, match="sum to"):
+            infogain_curve([HALF, spin(7)], "parallel-antiparallel", "optimal-local")
+
+
+class TestLikelihoodTables:
+    @pytest.mark.parametrize("twice_b", [1, 2, 7])
+    def test_stack_equals_one_table_per_pair_bit_for_bit(self, twice_b):
+        twice_as = [twice_b, twice_b + 1, 2 * twice_b + 3, 64, 999, 1000]
+        stack = _likelihood_tables(twice_b, twice_as)
+        single = np.stack([_likelihood_table(twice_b, twice_a) for twice_a in twice_as])
+        assert stack.shape == (len(twice_as), twice_b + 1, twice_b + 1)
+        assert np.array_equal(stack, single)
+        assert not stack.flags.writeable
+
 
 class TestScenarioFactories:
     def test_unknown_prior_kind_names_the_kinds(self):
@@ -573,7 +623,26 @@ class TestScenarioFactories:
             _make_povm("optimal-local", 1, 1)
 
 
+def born_limit_oracle(j1, alpha, j2):
+    """born_limit_check with the Born distribution from the spin-j1 rotation matrix."""
+    j1, j2 = spin(j1), spin(j2)
+    block_probs = _block_probability_matrix(j1, j2, np.array([alpha]))[:, 0]
+    amplitudes = rotation_matrix(j1, Rotation(0.0, float(alpha), 0.0))[:, 0]
+    born = np.abs(amplitudes) ** 2  # ordered by decreasing m
+    return float(np.max(np.abs(block_probs - born[::-1])))
+
+
 class TestBornLimit:
+    @pytest.mark.parametrize(
+        "twice_j1, twice_j2, alphas",
+        [(1, 20, None), (1, 200, None), (1, 2000, None), (1, 10, [0.0]), (1, 60, [0.0]),
+         (2, 20, [math.pi / 4.0]), (2, 40, [math.pi / 4.0]), (2, 60, [math.pi / 4.0])],
+    )
+    def test_closed_form_matches_rotation_matrix(self, twice_j1, twice_j2, alphas):
+        j1, j2 = SpinQuantumNumber(twice_j1), SpinQuantumNumber(twice_j2)
+        for alpha in np.linspace(0.0, math.pi, 61) if alphas is None else alphas:
+            assert abs(born_limit_check(j1, alpha, j2) - born_limit_oracle(j1, alpha, j2)) < 1e-14
+
     @pytest.mark.parametrize("twice_j2", [20, 200, 2000])
     def test_spin_half_deviation_bound(self, twice_j2):
         j2 = spin(twice_j2 // 2)
@@ -588,7 +657,7 @@ class TestBornLimit:
         for j2 in (spin(5), spin(30)):
             assert born_limit_check(HALF, 0.0, j2) < 1e-14
 
-    def test_dense_path_decreases_with_j2(self):
+    def test_spin_one_deviation_decreases_with_j2(self):
         deviations = [born_limit_check(spin(1), math.pi / 4.0, spin(j2)) for j2 in (10, 20, 30)]
         assert deviations[0] > deviations[1] > deviations[2]
 

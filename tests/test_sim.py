@@ -23,7 +23,7 @@ from relangle import (
     uniform_direction_prior,
 )
 from relangle.angular import Direction
-from relangle.sim import CHUNK_TRIALS, _prior_sampler
+from relangle.sim import CHUNK_TRIALS, MAX_TRIALS, _prior_sampler
 from relangle.states import InvariantState, collective_rotate, product_coherent_pair
 
 HALF = spin("1/2")
@@ -206,6 +206,22 @@ class TestRunExperiment:
                 parallel_antiparallel_prior(),
                 RotInvariantPovm.projective(HALF, HALF),
                 0,
+                seed=1,
+            )
+
+    def test_rejects_trials_past_exact_counts(self, monkeypatch):
+        # refused arithmetically: a run this long would never finish, so no trial may start
+        def no_trials(*args):
+            raise AssertionError("trials sampled")
+
+        monkeypatch.setattr(sim_module, "_sample_chunk", no_trials)
+        with pytest.raises(ValueError, match=r"\[1, 2\*\*53\]"):
+            run_experiment(
+                HALF,
+                HALF,
+                parallel_antiparallel_prior(),
+                RotInvariantPovm.projective(HALF, HALF),
+                MAX_TRIALS + 1,
                 seed=1,
             )
 
