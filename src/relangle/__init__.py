@@ -3,8 +3,8 @@
 Implements the optimal (joint, rotationally invariant) measurement and the
 optimal local measurement for a pair of spin coherent states, together with
 the Bayesian machinery (priors over the angle, posteriors, information gain
-in bits), separability thresholds via the partial transpose, and Monte Carlo
-oracles for validating the closed forms.
+in bits), separability thresholds from the partial-transpose spectrum, and
+Monte Carlo oracles for validating the closed forms.
 """
 
 from .angular import (
@@ -50,12 +50,14 @@ from .estimation import (
     uniform_direction_prior,
 )
 from .locc import (
+    PPT_TWICE_J_LIMIT,
     LoccProtocolConfig,
     PartialTransposeResult,
     ProtocolStatistics,
     locc_protocol_statistics,
     optimal_local_povm,
     partial_transpose,
+    partial_transpose_spectrum,
     ppt_threshold,
 )
 from .sim import ExperimentSummary, haar_rotation, run_experiment, sample_outcome

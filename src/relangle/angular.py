@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .polynomials import log_binomials
+
 __all__ = [
     "SpinQuantumNumber",
     "spin",
@@ -267,10 +269,36 @@ def coherent_state(j, n: Direction) -> StateVector:
     """Spin coherent state |j n>: the J.n eigenstate with maximal eigenvalue j.
 
     Defined as the rotation with Euler angles (phi, theta, 0) applied to the
-    highest-weight state |j, m=j>.
+    highest-weight state |j, m=j>, evaluated in closed form.
     """
     j = spin(j)
-    top = np.zeros(j.dimension, dtype=complex)
-    top[0] = 1.0
-    amps = rotation_matrix(j, Rotation(n.phi, n.theta, 0.0)) @ top
-    return StateVector(j, amps)
+    return StateVector(j, _coherent_amplitudes(j.twice_j, n.theta, n.phi))
+
+
+def _coherent_amplitudes(twice_j: int, theta: float, phi: float) -> np.ndarray:
+    """Amplitudes of exp(-i phi Jz) exp(-i theta Jy) |j, m=j>, by decreasing m.
+
+    At k = j - m the amplitude is
+    sqrt(C(2j, k)) cos^(2j-k)(theta/2) sin^k(theta/2) exp(-i phi (j - k)),
+    for any real theta: the powers keep their signs.  The moduli are summed
+    in logarithms, so any j works, and then rescaled to unit norm: the
+    rounding of the logarithms grows like j, and would otherwise move the
+    norm by 1e-12 near 2j = 4000.  cos(theta/2) is taken as
+    sin((pi - theta)/2), which is exactly zero at theta = pi, so every
+    amplitude is exact at theta = 0 and pi.
+    """
+    k = np.arange(twice_j + 1)
+    cos_half, sin_half = math.sin(0.5 * (math.pi - theta)), math.sin(0.5 * theta)
+    moduli = np.exp(0.5 * log_binomials(twice_j)
+                    + _times_log(twice_j - k, cos_half) + _times_log(k, sin_half))
+    moduli /= math.sqrt(moduli @ moduli)
+    odd = (cos_half < 0.0) * (twice_j - k) + (sin_half < 0.0) * k
+    signs = 1.0 - 2.0 * (odd % 2)
+    return signs * moduli * np.exp(-0.5j * phi * (twice_j - 2 * k))
+
+
+def _times_log(powers: np.ndarray, base: float) -> np.ndarray:
+    """powers * ln|base|, taking 0 * ln 0 as 0."""
+    if base == 0.0:
+        return np.where(powers > 0, -np.inf, 0.0)
+    return powers * math.log(abs(base))

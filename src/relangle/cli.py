@@ -16,7 +16,7 @@ import numpy as np
 
 from .angular import SpinQuantumNumber
 from .coupling import total_j_values
-from .errors import CapacityError, ConsistencyError
+from .errors import ConsistencyError
 from .estimation import (
     DiscreteAngleDistribution,
     _block_probability_matrix,
@@ -283,8 +283,6 @@ def _cmd_curve(args: argparse.Namespace) -> str:
 
 
 def _cmd_ppt(args: argparse.Namespace) -> str:
-    if args.j.twice_j > 10:
-        raise CapacityError("ppt supports j up to 5 on the dense path")
     x_star = ppt_threshold(args.j)
     predicted = 1.0 / (args.j.twice_j + 2.0)
     return _json_text(

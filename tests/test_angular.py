@@ -15,6 +15,7 @@ from relangle import (
     rotation_matrix,
     spin,
 )
+from relangle.angular import _coherent_amplitudes
 
 HALF = spin("1/2")
 
@@ -192,6 +193,43 @@ class TestCoherentState:
             psi = coherent_state(j, n).amplitudes
             residual = np.linalg.norm(jn @ psi - (twice_j / 2.0) * psi)
             assert residual < 1e-11
+
+    def test_matches_rotation_matrix_column(self):
+        rng = np.random.default_rng(11)
+        for twice_j in range(41):
+            j = SpinQuantumNumber(twice_j)
+            for _ in range(5):
+                n = random_direction(rng)
+                column = rotation_matrix(j, Rotation(n.phi, n.theta, 0.0))[:, 0]
+                assert np.max(np.abs(coherent_state(j, n).amplitudes - column)) < 1e-13
+
+    @pytest.mark.parametrize("twice_j", [1, 2, 7, 40, 400])
+    def test_exact_at_the_poles(self, twice_j):
+        j = SpinQuantumNumber(twice_j)
+        up = coherent_state(j, Direction(0.0, 0.0)).amplitudes
+        down = coherent_state(j, Direction(math.pi, 0.0)).amplitudes
+        assert np.array_equal(up, np.eye(twice_j + 1)[0])
+        assert np.array_equal(down, np.eye(twice_j + 1)[-1])
+        # a nonzero azimuth only sets the phase of the one nonzero amplitude
+        tilted = coherent_state(j, Direction(math.pi, 1.3)).amplitudes
+        assert np.array_equal(tilted[:-1], np.zeros(twice_j))
+        assert abs(abs(tilted[-1]) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("twice_j", [101, 400, 10_000])
+    def test_unit_norm_at_large_spin(self, twice_j):
+        rng = np.random.default_rng(twice_j)
+        for _ in range(5):
+            psi = coherent_state(SpinQuantumNumber(twice_j), random_direction(rng)).amplitudes
+            assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
+
+    def test_signed_half_angle_past_pi(self):
+        # the LOCC fan takes polar angles in [0, 2 pi): the powers of a
+        # negative cos(theta/2) keep their sign, as in the rotation matrix
+        for twice_j in (1, 2, 5):
+            j = SpinQuantumNumber(twice_j)
+            for theta in (3.5, 4.0, 5.5, 6.2):
+                column = rotation_matrix(j, Rotation(0.7, theta, 0.0))[:, 0]
+                assert np.max(np.abs(_coherent_amplitudes(twice_j, theta, 0.7) - column)) < 1e-13
 
     def test_state_vector_requires_normalization(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ import relangle.estimation as estimation_module
 import relangle.sim as sim_module
 from relangle.cli import _trials_type, main
 from relangle.estimation import RotInvariantPovm, _likelihood_table
+from relangle.locc import PPT_TWICE_J_LIMIT
 from relangle.sim import MAX_TRIALS
 
 
@@ -288,9 +289,23 @@ class TestPpt:
         payload = json.loads(out)
         assert payload["abs_diff"] < 1e-8
 
-    def test_capacity_limit(self, capsys):
-        code, _, err = run_cli(capsys, "ppt", "--j", "6")
+    def test_capacity_limit(self, capsys, monkeypatch):
+        # one step past PPT_TWICE_J_LIMIT: refused before any Racah sum
+        def sixj_not_allowed(*args):
+            raise AssertionError("6j table built before the capacity check")
+
+        monkeypatch.setattr("relangle.locc._sixj", sixj_not_allowed)
+        code, out, err = run_cli(capsys, "ppt", "--j", f"{PPT_TWICE_J_LIMIT + 1}/2")
         assert code == 2
+        assert out == ""
+        assert "limit" in err
+
+    def test_past_the_old_dense_range(self, capsys):
+        code, out, _ = run_cli(capsys, "ppt", "--j", "50")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["j"] == "50"
+        assert payload["abs_diff"] < 1e-12
 
 
 class TestSimulate:

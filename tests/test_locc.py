@@ -1,23 +1,81 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import relangle.locc as locc_module
 from relangle import (
+    PPT_TWICE_J_LIMIT,
+    CapacityError,
+    ConsistencyError,
     LoccProtocolConfig,
+    SpinQuantumNumber,
     infogain_curve,
     locc_protocol_statistics,
     optimal_local_povm,
     partial_transpose,
+    partial_transpose_spectrum,
     ppt_threshold,
     projector,
     spin,
+    total_j_values,
     werner_state,
 )
 from relangle.angular import Direction
+from relangle.locc import _sixj
 from relangle.states import product_coherent_pair
 
 HALF = spin("1/2")
+
+# (2j1, 2j2): integer and half-integer spins, up to (5/2, 7/2)
+SPECTRUM_PAIRS = [(1, 1), (1, 2), (2, 2), (1, 4), (2, 3), (3, 3), (0, 3), (4, 6), (3, 6), (5, 7)]
+
+
+def bisected_ppt_threshold(j) -> float:
+    """The dense oracle: bisection on the sign of the smallest eigenvalue of
+    the partial transpose of (low-J projector) + x (high-J projector), after
+    checking on a coarse sample that this eigenvalue is monotone in x."""
+    j_low, j_high = total_j_values(HALF, j)
+    pi_low = projector(HALF, j, j_low).matrix
+    pi_high = projector(HALF, j, j_high).matrix
+
+    def min_eigenvalue(x: float) -> float:
+        return partial_transpose(pi_low + x * pi_high, (2, j.dimension)).min_eigenvalue
+
+    samples = [min_eigenvalue(x) for x in np.linspace(0.0, 1.0, 21)]
+    assert all(later >= earlier - 1e-12 for earlier, later in zip(samples, samples[1:]))
+    if samples[0] >= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if min_eigenvalue(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def exact_sixj(twice_j1, twice_j2, twice_J, twice_K) -> Fraction:
+    """{j1 j2 J; j1 j2 K} from Racah's general formula in Fractions.  The
+    four triangle coefficients pair up into two squares, so no root is taken."""
+    j1, j2, J, K = (Fraction(t, 2) for t in (twice_j1, twice_j2, twice_J, twice_K))
+    f = lambda x: math.factorial(int(x))  # noqa: E731
+
+    def delta_squared(a, b, c):
+        return Fraction(f(a + b - c) * f(a - b + c) * f(-a + b + c), f(a + b + c + 1))
+
+    total = Fraction(0)
+    t_min = int(max(j1 + j2 + J, j1 + j2 + K))
+    t_max = int(min(2 * j1 + 2 * j2, 2 * j1 + J + K, 2 * j2 + J + K))
+    for t in range(t_min, t_max + 1):
+        total += Fraction(
+            (-1) ** t * f(t + 1),
+            f(t - j1 - j2 - J) ** 2 * f(t - j1 - j2 - K) ** 2 * f(2 * j1 + 2 * j2 - t)
+            * f(2 * j1 + J + K - t) * f(2 * j2 + J + K - t),
+        )
+    return delta_squared(j1, j2, J) * delta_squared(j1, j2, K) * total
 
 
 class TestPartialTranspose:
@@ -54,6 +112,52 @@ class TestPartialTranspose:
             partial_transpose(matrix, (2, 2))
 
 
+class TestSixj:
+    @pytest.mark.parametrize("twice_j1,twice_j2", SPECTRUM_PAIRS)
+    def test_entries_are_the_rounded_exact_rationals(self, twice_j1, twice_j2):
+        table = _sixj(twice_j1, twice_j2)
+        twice_js = range(abs(twice_j1 - twice_j2), twice_j1 + twice_j2 + 1, 2)
+        for q, twice_J in enumerate(twice_js):
+            for p, twice_K in enumerate(twice_js):
+                assert table[p, q] == float(exact_sixj(twice_j1, twice_j2, twice_J, twice_K))
+
+    def test_two_qubit_values(self):
+        # {1/2 1/2 0; 1/2 1/2 J'} = (-1)^(1 + J') / 2
+        assert np.array_equal(_sixj(1, 1)[:, 0], [-0.5, 0.5])
+
+
+class TestPartialTransposeSpectrum:
+    @pytest.mark.parametrize("twice_j1,twice_j2", SPECTRUM_PAIRS)
+    def test_matches_dense_partial_transpose(self, twice_j1, twice_j2):
+        j1, j2 = SpinQuantumNumber(twice_j1), SpinQuantumNumber(twice_j2)
+        j_values = total_j_values(j1, j2)
+        multiplicities = [J.dimension for J in j_values]
+        spectra = partial_transpose_spectrum(j1, j2, np.eye(len(j_values)))
+        for J, spectrum in zip(j_values, spectra):
+            dense = partial_transpose(projector(j1, j2, J).matrix, (j1.dimension, j2.dimension))
+            expected = np.linalg.eigvalsh(dense.transposed)
+            assert np.max(np.abs(np.sort(np.repeat(spectrum, multiplicities)) - expected)) <= 1e-12
+
+    def test_singlet(self):
+        assert np.array_equal(partial_transpose_spectrum(HALF, HALF, [1.0, 0.0]), [-0.5, 0.5])
+
+    def test_identity_stays_identity(self):
+        j1, j2 = spin("3/2"), spin(2)
+        spectrum = partial_transpose_spectrum(j1, j2, np.ones(4))
+        assert np.max(np.abs(spectrum - 1.0)) < 1e-14
+
+    def test_trace_check(self, monkeypatch):
+        table = _sixj(2, 3)
+        table[0, 0] += 1e-6
+        monkeypatch.setattr(locc_module, "_sixj", lambda twice_j1, twice_j2: table)
+        with pytest.raises(ConsistencyError):
+            partial_transpose_spectrum(spin(1), spin("3/2"), [1.0, 0.0, 0.0])
+
+    def test_weight_count_checked(self):
+        with pytest.raises(ValueError):
+            partial_transpose_spectrum(HALF, spin(1), [1.0, 0.0, 0.0])
+
+
 class TestPptThreshold:
     def test_two_qubits(self):
         assert abs(ppt_threshold(HALF) - 1.0 / 3.0) < 1e-9
@@ -65,10 +169,21 @@ class TestPptThreshold:
         thresholds = [ppt_threshold(spin(f"{t}/2") if t % 2 else spin(t // 2)) for t in range(1, 11)]
         assert all(b < a for a, b in zip(thresholds, thresholds[1:]))
 
-    @pytest.mark.parametrize("twice_j", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("twice_j", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100, 1000])
     def test_matches_local_povm_weight(self, twice_j):
-        j = spin(f"{twice_j}/2") if twice_j % 2 else spin(twice_j // 2)
-        assert abs(ppt_threshold(j) - 1.0 / (twice_j + 2.0)) < 1e-8
+        j = SpinQuantumNumber(twice_j)
+        assert abs(ppt_threshold(j) - 1.0 / (twice_j + 2.0)) <= 1e-15
+
+    @pytest.mark.parametrize("twice_j", range(1, 11))
+    def test_matches_dense_bisection(self, twice_j):
+        j = SpinQuantumNumber(twice_j)
+        assert abs(bisected_ppt_threshold(j) - ppt_threshold(j)) < 1e-9
+
+    def test_capacity_limit(self):
+        at_limit = ppt_threshold(SpinQuantumNumber(PPT_TWICE_J_LIMIT))
+        assert abs(at_limit - 1.0 / (PPT_TWICE_J_LIMIT + 2.0)) <= 1e-15
+        with pytest.raises(CapacityError):
+            ppt_threshold(SpinQuantumNumber(PPT_TWICE_J_LIMIT + 1))
 
 
 class TestOptimalLocalPovm:

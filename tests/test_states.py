@@ -211,6 +211,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 2.0, (2, 2))
 
+    def test_hermitian_tolerance(self):
+        # max |rho - rho^dagger| <= 1e-12: a defect of 2e-12 is refused, 5e-13 accepted
+        rho = werner_state(0.3).matrix.copy()
+        refused, accepted = rho.copy(), rho.copy()
+        refused[0, 1] += 2e-12
+        accepted[0, 1] += 5e-13j
+        with pytest.raises(ValueError):
+            DensityMatrix(refused, (2, 2))
+        assert DensityMatrix(accepted, (2, 2)).matrix[0, 1] == accepted[0, 1]
+
+    def test_trace_tolerance(self):
+        with pytest.raises(ValueError):
+            DensityMatrix(np.eye(4) / 4.0 + np.diag([2e-12, 0.0, 0.0, 0.0]), (2, 2))
+
+    def test_callers_array_stays_writable(self):
+        matrix = np.eye(4, dtype=complex) / 4.0
+        rho = DensityMatrix(matrix, (2, 2))
+        assert matrix.flags.writeable
+        assert not rho.matrix.flags.writeable
+        matrix[0, 0] = 1.0
+        assert rho.matrix[0, 0] == 0.25
+
     def test_invariant_state_requires_normalized_weights(self):
         with pytest.raises(ValueError):
             InvariantState(HALF, HALF, {spin(0): 0.4, spin(1): 0.4})
