@@ -138,7 +138,8 @@ def ppt_threshold(j) -> float:
     Each partial-transpose eigenvalue lambda_J'(x) is linear in x, and exact
     from ``partial_transpose_spectrum``; the threshold is the largest root
     among those that rise with x, or 0 when none is negative at x = 0.  It
-    equals 1 / (2j + 2).  CapacityError past 2j = ``PPT_TWICE_J_LIMIT``.
+    equals 1 / (2j + 2).  ConsistencyError if an eigenvalue that does not
+    rise is still negative there; CapacityError past 2j = ``PPT_TWICE_J_LIMIT``.
     """
     j = spin(j)
     if j.twice_j == 0:
@@ -148,7 +149,12 @@ def ppt_threshold(j) -> float:
                             f"limit 2j <= {PPT_TWICE_J_LIMIT}")
     at_zero, slope = partial_transpose_spectrum(SpinQuantumNumber(1), j, np.eye(2))
     rising = slope > 0.0
-    return float(np.max(-at_zero[rising] / slope[rising], initial=0.0))
+    threshold = float(np.max(-at_zero[rising] / slope[rising], initial=0.0))
+    lowest = float(np.min(at_zero + threshold * slope))
+    if lowest < -1e-12:
+        raise ConsistencyError(f"partial-transpose eigenvalue {lowest:.3g} stays negative "
+                               f"at the threshold {threshold} for j = {j}")
+    return threshold
 
 
 def optimal_local_povm(j) -> RotInvariantPovm:

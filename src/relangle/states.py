@@ -37,9 +37,10 @@ class DensityMatrix:
         d1, d2 = self.dims
         if matrix.shape != (d1 * d2, d1 * d2):
             raise ValueError(f"matrix shape {matrix.shape} does not match dims {self.dims}")
-        # rho^dagger - rho on a contiguous copy of the transpose: subtracting
-        # the strided view matrix.conj().T costs several times more at dim ~ 300
-        defect = np.ascontiguousarray(matrix.T)
+        # rho^dagger - rho on a C-ordered copy of the transpose: subtracting the
+        # strided view matrix.conj().T costs several times more at dim ~ 300.
+        # Always a copy: for an F-ordered matrix, matrix.T is already C-contiguous
+        defect = matrix.T.copy()
         np.conjugate(defect, out=defect)
         defect -= matrix
         if np.max(np.abs(defect)) > 1e-12:

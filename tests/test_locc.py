@@ -179,6 +179,14 @@ class TestPptThreshold:
         j = SpinQuantumNumber(twice_j)
         assert abs(bisected_ppt_threshold(j) - ppt_threshold(j)) < 1e-9
 
+    def test_falling_eigenvalue_checked(self, monkeypatch):
+        # the rising eigenvalue crosses zero at x = 1/2, but a falling one is
+        # negative there, so no x makes the partial transpose positive
+        spectrum = (np.array([-1.0, 0.5, 0.2]), np.array([2.0, 0.0, -1.0]))
+        monkeypatch.setattr(locc_module, "partial_transpose_spectrum", lambda j1, j2, weights: spectrum)
+        with pytest.raises(ConsistencyError):
+            ppt_threshold(HALF)
+
     def test_capacity_limit(self):
         at_limit = ppt_threshold(SpinQuantumNumber(PPT_TWICE_J_LIMIT))
         assert abs(at_limit - 1.0 / (PPT_TWICE_J_LIMIT + 2.0)) <= 1e-15

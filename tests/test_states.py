@@ -233,6 +233,26 @@ class TestValidation:
         matrix[0, 0] = 1.0
         assert rho.matrix[0, 0] == 0.25
 
+    def test_fortran_ordered_real_state_accepted(self):
+        matrix = np.asfortranarray(werner_state(0.3).matrix.real)
+        original = matrix.copy()
+        rho = DensityMatrix(matrix, (2, 2))
+        assert np.array_equal(rho.matrix, original)
+        assert np.array_equal(matrix, original)
+
+    def test_fortran_ordered_complex_state_accepted(self):
+        pair = product_coherent_pair(spin(1), spin("3/2"), Direction(1.1, 0.4), Direction(2.0, 5.3))
+        assert np.max(np.abs(pair.matrix.imag)) > 0.1
+        matrix = np.asfortranarray(pair.matrix)
+        rho = DensityMatrix(matrix, pair.dims)
+        assert np.array_equal(rho.matrix, pair.matrix)
+        # the transpose of a C-ordered matrix is F-ordered: rho^T is a state too
+        assert np.array_equal(DensityMatrix(pair.matrix.T, pair.dims).matrix, pair.matrix.T)
+
+    def test_one_dimensional_state_accepted(self):
+        rho = DensityMatrix(np.ones((1, 1)), (1, 1))
+        assert rho.matrix[0, 0] == 1.0
+
     def test_invariant_state_requires_normalized_weights(self):
         with pytest.raises(ValueError):
             InvariantState(HALF, HALF, {spin(0): 0.4, spin(1): 0.4})
