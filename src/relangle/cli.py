@@ -8,6 +8,7 @@ Data goes to stdout (or ``--out``); diagnostics go to stderr.  Exit codes:
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -105,7 +106,9 @@ def _curves_type(text: str) -> tuple[str, ...]:
     return tuple(letter for letter in "abcd" if letter in letters)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused: parsing does not change it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     formatted = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -172,26 +175,27 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload) + "\n"
 
 
+@functools.cache
+def _density_grid() -> tuple:
+    """The default angle grid, read-only, and its printed labels as a tuple."""
+    grid = np.linspace(0.0, math.pi, DEFAULT_ALPHA_GRID_POINTS)
+    grid.setflags(write=False)
+    return grid, tuple(_sig10(a) for a in grid.tolist())
+
+
 def _scenario(args: argparse.Namespace) -> tuple:
     """The prior and the POVM named by --prior and --povm."""
     return _make_prior(_KINDS[args.prior]), _make_povm(_KINDS[args.povm], args.j1, args.j2)
 
 
 def _cmd_probs(args: argparse.Namespace) -> str:
-    if args.alpha is not None:
-        grid = [args.alpha]
-    else:
-        grid = np.linspace(0.0, math.pi, DEFAULT_ALPHA_GRID_POINTS).tolist()
-    probabilities = _block_probability_matrix(args.j1, args.j2, np.array(grid)).T.tolist()
+    grid = _density_grid()[0] if args.alpha is None else np.array([args.alpha])
+    probabilities = _block_probability_matrix(args.j1, args.j2, grid).T.tolist()
     labels = [str(J) for J in total_j_values(args.j1, args.j2)]
-    rows = [
-        (alpha, J, p)
-        for alpha, column in zip(grid, probabilities)
-        for J, p in zip(labels, column)
-    ]
     if args.format == "csv":
         lines = ["alpha,J,probability"]
-        lines += [f"{_csv(alpha)},{J},{_csv(p)}" for alpha, J, p in rows]
+        for alpha, column in zip(map(_csv, grid.tolist()), probabilities):
+            lines += [f"{alpha},{J},{_csv(p)}" for J, p in zip(labels, column)]
         return "\n".join(lines) + "\n"
     return _json_text(
         {
@@ -201,7 +205,8 @@ def _cmd_probs(args: argparse.Namespace) -> str:
             "j2": str(args.j2),
             "rows": [
                 {"alpha": _sig10(alpha), "J": J, "probability": _sig10(p)}
-                for alpha, J, p in rows
+                for alpha, column in zip(grid.tolist(), probabilities)
+                for J, p in zip(labels, column)
             ],
         }
     )
@@ -218,12 +223,11 @@ def _serialize_posterior(posterior) -> dict | None:
                 for a, w in zip(posterior.alphas, posterior.weights)
             ],
         }
-    grid = np.linspace(0.0, math.pi, DEFAULT_ALPHA_GRID_POINTS)
-    values = posterior.pdf(grid)
+    grid, labels = _density_grid()
     return {
         "type": "density",
-        "alpha": [_sig10(a) for a in grid],
-        "density": [_sig10(v) for v in values],
+        "alpha": labels,
+        "density": [float(f"{v:.10g}") for v in posterior.pdf(grid).tolist()],
     }
 
 
@@ -354,8 +358,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

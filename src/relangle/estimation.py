@@ -26,7 +26,7 @@ gain-versus-j curve one stack for all its j, with the same checks.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,18 +82,26 @@ def _quad_rule(n: int):
     return nodes, weights
 
 
-def _adaptive_integral(f, tol: float = _QUAD_TOL) -> tuple[float, int]:
-    """Integrate a vectorized function over [0, pi]; returns (value, nodes used)."""
-    previous = None
-    n = _QUAD_START
-    while n <= _QUAD_MAX:
+def _adaptive_integral(f, rows: np.ndarray, tol: float = _QUAD_TOL) -> tuple[np.ndarray, int]:
+    """Integrate over [0, pi] one integrand per row: f(rows, nodes) gives their values at the
+    nodes, one row each.  Gauss-Legendre rules double from 16 nodes; each row stops at the
+    first rule that agrees with the one before within tol, as it would alone, and f sees only
+    the rows still open.  Returns (one value per row, the most nodes any row used)."""
+    values, open_rows = np.empty(len(rows)), np.arange(len(rows))
+    previous, n, used = None, _QUAD_START, 0
+    while open_rows.size:
+        if n > _QUAD_MAX:
+            raise ConsistencyError("quadrature failed to converge; integrand is not smooth enough")
         nodes, weights = _quad_rule(n)
-        value = float(np.dot(weights, f(nodes)))
-        if previous is not None and abs(value - previous) < tol:
-            return value, n
-        previous = value
+        current = np.array([np.dot(weights, row) for row in f(rows[open_rows], nodes)])
+        if previous is not None:
+            done = np.abs(current - previous) < tol
+            if done.any():
+                values[open_rows[done]], used = current[done], n
+                open_rows, current = open_rows[~done], current[~done]
+        previous = current
         n *= 2
-    raise ConsistencyError("quadrature failed to converge; integrand is not smooth enough")
+    return values, used
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,6 +245,14 @@ class RotInvariantPovm:
 
 
 def _likelihood_tables(twice_b: int, twice_as) -> np.ndarray:
+    """The read-only stack of ``_table_stack`` for the larger spins in the sequence
+    ``twice_as``, cached on (twice_b, tuple(twice_as)): every caller of one stack, such
+    as the scenarios of a curve, shares one build."""
+    return _table_stack(twice_b, tuple(twice_as))
+
+
+@lru_cache(maxsize=128)
+def _table_stack(twice_b: int, twice_as: tuple) -> np.ndarray:
     """T[J, k] = |<a a; b b-k | J, a+b-k>|^2 C(2b, k) for a shared smaller spin b and each
     larger spin a >= b in ``twice_as``, stacked along a leading pair axis.
 
@@ -270,9 +286,8 @@ def _likelihood_tables(twice_b: int, twice_as) -> np.ndarray:
     return tables
 
 
-@lru_cache(maxsize=128)
 def _likelihood_table(twice_b: int, twice_a: int) -> np.ndarray:
-    """The table of the single pair b <= a, a cached view of ``_likelihood_tables``."""
+    """The table of the single pair b <= a, a view into the stack cache of ``_likelihood_tables``."""
     return _likelihood_tables(twice_b, (twice_a,))[0]
 
 
@@ -382,7 +397,9 @@ def _linear_x_log_x(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
 
 
 def _kl_terms(q: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
-    """q log2(q / p), with 0 log 0 = 0; ValueError where q exceeds tol and p is not positive."""
+    """q log2(q / p), with p broadcast to q and 0 log 0 = 0; ValueError where q exceeds tol
+    and p is not positive."""
+    p = np.broadcast_to(p, q.shape)
     if np.any((q > tol) & (p <= 0.0)):
         raise ValueError("posterior is not absolutely continuous w.r.t. the prior")
     terms, mask = np.zeros(q.shape), q > 0.0
@@ -394,18 +411,16 @@ def _kl_bits(prior, q: np.ndarray) -> np.ndarray:
     """Kullback-Leibler divergence in bits from the prior of each posterior along the last
     axis of q: its weights on the prior's support, or a density's Bernstein coefficients."""
     if isinstance(prior, DiscreteAngleDistribution):
-        return _kl_terms(q, np.broadcast_to(prior.weights, q.shape), 1e-15).sum(axis=-1)
+        return _kl_terms(q, prior.weights, 1e-15).sum(axis=-1)
     if prior.degree == 0 and q.shape[-1] == 2:  # int q ln(q / p) ds, p constant
         (p,) = prior.coefficients.tolist()
         c0, c1 = q[..., 0], q[..., 1]
         return (_linear_x_log_x(c0, c1) - math.log(p) * 0.5 * (c0 + c1)) / math.log(2.0)
 
-    def integrand(coefficients, a):
-        return _kl_terms(bernstein_values(coefficients, a) * (0.5 * np.sin(a)), prior.pdf(a), 1e-12)
+    def integrand(rows, a):
+        return _kl_terms(bernstein_values(rows, a) * (0.5 * np.sin(a)), prior.pdf(a), 1e-12)
 
-    rows = q.reshape(-1, q.shape[-1])
-    gains = [_adaptive_integral(partial(integrand, row))[0] for row in rows]
-    return np.array(gains, dtype=float).reshape(q.shape[:-1])
+    return _adaptive_integral(integrand, q.reshape(-1, q.shape[-1]))[0].reshape(q.shape[:-1])
 
 
 def information_gain(prior, posterior) -> float:

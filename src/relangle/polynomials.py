@@ -79,15 +79,24 @@ def _bernstein_basis(alphas: np.ndarray, n: int) -> np.ndarray:
 
 
 def bernstein_values(coefficients: np.ndarray, alphas) -> np.ndarray:
-    """The polynomial with the given Bernstein coefficients at each angle, in
-    the shape of ``alphas``; memory stays within one basis block at any degree."""
+    """The polynomials with the given Bernstein coefficients (the last axis runs
+    over k) at each angle, in the shape coefficients.shape[:-1] + alphas.shape.
+
+    The basis is evaluated once for all polynomials, block by block, so memory
+    for it stays within one block at any degree.  Each polynomial is its own
+    vector-matrix product: its values are bit for bit those it has alone, where
+    a matrix product over all of them may sum in another order.
+    """
     alphas = np.asarray(alphas, dtype=float)
-    n = coefficients.size - 1
+    rows = coefficients.reshape(-1, coefficients.shape[-1])
+    n = rows.shape[1] - 1
     block = max(1, BASIS_BLOCK_ENTRIES // (n + 1))
-    flat, values = alphas.ravel(), np.empty(alphas.size)
+    flat, values = alphas.ravel(), np.empty((rows.shape[0], alphas.size))
     for start in range(0, flat.size, block):
-        values[start:start + block] = coefficients @ _bernstein_basis(flat[start:start + block], n)
-    return values.reshape(alphas.shape)
+        basis = _bernstein_basis(flat[start:start + block], n)
+        for row, row_values in zip(rows, values):
+            row_values[start:start + block] = row @ basis
+    return values.reshape(coefficients.shape[:-1] + alphas.shape)
 
 
 def bernstein_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

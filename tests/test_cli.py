@@ -10,8 +10,8 @@ import pytest
 
 import relangle.estimation as estimation_module
 import relangle.sim as sim_module
-from relangle.cli import _trials_type, main
-from relangle.estimation import RotInvariantPovm, _likelihood_table
+from relangle.cli import _build_parser, _density_grid, _trials_type, main
+from relangle.estimation import RotInvariantPovm
 from relangle.locc import PPT_TWICE_J_LIMIT
 from relangle.sim import MAX_TRIALS
 
@@ -84,14 +84,14 @@ class TestProbs:
     )
     def test_past_kernel_limit_exits_2_before_building(self, capsys, args):
         # one step past 2 min(j1, j2) <= 200: refused before the exact table is built
-        cached = _likelihood_table.cache_info().currsize
+        cached = estimation_module._table_stack.cache_info().currsize
         started = time.perf_counter()
         code, out, err = run_cli(capsys, args[0], "--j1", "201/2", "--j2", "800", *args[1:])
         assert time.perf_counter() - started < 1.0
         assert code == 2
         assert out == ""
         assert "2*min(j1, j2) <= 200" in err
-        assert _likelihood_table.cache_info().currsize == cached
+        assert estimation_module._table_stack.cache_info().currsize == cached
 
     def test_nan_angle_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "probs", "--j1", "1", "--j2", "1", "--alpha", "nan")
@@ -267,6 +267,14 @@ class TestCurve:
         assert len(parse_csv(out)[1]) == 4 * 1000
         assert calls == {"tables": 4, "povms": 0}
 
+    def test_scenarios_share_one_table_build(self, capsys):
+        estimation_module._table_stack.cache_clear()
+        code, out, _ = run_cli(capsys, "curve", "--j-min", "1/2", "--j-max", "50", "--j-step", "1/2")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 4 * 100
+        info = estimation_module._table_stack.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
 
 class TestPpt:
     def test_two_qubits(self, capsys):
@@ -389,9 +397,71 @@ class TestOutputAndConfig:
         assert text.startswith("alpha,J,probability\n")
         assert "\r" not in text
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(
+            capsys, "probs", "--j1", "1", "--j2", "1", "--alpha", "0.3", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+        assert target.is_dir() if where == "directory" else not target.parent.exists()
+
     def test_missing_subcommand_exits_2(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2
+
+
+SIMULATE = ["simulate", "--j1", "1/2", "--j2", "1", "--prior", "uniform", "--n", "50"]
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize(
+        "sequence, codes",
+        [
+            ([["probs", "--j1", "1", "--j2", "3/2", "--format", "json"],
+              ["probs", "--j1", "1", "--j2", "3/2"]], [0, 0]),
+            ([SIMULATE + ["--seed", "5"], SIMULATE], [0, 0]),
+            ([["report", "--j1", "1", "--j2", "1", "--prior", "pap"],  # --povm is required
+              ["report", "--j1", "1", "--j2", "1", "--prior", "pap", "--povm", "optimal"]], [2, 0]),
+        ],
+        ids=["format-then-default", "seed-then-default", "rejected-then-valid"],
+    )
+    def test_each_call_gives_what_it_gives_alone(self, capsys, sequence, codes):
+        alone = []
+        for argv in sequence:
+            _build_parser.cache_clear()
+            alone.append(run_cli(capsys, *argv)[:2])
+        _build_parser.cache_clear()
+        together = [run_cli(capsys, *argv)[:2] for argv in sequence]
+        assert together == alone
+        assert _build_parser.cache_info().misses == 1  # one parser served every call
+        assert [code for code, _ in alone] == codes
+
+    def test_defaults_survive_reuse(self, capsys):
+        run_cli(capsys, *SIMULATE, "--seed", "5")
+        run_cli(capsys, "probs", "--j1", "1", "--j2", "1", "--format", "json")
+        assert json.loads(run_cli(capsys, *SIMULATE)[1])["seed"] == 0
+        assert run_cli(capsys, "probs", "--j1", "1", "--j2", "1")[1].startswith("alpha,J,")
+
+    def test_density_grid_is_read_only(self):
+        grid, labels = _density_grid()
+        assert isinstance(labels, tuple)
+        assert len(labels) == len(grid) == 181
+        assert labels[0] == 0.0 and labels[-1] == 3.141592654
+        assert not grid.flags.writeable
+
+    def test_parser_is_not_built_at_import(self):
+        script = "import relangle.cli\nprint(relangle.cli._build_parser.cache_info().currsize)\n"
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0"
 
 
 class TestFlagsAndSpins:

@@ -33,14 +33,20 @@ from relangle import (
 )
 from relangle.angular import Direction, Rotation, rotation_matrix
 from relangle.estimation import (
+    _adaptive_integral,
     _block_probability_matrix,
+    _gains,
     _joint_rows,
+    _kl_bits,
+    _kl_terms,
     _likelihood_table,
     _likelihood_tables,
     _make_povm,
     _make_prior,
+    _quad_rule,
     _stacked,
 )
+from relangle.polynomials import _bernstein_basis
 from relangle.states import collective_rotate, product_coherent_pair
 
 HALF = spin("1/2")
@@ -598,6 +604,78 @@ class TestInfoGainCurve:
             infogain_curve([HALF, spin(7)], "parallel-antiparallel", "optimal-local")
 
 
+def one_row_integral(f, tol=1e-10):
+    """The one-row adaptive loop that ``_adaptive_integral`` batches: Gauss-Legendre rules
+    from 16 to 16384 nodes, doubling, until one agrees with the one before within tol."""
+    previous, n = None, 16
+    while n <= 16384:
+        nodes, weights = _quad_rule(n)
+        value = float(np.dot(weights, f(nodes)))
+        if previous is not None and abs(value - previous) < tol:
+            return value, n
+        previous, n = value, 2 * n
+    raise ConsistencyError("quadrature failed to converge")
+
+
+def one_row_kl_integrand(prior, row):
+    """The KL integrand of one posterior's Bernstein coefficients against a density prior,
+    summed as one vector-matrix product over the whole basis."""
+    return lambda a: _kl_terms(
+        (row @ _bernstein_basis(a, row.size - 1)) * (0.5 * np.sin(a)), prior.pdf(a), 1e-12)
+
+
+class TestBatchedQuadrature:
+    @pytest.mark.parametrize("j1, j2", [(5, 5), (2, 3), ("3/2", "7/2")])
+    def test_each_row_equals_its_one_row_integral_bit_for_bit(self, monkeypatch, j1, j2):
+        prior = uniform_direction_prior()
+        rows = _gains(prior, *_stacked(j1, j2, RotInvariantPovm.projective(j1, j2)))[1][0]
+        oracle = [one_row_integral(one_row_kl_integrand(prior, row)) for row in rows]
+        levels = [n for _, n in oracle]
+        if (j1, j2) == (5, 5):  # rows stop at different rules, so rows drop out part way
+            assert sorted(set(levels)) == [32, 64, 128]
+        results = []
+
+        def recorded(f, rows):
+            results.append(_adaptive_integral(f, rows))
+            return results[-1]
+
+        monkeypatch.setattr(estimation_module, "_adaptive_integral", recorded)
+        gains = _kl_bits(prior, rows)
+        assert gains.tolist() == [value for value, _ in oracle]
+        assert len(results) == 1  # one batched quadrature for every row
+        assert results[0][1] == max(levels)
+
+    def test_rows_that_converged_leave_the_batch(self):
+        seen = []
+
+        def integrand(rows, a):
+            seen.append(len(rows))
+            return np.exp(-rows * a)
+
+        # exp(-a) settles at 32 nodes; the boundary layer of exp(-40 a) needs 64
+        values, used = _adaptive_integral(integrand, np.array([[1.0], [40.0]]))
+        assert seen == [2, 2, 1]
+        assert used == 64
+        exact = [(1.0 - math.exp(-c * math.pi)) / c for c in (1.0, 40.0)]
+        assert values == pytest.approx(exact, abs=1e-12)
+
+    def test_no_rows(self):
+        values, used = _adaptive_integral(lambda rows, a: rows @ np.ones((1, a.size)), np.zeros((0, 1)))
+        assert values.shape == (0,)
+        assert used == 0
+
+    def test_row_that_never_converges_raises(self, monkeypatch):
+        # a step in alpha: each rule moves by about 1 / n, far above 1e-10; the
+        # cap is lowered so that no large rule is built
+        monkeypatch.setattr(estimation_module, "_QUAD_MAX", 256)
+
+        def integrand(rows, a):
+            return rows * (a < 1.0)
+
+        with pytest.raises(ConsistencyError, match="failed to converge"):
+            _adaptive_integral(integrand, np.array([[0.0], [1.0]]))
+
+
 class TestLikelihoodTables:
     @pytest.mark.parametrize("twice_b", [1, 2, 7])
     def test_stack_equals_one_table_per_pair_bit_for_bit(self, twice_b):
@@ -607,6 +685,13 @@ class TestLikelihoodTables:
         assert stack.shape == (len(twice_as), twice_b + 1, twice_b + 1)
         assert np.array_equal(stack, single)
         assert not stack.flags.writeable
+
+    def test_one_cache_for_stacks_and_single_tables(self):
+        stack = _likelihood_tables(3, [7, 9])
+        assert _likelihood_tables(3, (7, 9)) is stack  # a list and a tuple share the entry
+        single = _likelihood_table(3, 7)
+        assert np.shares_memory(single, _likelihood_tables(3, (7,)))
+        assert not single.flags.writeable
 
 
 class TestScenarioFactories:

@@ -63,6 +63,15 @@ class TestBernsteinValues:
         single = [bernstein_values(b, np.array([a]))[0] for a in alphas.ravel()[::97]]
         assert np.max(np.abs(values.ravel()[::97] - single)) < 1e-14
 
+    @pytest.mark.parametrize("n, points", [(10, 128), (2000, 400)])  # one block, several
+    def test_stacked_rows_equal_one_row_each_bit_for_bit(self, n, points):
+        rows = np.random.default_rng(5).random((3, 2, n + 1))
+        alphas = np.linspace(0.0, math.pi, points)
+        values = bernstein_values(rows, alphas)
+        assert values.shape == (3, 2, points)
+        for row, row_values in zip(rows.reshape(-1, n + 1), values.reshape(-1, points)):
+            assert np.array_equal(row_values, bernstein_values(row, alphas))
+
 
 class TestBernsteinProduct:
     def test_matches_exact_rationals(self):
