@@ -42,6 +42,7 @@ from .estimation import (
     infogain_curve,
     information_gain,
     map_estimate,
+    optimal_local_povm,
     outcome_probabilities,
     outcome_probability,
     parallel_antiparallel_prior,
@@ -55,7 +56,6 @@ from .locc import (
     PartialTransposeResult,
     ProtocolStatistics,
     locc_protocol_statistics,
-    optimal_local_povm,
     partial_transpose,
     partial_transpose_spectrum,
     ppt_threshold,

@@ -1,7 +1,8 @@
 """Bayesian estimation of the relative angle between two spin coherent states.
 
 Measurements are rotationally invariant POVMs, i.e. weighted sums of the
-total-spin projectors.  Every result is a fold of one likelihood, the
+total-spin projectors (``optimal_local_povm`` is the best separable one for a
+spin-1/2 probe).  Every result is a fold of one likelihood, the
 total-spin distribution p(J | alpha) of a coherent pair at relative angle
 alpha, which has a closed form for every spin pair: with the larger spin a
 along +z and the smaller spin b at angle alpha,
@@ -54,6 +55,7 @@ __all__ = [
     "map_estimate",
     "infogain_curve",
     "born_limit_check",
+    "optimal_local_povm",
     "PRIOR_KINDS",
     "POVM_KINDS",
     "KERNEL_TWICE_J_LIMIT",
@@ -69,7 +71,7 @@ KERNEL_TWICE_J_LIMIT = 200
 
 _QUAD_TOL = 1e-10
 _QUAD_START = 16
-_QUAD_MAX = 16384
+_QUAD_MAX = 1024
 
 
 @lru_cache(maxsize=16)
@@ -540,6 +542,35 @@ def map_estimate(posterior) -> float:
     return 0.5 * (lo + hi)
 
 
+def optimal_local_povm(j) -> RotInvariantPovm:
+    """The most informative separable two-outcome POVM for the pair (1/2, j).
+
+    The aligned element carries weight (2j+1)/(2j+2) on the high-J block; the
+    anti-aligned element is the low-J projector plus the remaining 1/(2j+2)
+    of the high-J block.  For j = 1/2 this is the singlet projector plus one
+    third of the triplet versus two thirds of the triplet.
+    """
+    j = spin(j)
+    if j.twice_j == 0:
+        raise ValueError("the larger spin must be at least 1/2")
+    half = SpinQuantumNumber(1)
+    j_values = tuple(total_j_values(half, j))
+    weights = _optimal_local_weights([j.twice_j])[0]
+    return RotInvariantPovm(half, j, ("aligned", "antialigned"), j_values, weights)
+
+
+def _optimal_local_weights(twice_js) -> np.ndarray:
+    """Weights of ``optimal_local_povm`` for each j = twice_j / 2, stacked: shape
+    (pairs, 2, 2), outcomes (aligned, anti-aligned) by blocks (low J, high J)."""
+    twice_js = np.asarray(twice_js, dtype=float)
+    high_weight = (twice_js + 1.0) / (twice_js + 2.0)
+    weights = np.zeros((high_weight.size, 2, 2))
+    weights[:, 0, 1] = high_weight
+    weights[:, 1, 0] = 1.0
+    weights[:, 1, 1] = 1.0 - high_weight
+    return weights
+
+
 def _make_prior(kind: str):
     """The prior of the given kind in ``PRIOR_KINDS``."""
     if kind == "parallel-antiparallel":
@@ -558,8 +589,6 @@ def _make_povm(kind: str, j1, j2) -> RotInvariantPovm:
         raise ValueError(f"povm kind must be one of {POVM_KINDS}, got {kind!r}")
     if spin(j1) != SpinQuantumNumber(1):
         raise ValueError(f"the optimal-local POVM needs j1 = 1/2, got j1 = {spin(j1)}")
-    from .locc import optimal_local_povm
-
     return optimal_local_povm(j2)
 
 
@@ -580,8 +609,6 @@ def infogain_curve(j_list, prior_kind: str, povm_kind: str) -> list:
     if povm_kind == "optimal":
         weights = np.broadcast_to(np.eye(2), (len(js), 2, 2))
     elif povm_kind == "optimal-local":
-        from .locc import _optimal_local_weights
-
         weights = _optimal_local_weights(twice_as)
     else:
         raise ValueError(f"povm kind must be one of {POVM_KINDS}, got {povm_kind!r}")

@@ -3,21 +3,23 @@
 Covers partial transposition and negativity, the partial-transpose spectrum
 of any rotationally invariant operator in closed form (6j symbols), the
 separability (PPT) threshold of the invariant two-outcome family that it
-gives exactly, the closed-form optimal local POVM, and a simulation of the
-aligned/anti-aligned local protocol in which the large spin is measured
-along a fan of coherent states and the spin-1/2 along the reported direction.
+gives exactly, and the aligned/anti-aligned local protocol, in which the
+large spin is measured along a fan of coherent states and the spin-1/2 along
+the reported direction.  Its dense elements are built once per configuration
+and evaluated through their weights on the total-spin blocks, next to the
+optimal local POVM of ``estimation``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .angular import SpinQuantumNumber, _coherent_amplitudes, spin
-from .coupling import total_j_values
+from .coupling import decomposition, total_j_values
 from .errors import CapacityError, ConsistencyError
-from .estimation import RotInvariantPovm, outcome_probabilities, povm_outcome_probabilities
-from .states import InvariantState
+from .estimation import RotInvariantPovm, optimal_local_povm, povm_outcome_probabilities
 
 __all__ = [
     "PartialTransposeResult",
@@ -25,14 +27,10 @@ __all__ = [
     "partial_transpose_spectrum",
     "PPT_TWICE_J_LIMIT",
     "ppt_threshold",
-    "optimal_local_povm",
     "LoccProtocolConfig",
     "ProtocolStatistics",
     "locc_protocol_statistics",
 ]
-
-ALIGNED = "aligned"
-ANTIALIGNED = "antialigned"
 
 # Largest 2j that ppt_threshold accepts.  Its exact Racah sums multiply
 # factorials of about 2j, and their cost grows about as (2j)^2: 0.04 s at
@@ -157,35 +155,6 @@ def ppt_threshold(j) -> float:
     return threshold
 
 
-def optimal_local_povm(j) -> RotInvariantPovm:
-    """The most informative separable two-outcome POVM for the pair (1/2, j).
-
-    The aligned element carries weight (2j+1)/(2j+2) on the high-J block; the
-    anti-aligned element is the low-J projector plus the remaining 1/(2j+2)
-    of the high-J block.  For j = 1/2 this is the singlet projector plus one
-    third of the triplet versus two thirds of the triplet.
-    """
-    j = spin(j)
-    if j.twice_j == 0:
-        raise ValueError("the larger spin must be at least 1/2")
-    half = SpinQuantumNumber(1)
-    j_values = tuple(total_j_values(half, j))
-    weights = _optimal_local_weights([j.twice_j])[0]
-    return RotInvariantPovm(half, j, (ALIGNED, ANTIALIGNED), j_values, weights)
-
-
-def _optimal_local_weights(twice_js) -> np.ndarray:
-    """Weights of ``optimal_local_povm`` for each j = twice_j / 2, stacked: shape
-    (pairs, 2, 2), outcomes (aligned, anti-aligned) by blocks (low J, high J)."""
-    twice_js = np.asarray(twice_js, dtype=float)
-    high_weight = (twice_js + 1.0) / (twice_js + 2.0)
-    weights = np.zeros((high_weight.size, 2, 2))
-    weights[:, 0, 1] = high_weight
-    weights[:, 1, 0] = 1.0
-    weights[:, 1, 1] = 1.0 - high_weight
-    return weights
-
-
 @dataclass(frozen=True)
 class LoccProtocolConfig:
     """Fan of 2j+1 coherent-state directions, equally spaced in one plane.
@@ -224,40 +193,43 @@ class ProtocolStatistics:
 def _protocol_elements(config: LoccProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
     """Dense aligned/anti-aligned POVM elements of the local protocol.
 
-    The fan of coherent states is not orthogonal for j > 1/2; it is completed
+    The fan of coherent states |m> is not orthogonal for j > 1/2; it is completed
     into a POVM as the canonical tight frame E_m = S^{-1/2} |m><m| S^{-1/2}
     with S the frame operator.
     """
-    j = config.j
-    dim = j.dimension
-    large_states = [_coherent_amplitudes(j.twice_j, theta, config.plane_phi) for theta in config.angles]
-    half_states = [_coherent_amplitudes(1, theta, config.plane_phi) for theta in config.angles]
-    frame = sum(np.outer(v, v.conj()) for v in large_states)
-    eigenvalues, vectors = np.linalg.eigh(frame)
+    j, phi = config.j, config.plane_phi
+    large = np.array([_coherent_amplitudes(j.twice_j, theta, phi) for theta in config.angles])
+    half = np.array([_coherent_amplitudes(1, theta, phi) for theta in config.angles])
+    eigenvalues, vectors = np.linalg.eigh(large.T @ large.conj())
     if eigenvalues[0] < 1e-10 * eigenvalues[-1]:
         raise ConsistencyError("coherent-state frame is singular")
-    inv_sqrt = (vectors * (1.0 / np.sqrt(eigenvalues))) @ vectors.conj().T
-    aligned = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    identity_half = np.eye(2, dtype=complex)
-    total_large = np.zeros((dim, dim), dtype=complex)
-    for v_half, v_large in zip(half_states, large_states):
-        element = inv_sqrt @ np.outer(v_large, v_large.conj()) @ inv_sqrt
-        aligned += np.kron(np.outer(v_half, v_half.conj()), element)
-        total_large += element
-    antialigned = np.kron(identity_half, total_large) - aligned
-    return aligned, antialigned
+    completed = large @ ((vectors / np.sqrt(eigenvalues)) @ vectors.conj().T).T  # rows S^{-1/2} |m>
+    pairs = (half[:, :, None] * completed[:, None, :]).reshape(len(half), -1)
+    aligned = pairs.T @ pairs.conj()
+    return aligned, np.kron(np.eye(2), completed.T @ completed.conj()) - aligned
+
+
+@lru_cache(maxsize=128)
+def _protocol_povm(config: LoccProtocolConfig) -> RotInvariantPovm:
+    """The protocol as the invariant POVM it is once the state is averaged over
+    rotations: the optimal local POVM's outcomes, with weights Tr(Pi_J E_k) / (2J + 1).
+    The frame sums to the identity only as well as S^{-1/2} is computed, which
+    worsens as j grows: ConsistencyError when a block's weights miss 1 by over 1e-12.
+    """
+    local = optimal_local_povm(config.j)
+    blocks = decomposition(local.j1, local.j2)
+    weights = np.array([blocks.block_probabilities(element) for element in _protocol_elements(config)])
+    weights /= [J.dimension for J in local.j_values]
+    residual = float(np.max(np.abs(weights.sum(axis=0) - 1.0)))
+    if not residual <= 1e-12:
+        raise ConsistencyError(f"the tight frame for j = {config.j} misses the identity by {residual:.3g}")
+    return replace(local, weights=weights)
 
 
 def locc_protocol_statistics(config: LoccProtocolConfig, alpha: float) -> ProtocolStatistics:
     """Protocol outcome probabilities for a product pair at relative angle
     alpha, averaged over the collective orientation, next to the closed-form
     statistics of the optimal separable POVM."""
-    j = config.j
-    half = SpinQuantumNumber(1)
-    aligned_element, antialigned_element = _protocol_elements(config)
-    weights = outcome_probabilities(half, j, alpha)
-    rho = InvariantState(half, j, weights).reconstruct()
-    p_aligned = float(np.trace(aligned_element @ rho.matrix).real)
-    p_antialigned = float(np.trace(antialigned_element @ rho.matrix).real)
-    reference = povm_outcome_probabilities(optimal_local_povm(j), np.array([alpha]))[:, 0]
-    return ProtocolStatistics(p_aligned, p_antialigned, float(reference[0]), float(reference[1]))
+    protocol, reference = (povm_outcome_probabilities(povm, [alpha])[:, 0].tolist()
+                           for povm in (_protocol_povm(config), optimal_local_povm(config.j)))
+    return ProtocolStatistics(*protocol, *reference)

@@ -7,6 +7,8 @@ seed reproduces every sample bit-exactly.  Experiments run in chunks of
 are independent and could run in any order without changing the summary.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
@@ -46,15 +48,23 @@ def haar_rotation(rng: np.random.Generator) -> Rotation:
     return Rotation(alpha, beta, gamma)
 
 
+def _draw_outcomes(probabilities: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One outcome index per column of ``probabilities`` (outcomes, trials), one uniform
+    draw each; ConsistencyError unless every column sums to 1 within 1e-9."""
+    totals = probabilities.sum(axis=0)
+    deviations = np.abs(totals - 1.0)
+    if not np.all(deviations <= 1e-9):  # written so that NaN fails too
+        raise ConsistencyError(f"outcome probabilities sum to {totals[np.argmax(deviations)]}")
+    cumulative = np.cumsum(probabilities, axis=0)
+    # the count of cumulative entries <= u is searchsorted(..., side="right")
+    outcomes = (cumulative <= rng.random(probabilities.shape[1]) * totals).sum(axis=0)
+    return np.minimum(outcomes, probabilities.shape[0] - 1)
+
+
 def sample_outcome(state, povm: RotInvariantPovm, rng: np.random.Generator) -> str:
     """Draw one outcome label with probability Tr(E_k rho)."""
     probabilities = povm_probabilities_from_state(povm, state)
-    total = float(probabilities.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ConsistencyError(f"outcome probabilities sum to {total}")
-    cumulative = np.cumsum(probabilities)
-    k = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
-    return povm.labels[min(k, len(probabilities) - 1)]
+    return povm.labels[_draw_outcomes(probabilities[:, None], rng)[0]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,12 +91,9 @@ class ExperimentSummary:
 def _prior_sampler(prior):
     """Return draw(rng, size): ``size`` angles from the prior by inverse CDF."""
     if isinstance(prior, DiscreteAngleDistribution):
-        cumulative = np.cumsum(prior.weights)
-        support = prior.alphas
-
         def draw(rng, size):
-            k = np.searchsorted(cumulative, rng.random(size), side="right")
-            return support[np.minimum(k, support.size - 1)]
+            weights = np.broadcast_to(prior.weights[:, None], (prior.weights.size, size))
+            return prior.alphas[_draw_outcomes(weights, rng)]
 
         return draw
     if isinstance(prior, AngleDensity):
@@ -104,16 +111,9 @@ def _prior_sampler(prior):
 
 
 def _sample_chunk(povm: RotInvariantPovm, alphas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Outcome counts for one trial at each angle, one uniform draw per trial."""
-    probabilities = povm_outcome_probabilities(povm, alphas)
-    totals = probabilities.sum(axis=0)
-    deviations = np.abs(totals - 1.0)
-    if not np.all(deviations <= 1e-9):  # written so that NaN fails too
-        raise ConsistencyError(f"outcome probabilities sum to {totals[np.argmax(deviations)]}")
-    cumulative = np.cumsum(probabilities, axis=0)
-    # the count of cumulative entries <= u is searchsorted(..., side="right")
-    outcomes = (cumulative <= rng.random(alphas.size) * totals).sum(axis=0)
-    return np.bincount(np.minimum(outcomes, povm.n_outcomes - 1), minlength=povm.n_outcomes)
+    """Outcome counts for one trial at each angle."""
+    outcomes = _draw_outcomes(povm_outcome_probabilities(povm, alphas), rng)
+    return np.bincount(outcomes, minlength=povm.n_outcomes)
 
 
 def run_experiment(

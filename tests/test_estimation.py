@@ -22,6 +22,7 @@ from relangle import (
     infogain_curve,
     information_gain,
     map_estimate,
+    optimal_local_povm,
     outcome_probabilities,
     outcome_probability,
     parallel_antiparallel_prior,
@@ -344,8 +345,6 @@ class TestAverageInformationGain:
         assert abs(report.average_gain_bits - AVERAGE_UNIFORM) < 1e-9
 
     def test_two_qubit_uniform_local(self):
-        from relangle import optimal_local_povm
-
         report = average_information_gain(
             HALF, HALF, uniform_direction_prior(), optimal_local_povm(HALF)
         )
@@ -606,9 +605,9 @@ class TestInfoGainCurve:
 
 def one_row_integral(f, tol=1e-10):
     """The one-row adaptive loop that ``_adaptive_integral`` batches: Gauss-Legendre rules
-    from 16 to 16384 nodes, doubling, until one agrees with the one before within tol."""
+    from 16 to 1024 nodes, doubling, until one agrees with the one before within tol."""
     previous, n = None, 16
-    while n <= 16384:
+    while n <= 1024:
         nodes, weights = _quad_rule(n)
         value = float(np.dot(weights, f(nodes)))
         if previous is not None and abs(value - previous) < tol:
@@ -664,16 +663,28 @@ class TestBatchedQuadrature:
         assert values.shape == (0,)
         assert used == 0
 
-    def test_row_that_never_converges_raises(self, monkeypatch):
-        # a step in alpha: each rule moves by about 1 / n, far above 1e-10; the
-        # cap is lowered so that no large rule is built
-        monkeypatch.setattr(estimation_module, "_QUAD_MAX", 256)
-
+    def test_row_that_never_converges_raises(self):
+        # a step in alpha: each rule moves by about 1 / n, far above 1e-10, up to the cap
         def integrand(rows, a):
             return rows * (a < 1.0)
 
         with pytest.raises(ConsistencyError, match="failed to converge"):
             _adaptive_integral(integrand, np.array([[0.0], [1.0]]))
+
+    def test_report_at_the_kernel_limit_converges_below_the_cap(self, monkeypatch):
+        # the largest smaller spin the kernel accepts, under the uniform prior
+        j = SpinQuantumNumber(KERNEL_TWICE_J_LIMIT)
+        used = []
+
+        def recorded(f, rows):
+            used.append(_adaptive_integral(f, rows))
+            return used[-1]
+
+        monkeypatch.setattr(estimation_module, "_adaptive_integral", recorded)
+        report = average_information_gain(j, j, uniform_direction_prior(),
+                                          RotInvariantPovm.projective(j, j))
+        assert [n for _, n in used] == [256]
+        assert 0.0 < report.average_gain_bits < math.log2(j.twice_j + 1)
 
 
 class TestLikelihoodTables:

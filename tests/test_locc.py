@@ -16,6 +16,7 @@ from relangle import (
     optimal_local_povm,
     partial_transpose,
     partial_transpose_spectrum,
+    outcome_probabilities,
     ppt_threshold,
     projector,
     spin,
@@ -23,8 +24,8 @@ from relangle import (
     werner_state,
 )
 from relangle.angular import Direction
-from relangle.locc import _sixj
-from relangle.states import product_coherent_pair
+from relangle.locc import _protocol_elements, _protocol_povm, _sixj
+from relangle.states import InvariantState, product_coherent_pair
 
 HALF = spin("1/2")
 
@@ -76,6 +77,14 @@ def exact_sixj(twice_j1, twice_j2, twice_J, twice_K) -> Fraction:
             * f(2 * j1 + J + K - t) * f(2 * j2 + J + K - t),
         )
     return delta_squared(j1, j2, J) * delta_squared(j1, j2, K) * total
+
+
+def dense_protocol_statistics(config, alpha) -> list[float]:
+    """The dense oracle: Tr(E_k rho) for the protocol's dense elements and the pair's
+    orientation-averaged state at relative angle alpha, rebuilt as a dense matrix."""
+    weights = outcome_probabilities(HALF, config.j, alpha)
+    rho = InvariantState(HALF, config.j, weights).reconstruct().matrix
+    return [float(np.trace(element @ rho).real) for element in _protocol_elements(config)]
 
 
 class TestPartialTranspose:
@@ -251,6 +260,30 @@ class TestLoccProtocol:
         stats = locc_protocol_statistics(LoccProtocolConfig(j), 0.0)
         assert abs(stats.reference_antialigned - 0.25) < 1e-14
         assert abs(stats.antialigned - stats.reference_antialigned) <= stats.max_deviation
+
+    @pytest.mark.parametrize("plane_phi", [0.0, 0.77])
+    @pytest.mark.parametrize("twice_j", [1, 2, 3, 4])
+    def test_matches_dense_trace(self, twice_j, plane_phi):
+        config = LoccProtocolConfig(SpinQuantumNumber(twice_j), plane_phi)
+        for alpha in np.linspace(0.0, math.pi, 17):
+            stats = locc_protocol_statistics(config, float(alpha))
+            aligned, antialigned = dense_protocol_statistics(config, float(alpha))
+            assert abs(stats.aligned - aligned) <= 1e-13
+            assert abs(stats.antialigned - antialigned) <= 1e-13
+
+    def test_elements_built_once_per_config(self):
+        _protocol_povm.cache_clear()
+        config = LoccProtocolConfig(spin(2), plane_phi=0.3)
+        for alpha in np.linspace(0.0, math.pi, 17):
+            locc_protocol_statistics(config, float(alpha))
+        assert _protocol_povm.cache_info().misses == 1
+
+    def test_frame_completeness_checked(self):
+        # the frame's S^{-1/2} completion loses accuracy as j grows: its block sums
+        # miss 1 by 4e-14 at 2j = 16 and 2e-12 at 2j = 20
+        locc_protocol_statistics(LoccProtocolConfig(SpinQuantumNumber(16)), 1.0)
+        with pytest.raises(ConsistencyError, match=r"j = 10 misses the identity by"):
+            locc_protocol_statistics(LoccProtocolConfig(SpinQuantumNumber(20)), 1.0)
 
     def test_plane_choice_does_not_matter(self):
         j = spin(1)

@@ -120,6 +120,19 @@ class TestSampleOutcome:
         sigma = math.sqrt(0.25 * 0.75 / n)
         assert abs(hits / n - 0.25) <= 5.0 * sigma
 
+    def test_draws_follow_the_cumulative_rule(self):
+        # one uniform per draw, scaled by the total: the outcome is the count of
+        # cumulative probabilities at or below it
+        povm = RotInvariantPovm.projective(spin(2), spin(3))
+        state = InvariantState(spin(2), spin(3), dict(zip(povm.j_values, [0.1, 0.3, 0.2, 0.25, 0.15])))
+        probabilities = povm.weights @ state.weight_array()
+        cumulative = np.cumsum(probabilities)
+        rng, oracle = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(1000):
+            u = oracle.random() * probabilities.sum()
+            k = min(int(np.searchsorted(cumulative, u, side="right")), povm.n_outcomes - 1)
+            assert sample_outcome(state, povm, rng) == povm.labels[k]
+
     def test_unknown_state_type_rejected(self):
         rng = np.random.default_rng(3)
         povm = RotInvariantPovm.projective(HALF, HALF)
