@@ -5,14 +5,13 @@ of any rotationally invariant operator in closed form (6j symbols), the
 separability (PPT) threshold of the invariant two-outcome family that it
 gives exactly, and the aligned/anti-aligned local protocol, in which the
 large spin is measured along a fan of coherent states and the spin-1/2 along
-the reported direction.  Its dense elements are built once per configuration
-and evaluated through their weights on the total-spin blocks, next to the
+the reported direction.  Its dense elements are reduced to their weights on
+the total-spin blocks and evaluated like any invariant POVM, next to the
 optimal local POVM of ``estimation``.
 """
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -209,7 +208,6 @@ def _protocol_elements(config: LoccProtocolConfig) -> tuple[np.ndarray, np.ndarr
     return aligned, np.kron(np.eye(2), completed.T @ completed.conj()) - aligned
 
 
-@lru_cache(maxsize=128)
 def _protocol_povm(config: LoccProtocolConfig) -> RotInvariantPovm:
     """The protocol as the invariant POVM it is once the state is averaged over
     rotations: the optimal local POVM's outcomes, with weights Tr(Pi_J E_k) / (2J + 1).

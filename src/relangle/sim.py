@@ -91,9 +91,11 @@ class ExperimentSummary:
 def _prior_sampler(prior):
     """Return draw(rng, size): ``size`` angles from the prior by inverse CDF."""
     if isinstance(prior, DiscreteAngleDistribution):
+        cumulative = np.cumsum(prior.weights)
+
         def draw(rng, size):
-            weights = np.broadcast_to(prior.weights[:, None], (prior.weights.size, size))
-            return prior.alphas[_draw_outcomes(weights, rng)]
+            k = np.searchsorted(cumulative, rng.random(size), side="right")
+            return prior.alphas[np.minimum(k, cumulative.size - 1)]
 
         return draw
     if isinstance(prior, AngleDensity):

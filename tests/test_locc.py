@@ -24,7 +24,7 @@ from relangle import (
     werner_state,
 )
 from relangle.angular import Direction
-from relangle.locc import _protocol_elements, _protocol_povm, _sixj
+from relangle.locc import _protocol_elements, _sixj
 from relangle.states import InvariantState, product_coherent_pair
 
 HALF = spin("1/2")
@@ -271,19 +271,14 @@ class TestLoccProtocol:
             assert abs(stats.aligned - aligned) <= 1e-13
             assert abs(stats.antialigned - antialigned) <= 1e-13
 
-    def test_elements_built_once_per_config(self):
-        _protocol_povm.cache_clear()
-        config = LoccProtocolConfig(spin(2), plane_phi=0.3)
-        for alpha in np.linspace(0.0, math.pi, 17):
-            locc_protocol_statistics(config, float(alpha))
-        assert _protocol_povm.cache_info().misses == 1
-
     def test_frame_completeness_checked(self):
         # the frame's S^{-1/2} completion loses accuracy as j grows: its block sums
-        # miss 1 by 4e-14 at 2j = 16 and 2e-12 at 2j = 20
+        # miss 1 by 4e-14 at 2j = 16 and by 4e-10 to 7e-10 at 2j = 30, far from the
+        # 1e-12 bound on either side (the first failing 2j, 19 to 22, depends on
+        # the plane and on rounding in the eigensolver, so it is not pinned)
         locc_protocol_statistics(LoccProtocolConfig(SpinQuantumNumber(16)), 1.0)
-        with pytest.raises(ConsistencyError, match=r"j = 10 misses the identity by"):
-            locc_protocol_statistics(LoccProtocolConfig(SpinQuantumNumber(20)), 1.0)
+        with pytest.raises(ConsistencyError, match=r"j = 15 misses the identity by"):
+            locc_protocol_statistics(LoccProtocolConfig(SpinQuantumNumber(30)), 1.0)
 
     def test_plane_choice_does_not_matter(self):
         j = spin(1)
