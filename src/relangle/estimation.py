@@ -84,11 +84,11 @@ def _quad_rule(n: int):
     return nodes, weights
 
 
-def _adaptive_integral(f, rows: np.ndarray, tol: float = _QUAD_TOL) -> tuple[np.ndarray, int]:
+def _adaptive_integral(f, rows: np.ndarray) -> tuple[np.ndarray, int]:
     """Integrate over [0, pi] one integrand per row: f(rows, nodes) gives their values at the
     nodes, one row each.  Gauss-Legendre rules double from 16 nodes; each row stops at the
-    first rule that agrees with the one before within tol, as it would alone, and f sees only
-    the rows still open.  Returns (one value per row, the most nodes any row used)."""
+    first rule that agrees with the one before within _QUAD_TOL, as it would alone, and f
+    sees only the rows still open.  Returns (one value per row, the most nodes any row used)."""
     values, open_rows = np.empty(len(rows)), np.arange(len(rows))
     previous, n, used = None, _QUAD_START, 0
     while open_rows.size:
@@ -97,7 +97,7 @@ def _adaptive_integral(f, rows: np.ndarray, tol: float = _QUAD_TOL) -> tuple[np.
         nodes, weights = _quad_rule(n)
         current = np.array([np.dot(weights, row) for row in f(rows[open_rows], nodes)])
         if previous is not None:
-            done = np.abs(current - previous) < tol
+            done = np.abs(current - previous) < _QUAD_TOL
             if done.any():
                 values[open_rows[done]], used = current[done], n
                 open_rows, current = open_rows[~done], current[~done]

@@ -159,11 +159,17 @@ class LoccProtocolConfig:
     """Fan of 2j+1 coherent-state directions, equally spaced in one plane.
 
     The plane contains the z axis and has azimuth ``plane_phi``; direction m
-    sits at polar angle 2 pi m / (2j + 1) within that plane.
+    sits at polar angle 2 pi m / (2j + 1) within that plane.  ``j`` is coerced
+    with ``spin``; a non-finite ``plane_phi`` raises ValueError.
     """
 
     j: SpinQuantumNumber
     plane_phi: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "j", spin(self.j))
+        if not math.isfinite(self.plane_phi):
+            raise ValueError(f"plane_phi must be finite, got {self.plane_phi}")
 
     @property
     def angles(self) -> np.ndarray:

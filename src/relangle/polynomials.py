@@ -105,13 +105,12 @@ def bernstein_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Entry i + j collects a_i b_j C(m, i) C(d, j) / C(m + d, i + j) for degrees
     m and d; each weight is at most one and comes from log-binomials, so no
-    degree overflows a float.  A degree-0 factor just scales the other.
+    degree overflows a float.  A degree-0 factor just scales the other: its one
+    weight is exp(0) = 1.
     """
     if a.shape[-1] < b.shape[-1]:
         a, b = b, a
     m, d = a.shape[-1] - 1, b.shape[-1] - 1
-    if d == 0:
-        return a * b
     log_a, log_b, log_ab = log_binomials(m), log_binomials(d), log_binomials(m + d)
     product = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (m + d + 1,))
     for j in range(d + 1):

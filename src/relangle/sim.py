@@ -21,7 +21,8 @@ from .estimation import (
     AngleDensity,
     DiscreteAngleDistribution,
     RotInvariantPovm,
-    average_information_gain,
+    _gains,
+    _stacked,
     povm_outcome_probabilities,
     povm_probabilities_from_state,
 )
@@ -140,9 +141,7 @@ def run_experiment(
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, 2**53], got {n_trials}")
     check_dense_capacity(j1, j2)
-    report = average_information_gain(j1, j2, prior, povm)
-    analytic = np.array([entry.probability for entry in report.outcomes])
-    gains = np.array([entry.information_gain_bits for entry in report.outcomes])
+    (analytic,), _, (gains,), (average,) = _gains(prior, *_stacked(j1, j2, povm))
     draw_angles = _prior_sampler(prior)
 
     counts = np.zeros(povm.n_outcomes, dtype=np.int64)
@@ -169,5 +168,5 @@ def run_experiment(
         mean_gain_bits=mean_gain,
         gain_standard_error_bits=gain_se,
         analytic_probabilities=analytic,
-        analytic_average_gain_bits=report.average_gain_bits,
+        analytic_average_gain_bits=float(average),
     )

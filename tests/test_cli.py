@@ -10,7 +10,8 @@ import pytest
 
 import relangle.estimation as estimation_module
 import relangle.sim as sim_module
-from relangle.cli import _build_parser, _density_grid, _trials_type, main
+import relangle.cli as cli_module
+from relangle.cli import CURVE_MAX_POINTS, _build_parser, _density_grid, _trials_type, main
 from relangle.estimation import RotInvariantPovm
 from relangle.locc import PPT_TWICE_J_LIMIT
 from relangle.sim import MAX_TRIALS
@@ -239,6 +240,26 @@ class TestCurve:
         assert "skips past --j-max 7" in err
         assert "the last j would be 6" in err
 
+    def test_range_past_the_limit_exits_2_before_building(self, capsys):
+        # one value past the limit: refused before any j or table is built
+        cached = estimation_module._table_stack.cache_info()
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "curve", "--j-min", "1/2", "--j-step", "1/2",
+                                 "--j-max", f"{CURVE_MAX_POINTS + 1}/2")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"has {CURVE_MAX_POINTS + 1} values, past the limit of {CURVE_MAX_POINTS}" in err
+        assert estimation_module._table_stack.cache_info() == cached
+
+    def test_range_at_the_limit_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "CURVE_MAX_POINTS", 3)
+        code, out, _ = run_cli(capsys, "curve", "--j-min", "1", "--j-max", "3", "--j-step", "1")
+        assert code == 0
+        assert [row[0] for row in parse_csv(out)[1]] == ["1", "2", "3"] * 4
+        code, out, _ = run_cli(capsys, "curve", "--j-min", "1", "--j-max", "4", "--j-step", "1")
+        assert (code, out) == (2, "")
+
     def test_leaky_table_exits_1(self, capsys, monkeypatch):
         tables = estimation_module._likelihood_tables
         monkeypatch.setattr(estimation_module, "_likelihood_tables",
@@ -341,11 +362,11 @@ class TestSimulate:
 
     def test_pair_above_dense_cap_exits_2(self, capsys, monkeypatch):
         # product dimension 65 * 65 = 4225, just above the cap: refused before
-        # the report or the first dense trial state is built
+        # the analytic probabilities and gains are computed
         def report_not_allowed(*args):
             raise AssertionError("analytic report built before the dense-cap check")
 
-        monkeypatch.setattr("relangle.sim.average_information_gain", report_not_allowed)
+        monkeypatch.setattr("relangle.sim._gains", report_not_allowed)
         code, out, err = run_cli(
             capsys,
             "simulate",
@@ -415,6 +436,37 @@ class TestOutputAndConfig:
 
 
 SIMULATE = ["simulate", "--j1", "1/2", "--j2", "1", "--prior", "uniform", "--n", "50"]
+
+
+class TestJsonHeader:
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["probs", "--j1", "1/2", "--j2", "1", "--alpha", "pi/2", "--format", "json"],
+             ["schema", "command", "j1", "j2", "rows"]),
+            (["curve", "--j-max", "2", "--format", "json"], ["schema", "command", "rows"]),
+            (["report", "--j1", "1/2", "--j2", "3/2", "--prior", "uniform", "--povm", "local"],
+             ["schema", "command", "j1", "j2", "prior", "povm", "outcomes", "I_av_bits"]),
+            (["ppt", "--j", "3/2"], ["schema", "command", "j", "x_star", "predicted", "abs_diff"]),
+            (SIMULATE,
+             ["schema", "command", "j1", "j2", "prior", "povm", "n_trials", "seed", "outcomes",
+              "mean_gain_bits", "gain_se_bits", "analytic_I_av_bits"]),
+        ],
+    )
+    def test_key_order(self, capsys, argv, keys):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == keys
+        assert (payload["schema"], payload["command"]) == (1, argv[0])
+
+    def test_header_spells_the_flags(self, capsys):
+        # spins as text and the flags' short scenario names, not the library's kind names
+        code, out, _ = run_cli(capsys, *SIMULATE)
+        assert code == 0
+        payload = json.loads(out)
+        header = [payload[key] for key in ("j1", "j2", "prior", "povm")]
+        assert header == ["1/2", "1", "uniform", "optimal"]
 
 
 class TestParserReuse:

@@ -280,6 +280,20 @@ class TestLoccProtocol:
         with pytest.raises(ConsistencyError, match=r"j = 15 misses the identity by"):
             locc_protocol_statistics(LoccProtocolConfig(SpinQuantumNumber(30)), 1.0)
 
+    @pytest.mark.parametrize("j", [1, "1/2", Fraction(3, 2)])
+    def test_config_coerces_j_with_spin(self, j):
+        # an int or a string once failed deep in the protocol with AttributeError
+        config = LoccProtocolConfig(j)
+        assert config == LoccProtocolConfig(spin(j))
+        stats = locc_protocol_statistics(config, 1.0)
+        expected = locc_protocol_statistics(LoccProtocolConfig(spin(j)), 1.0)
+        assert (stats.aligned, stats.antialigned) == (expected.aligned, expected.antialigned)
+
+    @pytest.mark.parametrize("plane_phi", [math.nan, math.inf, -math.inf])
+    def test_config_refuses_non_finite_plane(self, plane_phi):
+        with pytest.raises(ValueError, match="plane_phi must be finite"):
+            LoccProtocolConfig(HALF, plane_phi)
+
     def test_plane_choice_does_not_matter(self):
         j = spin(1)
         base = locc_protocol_statistics(LoccProtocolConfig(j), 1.1)

@@ -86,6 +86,11 @@ class TestBernsteinProduct:
         a, b = np.array([1.0, 2.0, 0.5]), np.array([0.25, 3.0])
         assert np.allclose(bernstein_product(a, b), bernstein_product(b, a), rtol=1e-15, atol=0.0)
         assert np.array_equal(bernstein_product(np.array([2.0]), a), 2.0 * a)
+        # a stacked operand keeps its leading axes, in either argument order
+        stacked, c = np.random.default_rng(8).random((2, 3, 5)), np.array([0.37])
+        for product in (bernstein_product(stacked, c), bernstein_product(c, stacked)):
+            assert product.shape == (2, 3, 5)
+            assert np.array_equal(product, c * stacked)
 
     def test_high_degree_stays_finite_and_keeps_the_integral(self):
         # the integral over s of a product of two all-ones polynomials is 1
