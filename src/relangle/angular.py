@@ -287,14 +287,28 @@ def _coherent_amplitudes(twice_j: int, theta: float, phi: float) -> np.ndarray:
     sin((pi - theta)/2), which is exactly zero at theta = pi, so every
     amplitude is exact at theta = 0 and pi.
     """
-    k = np.arange(twice_j + 1)
+    k, rest, half_log_binomials, twice_m = _coherent_ladder(twice_j)
     cos_half, sin_half = math.sin(0.5 * (math.pi - theta)), math.sin(0.5 * theta)
-    moduli = np.exp(0.5 * log_binomials(twice_j)
-                    + _times_log(twice_j - k, cos_half) + _times_log(k, sin_half))
+    moduli = half_log_binomials + _times_log(rest, cos_half)
+    moduli += _times_log(k, sin_half)
+    np.exp(moduli, out=moduli)
     moduli /= math.sqrt(moduli @ moduli)
-    odd = (cos_half < 0.0) * (twice_j - k) + (sin_half < 0.0) * k
-    signs = 1.0 - 2.0 * (odd % 2)
-    return signs * moduli * np.exp(-0.5j * phi * (twice_j - 2 * k))
+    # past theta = pi (or below 0) the odd powers of the negative factor flip sign
+    if cos_half < 0.0:
+        moduli[1 - twice_j % 2::2] *= -1.0
+    if sin_half < 0.0:
+        moduli[1::2] *= -1.0
+    return moduli * np.exp(-0.5j * phi * twice_m)
+
+
+@lru_cache(maxsize=16)
+def _coherent_ladder(twice_j: int) -> tuple[np.ndarray, ...]:
+    """k = j - m, 2j - k, ln C(2j, k) / 2 and 2m, for k = 0 .. 2j."""
+    k = np.arange(twice_j + 1)
+    ladder = k, twice_j - k, 0.5 * log_binomials(twice_j), twice_j - 2 * k
+    for array in ladder:
+        array.setflags(write=False)
+    return ladder
 
 
 def _times_log(powers: np.ndarray, base: float) -> np.ndarray:

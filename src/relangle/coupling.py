@@ -141,6 +141,20 @@ class CouplingDecomposition:
         blocks[: len(mirrored)] += real[::-1, ::-1][mirrored[:, :, None], mirrored[:, None, :]]
         return (self.sectors * (blocks @ self.sectors)).sum(axis=(0, 1))
 
+    def _rank_one_block_probabilities(self, vectors: np.ndarray) -> np.ndarray:
+        """Tr(Pi_J sum_r |v_r><v_r|) for a stack of vectors v_r (rows), in increasing-J order.
+
+        Sector M contributes sum_r |V^T v_rM|^2, with v_rM the entries of v_r
+        in the sector: O(dim n) per vector, with no dim^2 matrix.  V is real,
+        so the real and imaginary parts enter as separate vectors.  Sector -M
+        is sector M of the reversed vectors, whose column signs drop out of
+        the squares; sector M = 0 is its own mirror and is counted once.
+        """
+        parts = np.concatenate((vectors.real, vectors.imag))
+        gathered = np.concatenate((parts, parts[:, ::-1]))[:, self.rows]
+        gathered[len(parts):, self._mirrored:] = 0.0
+        return np.square(gathered[:, :, None, :] @ self.sectors).sum(axis=(0, 1, 2))
+
 
 @dataclass(frozen=True, eq=False)
 class Projector:

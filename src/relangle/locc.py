@@ -5,9 +5,10 @@ of any rotationally invariant operator in closed form (6j symbols), the
 separability (PPT) threshold of the invariant two-outcome family that it
 gives exactly, and the aligned/anti-aligned local protocol, in which the
 large spin is measured along a fan of coherent states and the spin-1/2 along
-the reported direction.  Its dense elements are reduced to their weights on
-the total-spin blocks and evaluated like any invariant POVM, next to the
-optimal local POVM of ``estimation``.
+the reported direction.  Its elements are sums of rank-one frame vectors,
+reduced from those vectors to their weights on the total-spin blocks and
+evaluated like any invariant POVM, next to the optimal local POVM of
+``estimation``.
 """
 
 import math
@@ -196,11 +197,14 @@ class ProtocolStatistics:
 
 
 def _protocol_elements(config: LoccProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Dense aligned/anti-aligned POVM elements of the local protocol.
+    """Frame rows of the local protocol's aligned element and of its two elements' sum.
 
-    The fan of coherent states |m> is not orthogonal for j > 1/2; it is completed
-    into a POVM as the canonical tight frame E_m = S^{-1/2} |m><m| S^{-1/2}
-    with S the frame operator.
+    Rows v_r stand for the operator sum_r |v_r><v_r|.  The fan of coherent
+    states |m> is not orthogonal for j > 1/2; it is completed into a POVM as
+    the canonical tight frame S^{-1/2} |m>, with S the frame operator.  The
+    aligned rows are |1/2, m> (x) S^{-1/2} |m>, and the sum's rows
+    e_k (x) S^{-1/2} |m> for both basis states e_k of the spin-1/2, so the
+    anti-aligned element is the sum minus the aligned one.
     """
     j, phi = config.j, config.plane_phi
     large = np.array([_coherent_amplitudes(j.twice_j, theta, phi) for theta in config.angles])
@@ -209,21 +213,22 @@ def _protocol_elements(config: LoccProtocolConfig) -> tuple[np.ndarray, np.ndarr
     if eigenvalues[0] < 1e-10 * eigenvalues[-1]:
         raise ConsistencyError("coherent-state frame is singular")
     completed = large @ ((vectors / np.sqrt(eigenvalues)) @ vectors.conj().T).T  # rows S^{-1/2} |m>
-    pairs = (half[:, :, None] * completed[:, None, :]).reshape(len(half), -1)
-    aligned = pairs.T @ pairs.conj()
-    return aligned, np.kron(np.eye(2), completed.T @ completed.conj()) - aligned
+    aligned = (half[:, :, None] * completed[:, None, :]).reshape(len(half), -1)
+    total = (np.eye(2)[:, None, :, None] * completed[:, None, :]).reshape(2 * len(half), -1)
+    return aligned, total
 
 
 def _protocol_povm(config: LoccProtocolConfig) -> RotInvariantPovm:
     """The protocol as the invariant POVM it is once the state is averaged over
-    rotations: the optimal local POVM's outcomes, with weights Tr(Pi_J E_k) / (2J + 1).
-    The frame sums to the identity only as well as S^{-1/2} is computed, which
-    worsens as j grows: ConsistencyError when a block's weights miss 1 by over 1e-12.
+    rotations: the optimal local POVM's outcomes, with weights Tr(Pi_J E_k) / (2J + 1),
+    read from the elements' frame rows.  The frame sums to the identity only as
+    well as S^{-1/2} is computed, which worsens as j grows: ConsistencyError when
+    a block's weights miss 1 by over 1e-12.
     """
     local = optimal_local_povm(config.j)
     blocks = decomposition(local.j1, local.j2)
-    weights = np.array([blocks.block_probabilities(element) for element in _protocol_elements(config)])
-    weights /= [J.dimension for J in local.j_values]
+    aligned, total = (blocks._rank_one_block_probabilities(rows) for rows in _protocol_elements(config))
+    weights = np.array([aligned, total - aligned]) / [J.dimension for J in local.j_values]
     residual = float(np.max(np.abs(weights.sum(axis=0) - 1.0)))
     if not residual <= 1e-12:
         raise ConsistencyError(f"the tight frame for j = {config.j} misses the identity by {residual:.3g}")

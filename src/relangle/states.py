@@ -27,30 +27,65 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Density matrix on a two-spin product space with factor dims (2j1+1, 2j2+1)."""
+    """Density matrix on a two-spin product space with factor dims (2j1+1, 2j2+1).
+
+    A pure state can be held as its unit vector psi instead
+    (``DensityMatrix._pure``): ``matrix`` is then |psi><psi|, built on first
+    access, and ``invariant_average`` reads the block weights from psi.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, int]
 
+    @classmethod
+    def _pure(cls, vector: np.ndarray, dims: tuple[int, int]) -> "DensityMatrix":
+        """The pure state |vector><vector|, held as its vector."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "_vector", vector)
+        object.__setattr__(state, "dims", dims)
+        state.__post_init__()
+        return state
+
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex)
         d1, d2 = self.dims
-        if matrix.shape != (d1 * d2, d1 * d2):
-            raise ValueError(f"matrix shape {matrix.shape} does not match dims {self.dims}")
-        # rho^dagger - rho on a C-ordered copy of the transpose: subtracting the
-        # strided view matrix.conj().T costs several times more at dim ~ 300.
-        # Always a copy: for an F-ordered matrix, matrix.T is already C-contiguous
-        defect = matrix.T.copy()
-        np.conjugate(defect, out=defect)
-        defect -= matrix
-        if np.max(np.abs(defect)) > 1e-12:
-            raise ValueError("density matrix is not Hermitian")
-        trace = float(np.trace(matrix).real)
-        if abs(trace - 1.0) > 1e-12:
-            raise ValueError(f"density matrix has trace {trace}, expected 1")
+        vector = vars(self).get("_vector")
+        if vector is not None:
+            vector = np.array(vector, dtype=complex)
+            if vector.shape != (d1 * d2,):
+                raise ValueError(f"vector shape {vector.shape} does not match dims {self.dims}")
+            norm = float(np.vdot(vector, vector).real)
+            if not abs(norm - 1.0) <= 1e-12:
+                raise ValueError(f"state vector has squared norm {norm}, expected 1")
+            vector.setflags(write=False)
+        else:
+            matrix = np.array(self.matrix, dtype=complex)
+            if matrix.shape != (d1 * d2, d1 * d2):
+                raise ValueError(f"matrix shape {matrix.shape} does not match dims {self.dims}")
+            # rho^dagger - rho on a C-ordered copy of the transpose: subtracting the
+            # strided view matrix.conj().T costs several times more at dim ~ 300.
+            # Always a copy: for an F-ordered matrix, matrix.T is already C-contiguous
+            defect = matrix.T.copy()
+            np.conjugate(defect, out=defect)
+            defect -= matrix
+            if not np.max(np.abs(defect)) <= 1e-12:
+                raise ValueError("density matrix is not Hermitian")
+            trace = float(np.trace(matrix).real)
+            if not abs(trace - 1.0) <= 1e-12:
+                raise ValueError(f"density matrix has trace {trace}, expected 1")
+            matrix.setflags(write=False)
+            object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_vector", vector)
+        object.__setattr__(self, "dims", (int(d1), int(d2)))
+
+    def __getattr__(self, name):
+        # reached only for attributes the instance lacks: a pure state's matrix
+        # until it is first read
+        if name != "matrix":
+            raise AttributeError(name)
+        matrix = np.outer(self._vector, self._vector.conj())
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "dims", (int(d1), int(d2)))
+        return matrix
 
     @property
     def spins(self) -> tuple[SpinQuantumNumber, SpinQuantumNumber]:
@@ -76,14 +111,14 @@ class InvariantState:
         for J, p in self.weights.items():
             J = spin(J)
             p = float(p)
-            if p < -1e-10:
-                raise ValueError(f"negative block weight {p} for J={J}")
+            if not p >= -1e-10:
+                raise ValueError(f"block weight {p} for J={J} is negative or NaN")
             cleaned[J] = max(p, 0.0)
         expected = total_j_values(self.j1, self.j2)
         if sorted(cleaned) != expected:
             raise ValueError("block weights do not cover the total-spin range")
         total = sum(cleaned.values())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"block weights sum to {total}, expected 1")
         object.__setattr__(self, "weights", cleaned)
 
@@ -106,8 +141,8 @@ class InvariantState:
 def product_coherent_pair(j1, j2, n1: Direction, n2: Direction) -> DensityMatrix:
     """Pure product state of two spin coherent states pointing along n1 and n2."""
     j1, j2 = spin(j1), spin(j2)
-    psi = np.kron(coherent_state(j1, n1).amplitudes, coherent_state(j2, n2).amplitudes)
-    return DensityMatrix(np.outer(psi, psi.conj()), (j1.dimension, j2.dimension))
+    psi = np.multiply.outer(coherent_state(j1, n1).amplitudes, coherent_state(j2, n2).amplitudes)
+    return DensityMatrix._pure(psi.ravel(), (j1.dimension, j2.dimension))
 
 
 def collective_rotate(rho: DensityMatrix, r: Rotation) -> DensityMatrix:
@@ -121,13 +156,17 @@ def invariant_average(rho: DensityMatrix) -> InvariantState:
     """Average over all collective rotations, expressed as block weights.
 
     The weights are Tr(Pi_J rho); for a multiplicity-free decomposition this
-    reproduces the group average exactly.
+    reproduces the group average exactly.  A pure state held as its vector
+    psi gives them as <psi|Pi_J|psi>, without its dense matrix.
     """
     j1, j2 = rho.spins
     dec = decomposition(j1, j2)
-    probabilities = dec.block_probabilities(rho.matrix)
+    if rho._vector is None:
+        probabilities = dec.block_probabilities(rho.matrix)
+    else:
+        probabilities = dec._rank_one_block_probabilities(rho._vector[None])
     total = float(probabilities.sum())
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise ConsistencyError(f"block weights sum to {total}, expected 1")
     weights = dict(zip(dec.j_values, probabilities))
     return InvariantState(j1, j2, weights)

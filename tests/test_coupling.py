@@ -245,6 +245,27 @@ class TestBlockProbabilities:
             assert np.max(np.abs(probabilities - expected)) <= 1e-13
 
 
+def random_unit_stack(rng, rank, dim):
+    """rank complex vectors (rows) whose operator sum_r |v_r><v_r| has trace 1."""
+    vectors = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+    return vectors / np.linalg.norm(vectors)
+
+
+class TestRankOneBlockProbabilities:
+    @pytest.mark.parametrize("twice_j1", range(13))
+    def test_matches_dense_operator(self, twice_j1):
+        # oracle: block_probabilities of the dense operator sum_r |v_r><v_r|
+        rng = np.random.default_rng(twice_j1)
+        for twice_j2 in range(13):
+            dec = decomposition(SpinQuantumNumber(twice_j1), SpinQuantumNumber(twice_j2))
+            dim = (twice_j1 + 1) * (twice_j2 + 1)
+            for rank in (1, 3):
+                vectors = random_unit_stack(rng, rank, dim)
+                expected = dec.block_probabilities(vectors.T @ vectors.conj())
+                got = dec._rank_one_block_probabilities(vectors)
+                assert np.max(np.abs(got - expected)) <= 1e-13
+
+
 @pytest.mark.parametrize("j1_text, j2_text", [("63/2", "63/2"), ("255/2", "15/2")])
 class TestDenseCap:
     """Properties of the sector table at product dimension 4096, the dense cap."""
@@ -300,6 +321,17 @@ class TestDenseCap:
             residual = apply_total_j_squared(j1, j2, v) - J.as_float * (J.as_float + 1) * v
             assert np.max(np.abs(residual)) <= 1e-14 * highest.as_float * (highest.as_float + 1)
         assert np.max(np.abs(low.T @ high)) <= 1e-13
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_rank_one_block_probabilities(self, j1_text, j2_text, rank):
+        # block_probabilities reads only the real part of its operator, so the
+        # dense oracle is built real, one dim^2 array: Re(v v^dagger) = Re v Re v^T
+        # + Im v Im v^T
+        dec = decomposition(spin(j1_text), spin(j2_text))
+        vectors = random_unit_stack(np.random.default_rng(rank), rank, 4096)
+        parts = np.concatenate((vectors.real, vectors.imag))
+        expected = dec.block_probabilities(parts.T @ parts)
+        assert np.max(np.abs(dec._rank_one_block_probabilities(vectors) - expected)) <= 1e-13
 
 
 class TestProjector:

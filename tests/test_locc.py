@@ -80,11 +80,13 @@ def exact_sixj(twice_j1, twice_j2, twice_J, twice_K) -> Fraction:
 
 
 def dense_protocol_statistics(config, alpha) -> list[float]:
-    """The dense oracle: Tr(E_k rho) for the protocol's dense elements and the pair's
-    orientation-averaged state at relative angle alpha, rebuilt as a dense matrix."""
+    """The dense oracle: Tr(E_k rho) for the protocol's elements, built densely from
+    their frame rows, and the pair's orientation-averaged state at relative angle
+    alpha, rebuilt as a dense matrix."""
     weights = outcome_probabilities(HALF, config.j, alpha)
     rho = InvariantState(HALF, config.j, weights).reconstruct().matrix
-    return [float(np.trace(element @ rho).real) for element in _protocol_elements(config)]
+    aligned, total = (rows.T @ rows.conj() for rows in _protocol_elements(config))
+    return [float(np.trace(element @ rho).real) for element in (aligned, total - aligned)]
 
 
 class TestPartialTranspose:

@@ -285,7 +285,9 @@ class TestChunkedExperiment:
             if vars(module).get("rotation_matrix") is rotation_matrix:
                 monkeypatch.setattr(module, "rotation_matrix", forbidden)
         monkeypatch.setattr(DensityMatrix, "__init__", forbidden)
+        monkeypatch.setattr(DensityMatrix, "_pure", forbidden)
         monkeypatch.setattr(CouplingDecomposition, "block_probabilities", forbidden)
+        monkeypatch.setattr(CouplingDecomposition, "_rank_one_block_probabilities", forbidden)
         monkeypatch.setattr(sim_module, "haar_rotation", forbidden)
         for j1, j2, make_prior, make_povm in MC_CASES:
             summary = run_experiment(j1, j2, make_prior(), make_povm(), 500, seed=63)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from relangle import (
+    ConsistencyError,
+    CouplingDecomposition,
     Direction,
     Rotation,
+    coherent_state,
     collective_rotate,
     invariant_average,
     partial_transpose,
@@ -57,6 +60,28 @@ class TestProductCoherentPair:
             )
             assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
             assert abs(rho.purity() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("j1_text, j2_text", [("1/2", "1/2"), ("1", "3/2"), ("5/2", "4")])
+    def test_matrix_is_the_outer_product(self, j1_text, j2_text):
+        # the pair holds its vector; its matrix, built on first access, has the
+        # bits of |psi><psi| and is a valid dense state in its own right
+        rng = np.random.default_rng(12)
+        j1, j2 = spin(j1_text), spin(j2_text)
+        n1, n2 = random_direction(rng), random_direction(rng)
+        rho = product_coherent_pair(j1, j2, n1, n2)
+        psi = np.kron(coherent_state(j1, n1).amplitudes, coherent_state(j2, n2).amplitudes)
+        assert np.array_equal(rho.matrix, np.outer(psi, psi.conj()))
+        assert rho.matrix is rho.matrix
+        assert not rho.matrix.flags.writeable
+        assert np.array_equal(DensityMatrix(rho.matrix, rho.dims).matrix, rho.matrix)
+
+    def test_block_weights_match_its_dense_matrix(self):
+        rng = np.random.default_rng(13)
+        for j1, j2 in ((HALF, HALF), (spin(1), spin("7/2")), (spin(3), spin(2))):
+            rho = product_coherent_pair(j1, j2, random_direction(rng), random_direction(rng))
+            pure = invariant_average(rho).weight_array()
+            dense = invariant_average(DensityMatrix(rho.matrix, rho.dims)).weight_array()
+            assert np.max(np.abs(pure - dense)) <= 1e-13
 
     def test_self_overlap_profile_is_orientation_covariant(self):
         # Tr(rho R rho R^dag) is unchanged when the pair and the rotation axis
@@ -252,6 +277,39 @@ class TestValidation:
     def test_one_dimensional_state_accepted(self):
         rho = DensityMatrix(np.ones((1, 1)), (1, 1))
         assert rho.matrix[0, 0] == 1.0
+
+    def test_pure_state_requires_unit_norm(self):
+        vector = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+        assert DensityMatrix._pure(vector * (1.0 + 4e-13), (2, 2)).dims == (2, 2)
+        for scale in (1.0 + 2e-12, 0.5):
+            with pytest.raises(ValueError, match="squared norm"):
+                DensityMatrix._pure(vector * scale, (2, 2))
+        with pytest.raises(ValueError, match="does not match dims"):
+            DensityMatrix._pure(vector, (2, 3))
+
+    def test_pure_state_rejects_nan(self):
+        vector = np.array([math.nan, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="squared norm nan"):
+            DensityMatrix._pure(vector, (2, 2))
+
+    def test_density_matrix_rejects_nan(self):
+        # every entry NaN: no comparison with NaN is true, so only a check that
+        # asks for the defect to lie inside its bound refuses it
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(np.full((4, 4), np.nan), (2, 2))
+
+    def test_invariant_state_rejects_nan_weight(self):
+        with pytest.raises(ValueError, match="negative or NaN"):
+            InvariantState(HALF, HALF, {spin(0): math.nan, spin(1): 1.0})
+
+    def test_invariant_average_rejects_nan_weights(self, monkeypatch):
+        def nan_weights(self, vectors):
+            return np.full(len(self.j_values), np.nan)
+
+        monkeypatch.setattr(CouplingDecomposition, "_rank_one_block_probabilities", nan_weights)
+        rho = product_coherent_pair(HALF, HALF, Direction(0, 0), Direction(1.0, 0))
+        with pytest.raises(ConsistencyError, match="sum to nan"):
+            invariant_average(rho)
 
     def test_invariant_state_requires_normalized_weights(self):
         with pytest.raises(ValueError):
