@@ -6,22 +6,30 @@ estimation report), ``curve`` (average information gain versus j),
 Data goes to stdout (or ``--out``); diagnostics go to stderr.  Exit codes:
 0 success, 2 usage or configuration error, 1 internal-consistency error.  Shared
 flags are declared once, in parent parsers; ``_json_text`` writes every JSON header.
+
+Long float arrays are written whole, not number by number: ``probs`` CSV is one
+%-format per grid, and ``report`` evaluates all its density posteriors at once
+and writes each row with ``_json_floats``, one %-format of the row, falling back
+to the per-number path for the rare row whose text would differ from it.
 """
 
 import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
 from .angular import SpinQuantumNumber
-from .coupling import total_j_values
+from .coupling import _total_js
 from .errors import CapacityError, ConsistencyError
 from .estimation import (
+    AngleDensity,
     DiscreteAngleDistribution,
     _block_probability_matrix,
+    _density_values,
     _make_povm,
     _make_prior,
     average_information_gain,
@@ -175,14 +183,40 @@ def _csv(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _json_text(args: argparse.Namespace, **fields) -> str:
+# "%.10g" % v is the JSON text of _sig10(v) but for integer tokens, which lack ".0", and
+# for NaN and infinities (spelled with "n"), values that round to 1e10 or more (with "e+")
+# and subnormals, below 2.3e-308, whose shortest repr can have fewer digits.
+_SUBNORMAL_EXPONENT = re.compile(r"e-3(?:0[89]|[12]\d)")
+_INTEGER_TOKEN = re.compile(r"([\[ ]-?\d+)([,\]])")
+
+
+def _json_floats(values: list) -> str:
+    """json.dumps([_sig10(v) for v in values]), from one %-format of the whole list."""
+    text = ("[" + ", ".join(["%.10g"] * len(values)) + "]") % tuple(values)
+    if "n" in text or "e+" in text or ("e-3" in text and _SUBNORMAL_EXPONENT.search(text)):
+        return json.dumps([_sig10(v) for v in values])
+    return _INTEGER_TOKEN.sub(r"\1.0\2", text)
+
+
+# A field value whose JSON text is given to _json_text ready-made; json.dumps writes it
+# as _RAW_TEXT, which no other text of a command's output contains.
+_RAW = "\0"
+_RAW_TEXT = json.dumps(_RAW)
+
+
+def _json_text(args: argparse.Namespace, raw_texts=(), **fields) -> str:
     """The command's JSON line: schema, command, each of the spins and scenario flags that
-    the command takes, as text, then its own fields."""
+    the command takes, as text, then its own fields, where each _RAW stands for the next
+    of the ready-made JSON texts ``raw_texts``."""
     given = vars(args)
     header = {"schema": SCHEMA_VERSION, "command": args.command}
     header.update((name, str(given[name])) for name in ("j1", "j2", "j", "prior", "povm")
                   if name in given)
-    return json.dumps({**header, **fields}) + "\n"
+    text = json.dumps({**header, **fields})
+    if raw_texts:
+        pieces = text.split(_RAW_TEXT)
+        text = "".join(piece + raw for piece, raw in zip(pieces, raw_texts)) + pieces[-1]
+    return text + "\n"
 
 
 @functools.cache
@@ -193,6 +227,13 @@ def _density_grid() -> tuple:
     return grid, tuple(_sig10(a) for a in grid.tolist())
 
 
+@functools.cache
+def _density_grid_texts() -> tuple:
+    """The default grid's labels as one JSON text, and its angles as CSV fields."""
+    grid, labels = _density_grid()
+    return json.dumps(labels), tuple(map(_csv, grid.tolist()))
+
+
 def _scenario(args: argparse.Namespace) -> tuple:
     """The prior and the POVM named by --prior and --povm."""
     return _make_prior(_KINDS[args.prior]), _make_povm(_KINDS[args.povm], args.j1, args.j2)
@@ -200,13 +241,15 @@ def _scenario(args: argparse.Namespace) -> tuple:
 
 def _cmd_probs(args: argparse.Namespace) -> str:
     grid = _density_grid()[0] if args.alpha is None else np.array([args.alpha])
-    probabilities = _block_probability_matrix(args.j1, args.j2, grid).T.tolist()
-    labels = [str(J) for J in total_j_values(args.j1, args.j2)]
+    probabilities = _block_probability_matrix(args.j1, args.j2, grid).T
+    labels = [str(J) for J in _total_js(args.j1.twice_j, args.j2.twice_j)]
     if args.format == "csv":
-        lines = ["alpha,J,probability"]
-        for alpha, column in zip(map(_csv, grid.tolist()), probabilities):
-            lines += [f"{alpha},{J},{_csv(p)}" for J, p in zip(labels, column)]
-        return "\n".join(lines) + "\n"
+        alphas = _density_grid_texts()[1] if args.alpha is None else [_csv(args.alpha)]
+        fields = [f",{J},%.12g\n" for J in labels]
+        # each angle's lines: the angle before each of the fields
+        template = "".join(alpha + alpha.join(fields) for alpha in alphas)
+        return "alpha,J,probability\n" + template % tuple(probabilities.ravel().tolist())
+    probabilities = probabilities.tolist()
     return _json_text(args, rows=[
         {"alpha": _sig10(alpha), "J": J, "probability": _sig10(p)}
         for alpha, column in zip(grid.tolist(), probabilities)
@@ -215,6 +258,7 @@ def _cmd_probs(args: argparse.Namespace) -> str:
 
 
 def _serialize_posterior(posterior) -> dict | None:
+    """A posterior's JSON fields; a density's grid labels and values are _RAW."""
     if posterior is None:
         return None
     if isinstance(posterior, DiscreteAngleDistribution):
@@ -225,12 +269,21 @@ def _serialize_posterior(posterior) -> dict | None:
                 for a, w in zip(posterior.alphas, posterior.weights)
             ],
         }
-    grid, labels = _density_grid()
-    return {
-        "type": "density",
-        "alpha": labels,
-        "density": [float(f"{v:.10g}") for v in posterior.pdf(grid).tolist()],
-    }
+    return {"type": "density", "alpha": _RAW, "density": _RAW}
+
+
+def _density_texts(posteriors) -> list[str]:
+    """The JSON texts that the _RAW fields of the posteriors' density entries stand for, in
+    order: the grid labels and the values on the grid of each density, all evaluated at once."""
+    densities = [p.coefficients for p in posteriors if isinstance(p, AngleDensity)]
+    if not densities:
+        return []
+    grid = _density_grid()[0]
+    labels = _density_grid_texts()[0]
+    texts = []
+    for row in _density_values(np.stack(densities), grid).tolist():
+        texts += [labels, _json_floats(row)]
+    return texts
 
 
 def _cmd_report(args: argparse.Namespace) -> str:
@@ -244,7 +297,8 @@ def _cmd_report(args: argparse.Namespace) -> str:
         }
         for entry in report.outcomes
     ]
-    return _json_text(args, outcomes=outcomes, I_av_bits=_sig10(report.average_gain_bits))
+    texts = _density_texts(entry.posterior for entry in report.outcomes)
+    return _json_text(args, texts, outcomes=outcomes, I_av_bits=_sig10(report.average_gain_bits))
 
 
 def _cmd_curve(args: argparse.Namespace) -> str:

@@ -39,11 +39,16 @@ DENSE_DIMENSION_CAP = 4096
 
 
 def total_j_values(j1, j2) -> list[SpinQuantumNumber]:
-    """Total spins |j1 - j2|, ..., j1 + j2 in increasing order."""
+    """Total spins |j1 - j2|, ..., j1 + j2 in increasing order, as a new list."""
     j1, j2 = spin(j1), spin(j2)
-    lo = abs(j1.twice_j - j2.twice_j)
-    hi = j1.twice_j + j2.twice_j
-    return [SpinQuantumNumber(tj) for tj in range(lo, hi + 2, 2)]
+    return list(_total_js(j1.twice_j, j2.twice_j))
+
+
+@lru_cache(maxsize=256)
+def _total_js(twice_j1: int, twice_j2: int) -> tuple[SpinQuantumNumber, ...]:
+    """``total_j_values`` of the pair as a shared tuple, for the package's own callers."""
+    lo = abs(twice_j1 - twice_j2)
+    return tuple(SpinQuantumNumber(tj) for tj in range(lo, twice_j1 + twice_j2 + 2, 2))
 
 
 def clebsch_gordan(j1, j2, twice_m1: int, twice_m2: int, J, twice_M: int) -> float:
@@ -100,8 +105,8 @@ class CouplingDecomposition:
     sectors: np.ndarray  # shape (sectors, n, n), orthogonal on the unpadded rows and columns
 
     @property
-    def j_values(self) -> list[SpinQuantumNumber]:
-        return total_j_values(self.j1, self.j2)
+    def j_values(self) -> tuple[SpinQuantumNumber, ...]:
+        return _total_js(self.j1.twice_j, self.j2.twice_j)
 
     @property
     def _mirrored(self) -> int:
@@ -232,7 +237,7 @@ def projector(j1, j2, J) -> Projector:
     """
     j1, j2, J = spin(j1), spin(j2), spin(J)
     check_dense_capacity(j1, j2)
-    if J not in total_j_values(j1, j2):
+    if J not in _total_js(j1.twice_j, j2.twice_j):
         raise ValueError(f"J={J} outside the range for ({j1}, {j2})")
     isometry = _decomposition(j1.twice_j, j2.twice_j).block(J).isometry
     return Projector(J, isometry @ isometry.T)

@@ -18,7 +18,9 @@ divided by C(2b, k), and its evidence is their mean, so evidences and
 posteriors need no quadrature.  Information gains are Kullback-Leibler
 divergences in bits; only one between densities needs quadrature,
 Gauss-Legendre in alpha, unless the posterior is linear and the prior
-constant in s (any spin-1/2 probe, uniform prior).
+constant in s (any spin-1/2 probe, uniform prior).  The rules come from
+Newton-type (Halley) iteration on the Legendre three-term recurrence, from
+Tricomi's asymptotic nodes: O(n^2) work, with no eigensolve (``_quad_rule``).
 
 Tables, POVM weights, evidences, posteriors and gains carry a leading axis
 of pairs sharing the smaller spin b: a report is a stack of one pair, and a
@@ -32,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import SpinQuantumNumber, spin
-from .coupling import projector, total_j_values
+from .coupling import _total_js, projector
 from .errors import CapacityError, ConsistencyError, ImpossibleOutcomeError
 from .polynomials import bernstein_from_power, bernstein_product, bernstein_values, power_basis
 from .states import DensityMatrix, InvariantState, invariant_average
@@ -74,11 +76,46 @@ _QUAD_START = 16
 _QUAD_MAX = 1024
 
 
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_(n-1)(x), n >= 1, by the recurrence (k+1) P_(k+1) = (2k+1) x P_k - k P_(k-1)."""
+    k = np.arange(1.0, n)
+    scaled_x = np.multiply.outer((2.0 * k + 1.0) / (k + 1.0), x)
+    previous, current = np.ones_like(x), x
+    for row, ratio in zip(scaled_x, (k / (k + 1.0)).tolist()):
+        previous, current = current, row * current - ratio * previous
+    return current, previous
+
+
 @lru_cache(maxsize=16)
 def _quad_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    """The n-node Gauss-Legendre rule on [0, pi]: read-only nodes and weights.
+
+    The nodes x in [0, 1) of the rule on [-1, 1], the roots of P_n, start from
+    Tricomi's asymptotic guess and take two Halley steps (Newton's step with
+    P_n'' from Legendre's equation), one recurrence evaluation each; the
+    others are their mirror images.  The weights are 2 / ((1 - x^2) P_n'(x)^2)
+    = 2 (1 - x^2) / (n (P_(n-1) - x P_n))^2, scaled to sum to 2.  At a root
+    this is 2 (1 - x^2) / (n P_(n-1))^2, but near +-1 a root of P_(n-1) lies
+    close to each node, so that form moves by up to 1e-13 with the rounding
+    of the node, and this one by about 1e-16.  O(n^2), with no eigensolve.
+    """
+    half = (n + 1) // 2  # nodes in [0, 1), the middle one 0 when n is odd
+    theta = (4.0 * np.arange(1, half + 1) - 1.0) * math.pi / (4 * n + 2)
+    correction = (n - 1) / (8 * n**3) + (39.0 - 28.0 / np.sin(theta) ** 2) / (384 * n**4)
+    x = (1.0 - correction) * np.cos(theta)
+    for _ in range(2):
+        p, q = _legendre_pair(n, x)
+        slope = n * (q - x * p) / (1.0 - x * x)  # P_n'
+        step = p / slope
+        curvature = (2.0 * x * slope - n * (n + 1) * p) / (1.0 - x * x)  # P_n''
+        x = x - step / (1.0 - 0.5 * step * curvature / slope)
+    p, q = _legendre_pair(n, x)
+    w = 2.0 * (1.0 - x * x) / (n * (q - x * p)) ** 2
+    middle = n % 2
+    x = np.concatenate((-x, x[::-1][middle:]))
+    w = np.concatenate((w, w[::-1][middle:]))
     nodes = 0.5 * math.pi * (x + 1.0)
-    weights = 0.5 * math.pi * w
+    weights = math.pi / w.sum() * w
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -162,8 +199,13 @@ class AngleDensity:
         return self.coefficients.size - 1
 
     def pdf(self, alphas) -> np.ndarray:
-        alphas = np.asarray(alphas, dtype=float)
-        return bernstein_values(self.coefficients, alphas) * (0.5 * np.sin(alphas))
+        return _density_values(self.coefficients, np.asarray(alphas, dtype=float))
+
+
+def _density_values(coefficients: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """The densities in alpha with the given Bernstein coefficients (last axis) at each angle,
+    in the shape of ``bernstein_values``: each polynomial in s times ds/dalpha = sin(alpha)/2."""
+    return bernstein_values(coefficients, alphas) * (0.5 * np.sin(alphas))
 
 
 def parallel_antiparallel_prior() -> DiscreteAngleDistribution:
@@ -204,7 +246,7 @@ class RotInvariantPovm:
     weights: np.ndarray
 
     def __post_init__(self):
-        expected = tuple(total_j_values(self.j1, self.j2))
+        expected = _total_js(self.j1.twice_j, self.j2.twice_j)
         if tuple(self.j_values) != expected:
             raise ValueError("j_values must list the total spins in increasing order")
         weights = np.array(self.weights, dtype=float)
@@ -222,7 +264,7 @@ class RotInvariantPovm:
     def projective(cls, j1, j2) -> "RotInvariantPovm":
         """The projective measurement of total spin, one outcome per block."""
         j1, j2 = spin(j1), spin(j2)
-        j_values = tuple(total_j_values(j1, j2))
+        j_values = _total_js(j1.twice_j, j2.twice_j)
         labels = tuple(f"J={J}" for J in j_values)
         return cls(j1, j2, labels, j_values, np.eye(len(j_values)))
 
@@ -315,7 +357,7 @@ def outcome_probabilities(j1, j2, alpha: float) -> dict:
     """Probability of each total-spin outcome for a pair at relative angle alpha."""
     j1, j2 = spin(j1), spin(j2)
     column = _block_probability_matrix(j1, j2, np.array([alpha]))[:, 0]
-    return dict(zip(total_j_values(j1, j2), column.tolist()))
+    return dict(zip(_total_js(j1.twice_j, j2.twice_j), column.tolist()))
 
 
 def outcome_probability(j1, j2, J, alpha: float) -> float:
@@ -420,7 +462,7 @@ def _kl_bits(prior, q: np.ndarray) -> np.ndarray:
         return (_linear_x_log_x(c0, c1) - math.log(p) * 0.5 * (c0 + c1)) / math.log(2.0)
 
     def integrand(rows, a):
-        return _kl_terms(bernstein_values(rows, a) * (0.5 * np.sin(a)), prior.pdf(a), 1e-12)
+        return _kl_terms(_density_values(rows, a), prior.pdf(a), 1e-12)
 
     return _adaptive_integral(integrand, q.reshape(-1, q.shape[-1]))[0].reshape(q.shape[:-1])
 
@@ -554,7 +596,7 @@ def optimal_local_povm(j) -> RotInvariantPovm:
     if j.twice_j == 0:
         raise ValueError("the larger spin must be at least 1/2")
     half = SpinQuantumNumber(1)
-    j_values = tuple(total_j_values(half, j))
+    j_values = _total_js(half.twice_j, j.twice_j)
     weights = _optimal_local_weights([j.twice_j])[0]
     return RotInvariantPovm(half, j, ("aligned", "antialigned"), j_values, weights)
 

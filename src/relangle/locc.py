@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .angular import SpinQuantumNumber, _coherent_amplitudes, spin
-from .coupling import decomposition, total_j_values
+from .coupling import _total_js, decomposition
 from .errors import CapacityError, ConsistencyError
 from .estimation import RotInvariantPovm, optimal_local_povm, povm_outcome_probabilities
 
@@ -117,7 +117,7 @@ def partial_transpose_spectrum(j1, j2, weights) -> np.ndarray:
     """
     j1, j2 = spin(j1), spin(j2)
     weights = np.asarray(weights, dtype=float)
-    multiplicities = np.array([J.dimension for J in total_j_values(j1, j2)], dtype=float)
+    multiplicities = np.array([J.dimension for J in _total_js(j1.twice_j, j2.twice_j)], dtype=float)
     if weights.shape[-1:] != multiplicities.shape:
         raise ValueError(f"expected {multiplicities.size} block weights for ({j1}, {j2}), "
                          f"got shape {weights.shape}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import Direction, Rotation, SpinQuantumNumber, coherent_state, rotation_matrix, spin
-from .coupling import decomposition, projector, total_j_values
+from .coupling import _total_js, decomposition, projector
 from .errors import ConsistencyError
 
 __all__ = [
@@ -114,8 +114,7 @@ class InvariantState:
             if not p >= -1e-10:
                 raise ValueError(f"block weight {p} for J={J} is negative or NaN")
             cleaned[J] = max(p, 0.0)
-        expected = total_j_values(self.j1, self.j2)
-        if sorted(cleaned) != expected:
+        if tuple(sorted(cleaned)) != _total_js(self.j1.twice_j, self.j2.twice_j):
             raise ValueError("block weights do not cover the total-spin range")
         total = sum(cleaned.values())
         if not abs(total - 1.0) <= 1e-12:
@@ -127,13 +126,13 @@ class InvariantState:
 
     def weight_array(self) -> np.ndarray:
         """Weights in increasing-J order."""
-        return np.array([self.weights[J] for J in total_j_values(self.j1, self.j2)])
+        return np.array([self.weights[J] for J in _total_js(self.j1.twice_j, self.j2.twice_j)])
 
     def reconstruct(self) -> DensityMatrix:
         """Dense form sum_J p_J Pi_J / (2J + 1)."""
         dim = self.j1.dimension * self.j2.dimension
         matrix = np.zeros((dim, dim), dtype=complex)
-        for J in total_j_values(self.j1, self.j2):
+        for J in _total_js(self.j1.twice_j, self.j2.twice_j):
             matrix += (self.weights[J] / J.dimension) * projector(self.j1, self.j2, J).matrix
         return DensityMatrix(matrix, (self.j1.dimension, self.j2.dimension))
 

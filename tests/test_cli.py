@@ -6,13 +6,25 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relangle.estimation as estimation_module
 import relangle.sim as sim_module
 import relangle.cli as cli_module
-from relangle.cli import CURVE_MAX_POINTS, _build_parser, _density_grid, _trials_type, main
-from relangle.estimation import RotInvariantPovm
+from relangle import DiscreteAngleDistribution, average_information_gain, total_j_values
+from relangle.cli import (
+    CURVE_MAX_POINTS,
+    _build_parser,
+    _csv,
+    _density_grid,
+    _density_grid_texts,
+    _json_floats,
+    _sig10,
+    _trials_type,
+    main,
+)
+from relangle.estimation import RotInvariantPovm, _block_probability_matrix
 from relangle.locc import PPT_TWICE_J_LIMIT
 from relangle.sim import MAX_TRIALS
 
@@ -516,6 +528,101 @@ class TestParserReuse:
         assert result.stdout.strip() == "0"
 
 
+def per_number_text(argv):
+    """Stdout of a report or probs command line, serialised one number at a time: each
+    density value through _sig10 and json.dumps, each CSV field through _csv."""
+    args = _build_parser().parse_args(argv)
+    grid, labels = _density_grid()
+    if args.command == "probs":
+        alphas = grid if args.alpha is None else np.array([args.alpha])
+        probabilities = _block_probability_matrix(args.j1, args.j2, alphas).T.tolist()
+        js = [str(J) for J in total_j_values(args.j1, args.j2)]
+        lines = ["alpha,J,probability"]
+        for alpha, column in zip(alphas.tolist(), probabilities):
+            lines += [f"{_csv(alpha)},{J},{_csv(p)}" for J, p in zip(js, column)]
+        return "\n".join(lines) + "\n"
+
+    def posterior(q):
+        if q is None:
+            return None
+        if isinstance(q, DiscreteAngleDistribution):
+            return {"type": "discrete", "support": [
+                {"alpha": _sig10(a), "weight": _sig10(w)} for a, w in zip(q.alphas, q.weights)]}
+        return {"type": "density", "alpha": labels,
+                "density": [_sig10(v) for v in q.pdf(grid).tolist()]}
+
+    report = average_information_gain(args.j1, args.j2, *cli_module._scenario(args))
+    outcomes = [{"label": entry.label, "p": _sig10(entry.probability),
+                 "I_bits": _sig10(entry.information_gain_bits),
+                 "posterior": posterior(entry.posterior)} for entry in report.outcomes]
+    return cli_module._json_text(args, outcomes=outcomes,
+                                 I_av_bits=_sig10(report.average_gain_bits))
+
+
+# the command lines of the benchmark's estimate workload (bench/workloads.py)
+ESTIMATE_PAIRS = [("1", "1"), ("3/2", "7/2"), ("2", "3"), ("3", "4"), ("5", "5"), ("1/2", "5/2")]
+ESTIMATE_ARGVS = (
+    [["report", "--j1", j1, "--j2", j2, "--prior", prior, "--povm", "optimal"]
+     for j1, j2 in ESTIMATE_PAIRS for prior in ("pap", "uniform")]
+    + [["report", "--j1", "1/2", "--j2", "5/2", "--prior", prior, "--povm", "local"]
+       for prior in ("pap", "uniform")]
+    + [["probs", "--j1", j1, "--j2", j2]
+       for j1, j2 in [("1", "1"), ("2", "3"), ("3/2", "7/2"), ("5", "5"), ("1/2", "5/2")]]
+)
+# (50, 60) prints a subnormal density value, 1.01366535e-316, whose repr is shorter
+# than its ten significant digits
+LARGE_REPORT_ARGVS = [
+    ["report", "--j1", "50", "--j2", j2, "--prior", "uniform", "--povm", "optimal"]
+    for j2 in ("60", "100")
+]
+
+SIG10_VALUES = [0.0, -0.0, 1.0, 2.0, -3.0, 1e-5, 1.5e-05, 1.0136653451e-316, 5e-324,
+                2.2250738585e-308, 9999999999.5, 1e10, 1e15, 1e16, 0.99999999999, 123456.0,
+                math.nan, math.inf, -math.inf]
+
+
+def random_rows():
+    rng = np.random.default_rng(2003)
+    signs = rng.choice([-1.0, 1.0], size=(20, 181))
+    rows = [signs * 10.0 ** rng.uniform(-320.0, 20.0, size=(20, 181)),  # every format
+            3.0 * rng.random((20, 181)),  # density-like: the %-format path
+            np.round(rng.normal(size=(20, 181)), 3)]
+    return [row.tolist() for block in rows for row in block]
+
+
+class TestArrayWriter:
+    @pytest.mark.parametrize("value", SIG10_VALUES)
+    def test_single_value_equals_per_number_json(self, value):
+        assert _json_floats([value]) == json.dumps([_sig10(value)])
+
+    def test_listed_values_together_equal_per_number_json(self):
+        finite = [v for v in SIG10_VALUES if math.isfinite(v)]
+        for values in (SIG10_VALUES, finite, finite[:6], []):
+            assert _json_floats(values) == json.dumps([_sig10(v) for v in values])
+
+    def test_random_rows_equal_per_number_json(self):
+        for row in random_rows():
+            assert _json_floats(row) == json.dumps([_sig10(v) for v in row])
+
+    def test_subnormal_takes_the_per_number_path(self):
+        assert "%.10g" % 1.0136653451e-316 == "1.013665345e-316"
+        assert _json_floats([0.5, 1.0136653451e-316]) == "[0.5, 1.01366535e-316]"
+
+    @pytest.mark.parametrize("argv", ESTIMATE_ARGVS + LARGE_REPORT_ARGVS
+                             + [["probs", "--j1", "1", "--j2", "3/2", "--alpha", "pi/2"]],
+                             ids=" ".join)
+    def test_stdout_equals_per_number_serialisation(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == per_number_text(argv)
+
+    def test_grid_texts_are_the_labels_and_csv_fields(self):
+        grid, labels = _density_grid()
+        labels_text, alphas = _density_grid_texts()
+        assert labels_text == json.dumps(labels)
+        assert alphas == tuple(_csv(a) for a in grid.tolist())
+
+
 class TestFlagsAndSpins:
     @pytest.mark.parametrize(
         "argv",
@@ -571,3 +678,19 @@ class TestNumpyOnly:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == ""
+
+    def test_report_loads_no_numpy_polynomial(self):
+        # numpy's leggauss is a test oracle only: the library builds its own rules
+        script = (
+            "import sys, relangle.cli\n"
+            "relangle.cli.main(['report', '--j1', '5', '--j2', '5', '--prior', 'uniform',"
+            " '--povm', 'optimal'])\n"
+            "print('numpy.polynomial' in sys.modules, file=sys.stderr)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.strip() == "False"

@@ -7,6 +7,7 @@ import pytest
 from relangle import (
     CapacityError,
     Rotation,
+    RotInvariantPovm,
     SpinQuantumNumber,
     angular_momentum_operators,
     clebsch_gordan,
@@ -16,6 +17,7 @@ from relangle import (
     spin,
     total_j_values,
 )
+from relangle.coupling import _total_js
 
 HALF = spin("1/2")
 
@@ -95,6 +97,19 @@ class TestTotalJValues:
         j1, j2 = spin("3/2"), spin(2)
         dims = sum(J.dimension for J in total_j_values(j1, j2))
         assert dims == j1.dimension * j2.dimension
+
+    def test_each_call_returns_a_new_list(self):
+        first = total_j_values(spin(2), spin(5))
+        first.clear()
+        assert total_j_values(spin(2), spin(5)) == [SpinQuantumNumber(tj) for tj in range(6, 16, 2)]
+
+    def test_internal_callers_share_one_tuple_per_pair(self):
+        _total_js.cache_clear()
+        spins = _total_js(4, 10)
+        assert spins == tuple(total_j_values(spin(2), spin(5)))
+        assert decomposition(spin(2), spin(5)).j_values is spins
+        assert RotInvariantPovm.projective(spin(2), spin(5)).j_values is spins
+        assert _total_js.cache_info().misses == 1
 
 
 class TestClebschGordan:

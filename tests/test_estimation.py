@@ -1,4 +1,6 @@
+import decimal
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -685,6 +687,63 @@ class TestBatchedQuadrature:
                                           RotInvariantPovm.projective(j, j))
         assert [n for _, n in used] == [256]
         assert 0.0 < report.average_gain_bits < math.log2(j.twice_j + 1)
+
+
+LADDER = [16 * 2**k for k in range(7)]  # 16 ... 1024, the rules _adaptive_integral takes
+
+
+def leggauss_on_alpha(n):
+    """numpy's eigensolver rule, mapped to [0, pi] as _quad_rule maps its own."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w
+
+
+class TestQuadRule:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9] + LADDER)
+    def test_matches_numpy_leggauss(self, n):
+        nodes, weights = _quad_rule(n)
+        want_nodes, want_weights = leggauss_on_alpha(n)
+        assert nodes.shape == weights.shape == (n,)
+        assert np.max(np.abs(nodes - want_nodes)) <= 1e-15
+        assert np.max(np.abs(weights - want_weights)) <= 1e-13
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+    @pytest.mark.parametrize("n", LADDER)
+    def test_even_powers_up_to_degree_2n_minus_2_are_exact(self, n):
+        nodes, weights = _quad_rule(n)
+        x, w = 2.0 * nodes / math.pi - 1.0, 2.0 * weights / math.pi
+        twice_k = np.arange(0, 2 * n - 1, 2)
+        integrals = (x[None, :] ** twice_k[:, None]) @ w
+        assert np.max(np.abs(integrals - 2.0 / (twice_k + 1.0))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_matches_a_40_digit_rule(self, n):
+        # Newton's method on the recurrence in 40-digit decimals, from numpy's nodes in [0, 1)
+        nodes, weights = _quad_rule(n)
+        with decimal.localcontext(decimal.Context(prec=40)):
+            for i, x0 in enumerate(np.polynomial.legendre.leggauss(n)[0][n // 2:], n // 2):
+                x = decimal.Decimal(x0)
+                for _ in range(3):
+                    previous, current = decimal.Decimal(1), x
+                    for k in range(1, n):
+                        previous, current = (current,
+                                             ((2 * k + 1) * x * current - k * previous) / (k + 1))
+                    x -= current * (x * x - 1) / (n * (x * current - previous))
+                weight = 2 * (1 - x * x) / (n * previous) ** 2
+                assert abs(nodes[i] - 0.5 * math.pi * (float(x) + 1.0)) <= 1e-15
+                assert abs(weights[i] - 0.5 * math.pi * float(weight)) <= 1e-15
+
+    def test_rules_are_symmetric(self):
+        nodes, weights = _quad_rule(64)
+        assert np.max(np.abs(nodes + nodes[::-1] - math.pi)) <= 1e-15
+        assert np.array_equal(weights, weights[::-1])
+
+    def test_row_that_never_converges_raises_within_half_a_second(self):
+        _quad_rule.cache_clear()  # every rule up to the cap is built in the loop
+        start = time.perf_counter()
+        with pytest.raises(ConsistencyError, match="failed to converge"):
+            _adaptive_integral(lambda rows, a: rows * (a < 1.0), np.array([[1.0]]))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestLikelihoodTables:
