@@ -51,6 +51,7 @@ from .estimation import (
     uniform_direction_prior,
 )
 from .locc import (
+    LOCC_TWICE_J_LIMIT,
     PPT_TWICE_J_LIMIT,
     LoccProtocolConfig,
     PartialTransposeResult,

@@ -275,14 +275,15 @@ def coherent_state(j, n: Direction) -> StateVector:
     return StateVector(j, _coherent_amplitudes(j.twice_j, n.theta, n.phi))
 
 
-def _coherent_amplitudes(twice_j: int, theta: float, phi: float) -> np.ndarray:
-    """Amplitudes of exp(-i phi Jz) exp(-i theta Jy) |j, m=j>, by decreasing m.
+def _coherent_amplitudes(twice_j: int, theta: float, phi: float | np.ndarray) -> np.ndarray:
+    """Amplitudes of exp(-i phi Jz) exp(-i theta Jy) |j, m=j>, by decreasing m; for
+    a column of azimuths phi, of shape (n, 1), one row of amplitudes per azimuth.
 
     At k = j - m the amplitude is
     sqrt(C(2j, k)) cos^(2j-k)(theta/2) sin^k(theta/2) exp(-i phi (j - k)),
-    for any real theta: the powers keep their signs.  The moduli are summed
-    in logarithms, so any j works, and then rescaled to unit norm: the
-    rounding of the logarithms grows like j, and would otherwise move the
+    for theta in [0, pi], where both factors are non-negative.  The moduli
+    are summed in logarithms, so any j works, and then rescaled to unit norm:
+    the rounding of the logarithms grows like j, and would otherwise move the
     norm by 1e-12 near 2j = 4000.  cos(theta/2) is taken as
     sin((pi - theta)/2), which is exactly zero at theta = pi, so every
     amplitude is exact at theta = 0 and pi.
@@ -293,11 +294,6 @@ def _coherent_amplitudes(twice_j: int, theta: float, phi: float) -> np.ndarray:
     moduli += _times_log(k, sin_half)
     np.exp(moduli, out=moduli)
     moduli /= math.sqrt(moduli @ moduli)
-    # past theta = pi (or below 0) the odd powers of the negative factor flip sign
-    if cos_half < 0.0:
-        moduli[1 - twice_j % 2::2] *= -1.0
-    if sin_half < 0.0:
-        moduli[1::2] *= -1.0
     return moduli * np.exp(-0.5j * phi * twice_m)
 
 
@@ -312,7 +308,7 @@ def _coherent_ladder(twice_j: int) -> tuple[np.ndarray, ...]:
 
 
 def _times_log(powers: np.ndarray, base: float) -> np.ndarray:
-    """powers * ln|base|, taking 0 * ln 0 as 0."""
+    """powers * ln(base) for base >= 0, taking 0 * ln 0 as 0."""
     if base == 0.0:
         return np.where(powers > 0, -np.inf, 0.0)
-    return powers * math.log(abs(base))
+    return powers * math.log(base)

@@ -78,15 +78,15 @@ def _alpha_type(text: str) -> float:
     """Angle in radians; accepts plain floats, 'pi', 'pi/k', and 'xpi'."""
     cleaned = text.strip().lower()
     try:
-        if cleaned == "pi":
-            return math.pi
         if cleaned.startswith("pi/"):
-            return math.pi / float(cleaned[3:])
-        if cleaned.endswith("pi"):
-            return float(cleaned[:-2]) * math.pi
-        return float(cleaned)
+            value = math.pi / float(cleaned[3:])
+        elif cleaned.endswith("pi"):
+            value = float(cleaned[:-2] or 1.0) * math.pi  # 'pi' alone is 1 pi
+        else:
+            value = float(cleaned)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from exc
+    return value + 0.0  # -0.0 + 0.0 is 0.0, so no output labels the angle "-0"
 
 
 def _seed_type(text: str) -> int:

@@ -20,7 +20,7 @@ divergences in bits; only one between densities needs quadrature,
 Gauss-Legendre in alpha, unless the posterior is linear and the prior
 constant in s (any spin-1/2 probe, uniform prior).  The rules come from
 Newton-type (Halley) iteration on the Legendre three-term recurrence, from
-Tricomi's asymptotic nodes: O(n^2) work, with no eigensolve (``_quad_rule``).
+Tricomi's asymptotic nodes: O(n^2) work, with no eigensolve (``_gauss_legendre``).
 
 Tables, POVM weights, evidences, posteriors and gains carry a leading axis
 of pairs sharing the smaller spin b: a report is a stack of one pair, and a
@@ -86,18 +86,17 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return current, previous
 
 
-@lru_cache(maxsize=16)
-def _quad_rule(n: int):
-    """The n-node Gauss-Legendre rule on [0, pi]: read-only nodes and weights.
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1], n >= 1: increasing nodes, and weights.
 
-    The nodes x in [0, 1) of the rule on [-1, 1], the roots of P_n, start from
-    Tricomi's asymptotic guess and take two Halley steps (Newton's step with
-    P_n'' from Legendre's equation), one recurrence evaluation each; the
-    others are their mirror images.  The weights are 2 / ((1 - x^2) P_n'(x)^2)
-    = 2 (1 - x^2) / (n (P_(n-1) - x P_n))^2, scaled to sum to 2.  At a root
-    this is 2 (1 - x^2) / (n P_(n-1))^2, but near +-1 a root of P_(n-1) lies
-    close to each node, so that form moves by up to 1e-13 with the rounding
-    of the node, and this one by about 1e-16.  O(n^2), with no eigensolve.
+    The nodes x in [0, 1), the roots of P_n, start from Tricomi's asymptotic
+    guess and take two Halley steps (Newton's step with P_n'' from Legendre's
+    equation), one recurrence evaluation each; the others are their mirror
+    images.  The weights are 2 / ((1 - x^2) P_n'(x)^2)
+    = 2 (1 - x^2) / (n (P_(n-1) - x P_n))^2.  At a root this is
+    2 (1 - x^2) / (n P_(n-1))^2, but near +-1 a root of P_(n-1) lies close to
+    each node, so that form moves by up to 1e-13 with the rounding of the
+    node, and this one by about 1e-16.  O(n^2), with no eigensolve.
     """
     half = (n + 1) // 2  # nodes in [0, 1), the middle one 0 when n is odd
     theta = (4.0 * np.arange(1, half + 1) - 1.0) * math.pi / (4 * n + 2)
@@ -112,8 +111,13 @@ def _quad_rule(n: int):
     p, q = _legendre_pair(n, x)
     w = 2.0 * (1.0 - x * x) / (n * (q - x * p)) ** 2
     middle = n % 2
-    x = np.concatenate((-x, x[::-1][middle:]))
-    w = np.concatenate((w, w[::-1][middle:]))
+    return np.concatenate((-x, x[::-1][middle:])), np.concatenate((w, w[::-1][middle:]))
+
+
+@lru_cache(maxsize=16)
+def _quad_rule(n: int):
+    """``_gauss_legendre(n)`` mapped to [0, pi], its weights scaled to sum to pi; read-only."""
+    x, w = _gauss_legendre(n)
     nodes = 0.5 * math.pi * (x + 1.0)
     weights = math.pi / w.sum() * w
     nodes.setflags(write=False)
@@ -376,15 +380,13 @@ def povm_outcome_probabilities(povm: RotInvariantPovm, alphas) -> np.ndarray:
 
 def povm_probabilities_from_state(povm: RotInvariantPovm, state) -> np.ndarray:
     """Outcome probabilities Tr(E_k rho) for a density matrix or invariant state."""
-    if isinstance(state, InvariantState):
-        block_probs = state.weight_array()
-    elif isinstance(state, DensityMatrix):
-        if state.spins != (povm.j1, povm.j2):
-            raise ValueError("state and POVM act on different spin pairs")
-        block_probs = invariant_average(state).weight_array()
-    else:
+    if isinstance(state, DensityMatrix):
+        state = invariant_average(state)
+    elif not isinstance(state, InvariantState):
         raise TypeError(f"cannot measure {type(state).__name__}")
-    return povm.weights @ block_probs
+    if (state.j1, state.j2) != (povm.j1, povm.j2):
+        raise ValueError("state and POVM act on different spin pairs")
+    return povm.weights @ state.weight_array()
 
 
 def _stacked(j1, j2, povm: RotInvariantPovm) -> tuple[np.ndarray, np.ndarray]:

@@ -4,11 +4,11 @@ Covers partial transposition and negativity, the partial-transpose spectrum
 of any rotationally invariant operator in closed form (6j symbols), the
 separability (PPT) threshold of the invariant two-outcome family that it
 gives exactly, and the aligned/anti-aligned local protocol, in which the
-large spin is measured along a fan of coherent states and the spin-1/2 along
-the reported direction.  Its elements are sums of rank-one frame vectors,
-reduced from those vectors to their weights on the total-spin blocks and
-evaluated like any invariant POVM, next to the optimal local POVM of
-``estimation``.
+large spin is measured with coherent states whose directions form a
+spherical design of strength 2j, and the spin-1/2 along the reported
+direction.  Its aligned element is a sum of rank-one frame vectors, reduced
+from those vectors to its weights on the total-spin blocks and evaluated
+like any invariant POVM; it reaches the optimal local POVM of ``estimation``.
 """
 
 import math
@@ -19,7 +19,8 @@ import numpy as np
 from .angular import SpinQuantumNumber, _coherent_amplitudes, spin
 from .coupling import _total_js, decomposition
 from .errors import CapacityError, ConsistencyError
-from .estimation import RotInvariantPovm, optimal_local_povm, povm_outcome_probabilities
+from .estimation import (RotInvariantPovm, _gauss_legendre, optimal_local_povm,
+                         povm_outcome_probabilities)
 
 __all__ = [
     "PartialTransposeResult",
@@ -27,6 +28,7 @@ __all__ = [
     "partial_transpose_spectrum",
     "PPT_TWICE_J_LIMIT",
     "ppt_threshold",
+    "LOCC_TWICE_J_LIMIT",
     "LoccProtocolConfig",
     "ProtocolStatistics",
     "locc_protocol_statistics",
@@ -36,6 +38,10 @@ __all__ = [
 # factorials of about 2j, and their cost grows about as (2j)^2: 0.04 s at
 # this limit and 0.2 s at 2j = 10000 on a 2-vCPU VM.
 PPT_TWICE_J_LIMIT = 4000
+
+# Largest 2j that LoccProtocolConfig accepts.  Up to here the frame operator misses the
+# identity by at most 6e-15, far below the 1e-12 checked, whatever the LAPACK build.
+LOCC_TWICE_J_LIMIT = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +163,10 @@ def ppt_threshold(j) -> float:
 
 @dataclass(frozen=True)
 class LoccProtocolConfig:
-    """Fan of 2j+1 coherent-state directions, equally spaced in one plane.
-
-    The plane contains the z axis and has azimuth ``plane_phi``; direction m
-    sits at polar angle 2 pi m / (2j + 1) within that plane.  ``j`` is coerced
-    with ``spin``; a non-finite ``plane_phi`` raises ValueError.
+    """The local protocol for (1/2, j).  Its coherent-state directions are a product design:
+    floor(j) + 1 Gauss-Legendre nodes in cos(theta) times 2j + 1 meridians equally spaced in
+    azimuth from ``plane_phi``.  ``j`` is coerced with ``spin``; j = 0 or a non-finite
+    ``plane_phi`` raises ValueError, and 2j past ``LOCC_TWICE_J_LIMIT`` CapacityError.
     """
 
     j: SpinQuantumNumber
@@ -169,13 +174,13 @@ class LoccProtocolConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "j", spin(self.j))
+        if self.j.twice_j == 0:
+            raise ValueError("the larger spin must be at least 1/2")
+        if self.j.twice_j > LOCC_TWICE_J_LIMIT:
+            raise CapacityError(f"spin j = {self.j} (2j = {self.j.twice_j}) exceeds the LOCC "
+                                f"protocol's limit 2j <= {LOCC_TWICE_J_LIMIT}")
         if not math.isfinite(self.plane_phi):
             raise ValueError(f"plane_phi must be finite, got {self.plane_phi}")
-
-    @property
-    def angles(self) -> np.ndarray:
-        count = self.j.twice_j + 1
-        return 2.0 * math.pi * np.arange(count) / count
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,49 +195,44 @@ class ProtocolStatistics:
 
     @property
     def max_deviation(self) -> float:
-        return max(
-            abs(self.aligned - self.reference_aligned),
-            abs(self.antialigned - self.reference_antialigned),
-        )
+        return max(abs(self.aligned - self.reference_aligned),
+                   abs(self.antialigned - self.reference_antialigned))
 
 
 def _protocol_elements(config: LoccProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Frame rows of the local protocol's aligned element and of its two elements' sum.
+    """Rows v_r, standing for sum_r |v_r><v_r|, of the aligned element and of the frame F.
 
-    Rows v_r stand for the operator sum_r |v_r><v_r|.  The fan of coherent
-    states |m> is not orthogonal for j > 1/2; it is completed into a POVM as
-    the canonical tight frame S^{-1/2} |m>, with S the frame operator.  The
-    aligned rows are |1/2, m> (x) S^{-1/2} |m>, and the sum's rows
-    e_k (x) S^{-1/2} |m> for both basis states e_k of the spin-1/2, so the
-    anti-aligned element is the sum minus the aligned one.
+    Direction (theta_a, phi_b) carries c = w_a / (2 (2j + 1)), with w_a the Gauss-Legendre
+    weight of cos(theta_a).  F = sum (2j + 1) c |Omega><Omega| is the identity: the azimuths
+    cancel its off-diagonal entries, and the nodes integrate each diagonal entry, a
+    polynomial of degree 2j in cos(theta), exactly.  The frame rows are
+    sqrt((2j + 1) c) |j, Omega>, and the aligned rows |1/2, Omega> (x) those.
     """
-    j, phi = config.j, config.plane_phi
-    large = np.array([_coherent_amplitudes(j.twice_j, theta, phi) for theta in config.angles])
-    half = np.array([_coherent_amplitudes(1, theta, phi) for theta in config.angles])
-    eigenvalues, vectors = np.linalg.eigh(large.T @ large.conj())
-    if eigenvalues[0] < 1e-10 * eigenvalues[-1]:
-        raise ConsistencyError("coherent-state frame is singular")
-    completed = large @ ((vectors / np.sqrt(eigenvalues)) @ vectors.conj().T).T  # rows S^{-1/2} |m>
-    aligned = (half[:, :, None] * completed[:, None, :]).reshape(len(half), -1)
-    total = (np.eye(2)[:, None, :, None] * completed[:, None, :]).reshape(2 * len(half), -1)
-    return aligned, total
+    count = config.j.twice_j + 1
+    cosines, weights = _gauss_legendre(config.j.twice_j // 2 + 1)
+    thetas = np.arccos(cosines)
+    phis = config.plane_phi + 2.0 * math.pi * np.arange(count)[:, None] / count  # one row each
+    half = np.concatenate([_coherent_amplitudes(1, theta, phis) for theta in thetas])
+    frame = np.concatenate([math.sqrt(0.5 * w) * _coherent_amplitudes(config.j.twice_j, theta, phis)
+                            for theta, w in zip(thetas, weights)])
+    return (half[:, :, None] * frame[:, None, :]).reshape(len(frame), -1), frame
 
 
 def _protocol_povm(config: LoccProtocolConfig) -> RotInvariantPovm:
     """The protocol as the invariant POVM it is once the state is averaged over
-    rotations: the optimal local POVM's outcomes, with weights Tr(Pi_J E_k) / (2J + 1),
-    read from the elements' frame rows.  The frame sums to the identity only as
-    well as S^{-1/2} is computed, which worsens as j grows: ConsistencyError when
-    a block's weights miss 1 by over 1e-12.
+    rotations: the optimal local POVM's outcomes, with weights Tr(Pi_J E_k) / (2J + 1)
+    read from the aligned element's rows.  ConsistencyError unless F is the identity
+    within 1e-12 in every entry; then the anti-aligned weights are 1 minus the aligned.
     """
-    local = optimal_local_povm(config.j)
-    blocks = decomposition(local.j1, local.j2)
-    aligned, total = (blocks._rank_one_block_probabilities(rows) for rows in _protocol_elements(config))
-    weights = np.array([aligned, total - aligned]) / [J.dimension for J in local.j_values]
-    residual = float(np.max(np.abs(weights.sum(axis=0) - 1.0)))
+    aligned, frame = _protocol_elements(config)
+    residual = float(np.max(np.abs(frame.T @ frame.conj() - np.eye(config.j.dimension))))
     if not residual <= 1e-12:
-        raise ConsistencyError(f"the tight frame for j = {config.j} misses the identity by {residual:.3g}")
-    return replace(local, weights=weights)
+        raise ConsistencyError(f"the coherent-state frame for j = {config.j} misses the identity "
+                               f"by {residual:.3g}")
+    local = optimal_local_povm(config.j)
+    weights = decomposition(local.j1, local.j2)._rank_one_block_probabilities(aligned)
+    weights /= [J.dimension for J in local.j_values]
+    return replace(local, weights=np.array([weights, 1.0 - weights]))
 
 
 def locc_protocol_statistics(config: LoccProtocolConfig, alpha: float) -> ProtocolStatistics:

@@ -15,7 +15,6 @@ from relangle import (
     rotation_matrix,
     spin,
 )
-from relangle.angular import _coherent_amplitudes
 
 HALF = spin("1/2")
 
@@ -221,15 +220,6 @@ class TestCoherentState:
         for _ in range(5):
             psi = coherent_state(SpinQuantumNumber(twice_j), random_direction(rng)).amplitudes
             assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
-
-    def test_signed_half_angle_past_pi(self):
-        # the LOCC fan takes polar angles in [0, 2 pi): the powers of a
-        # negative cos(theta/2) keep their sign, as in the rotation matrix
-        for twice_j in (1, 2, 5):
-            j = SpinQuantumNumber(twice_j)
-            for theta in (3.5, 4.0, 5.5, 6.2):
-                column = rotation_matrix(j, Rotation(0.7, theta, 0.0))[:, 0]
-                assert np.max(np.abs(_coherent_amplitudes(twice_j, theta, 0.7) - column)) < 1e-13
 
     def test_state_vector_requires_normalization(self):
         with pytest.raises(ValueError):

@@ -122,6 +122,20 @@ class TestProbs:
         assert len(rows) == 3
         assert abs(sum(float(row[2]) for row in rows) - 1.0) < 1e-11  # 12 printed digits
 
+    @pytest.mark.parametrize("alpha", ["-0", "-0.0", "-0pi", "-1e-400"])
+    def test_negative_zero_prints_as_zero(self, capsys, alpha):
+        expected_csv = run_cli(capsys, "probs", "--j1", "1", "--j2", "3/2", "--alpha=0")[1]
+        expected_json = run_cli(capsys, "probs", "--j1", "1", "--j2", "3/2", "--alpha=0",
+                                "--format", "json")[1]
+        code, out, _ = run_cli(capsys, "probs", "--j1", "1", "--j2", "3/2", f"--alpha={alpha}")
+        assert (code, out) == (0, expected_csv)
+        assert [row[0] for row in parse_csv(out)[1]] == ["0", "0", "0"]
+        code, out, _ = run_cli(capsys, "probs", "--j1", "1", "--j2", "3/2", f"--alpha={alpha}",
+                               "--format", "json")
+        assert (code, out) == (0, expected_json)
+        assert [row["alpha"] for row in json.loads(out)["rows"]] == [0.0, 0.0, 0.0]
+        assert '"alpha": -0' not in out
+
     @pytest.mark.parametrize("alpha", ["3.14159266", "-2e-9", "inf"])
     def test_angles_past_the_slack_exit_2(self, capsys, alpha):
         code, out, err = run_cli(capsys, "probs", "--j1", "1", "--j2", "3/2", f"--alpha={alpha}")

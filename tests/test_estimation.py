@@ -50,7 +50,7 @@ from relangle.estimation import (
     _stacked,
 )
 from relangle.polynomials import _bernstein_basis
-from relangle.states import collective_rotate, product_coherent_pair
+from relangle.states import InvariantState, collective_rotate, product_coherent_pair
 
 HALF = spin("1/2")
 
@@ -224,6 +224,16 @@ class TestPovm:
         dense = povm_probabilities_from_state(povm, rho)
         closed = povm_outcome_probabilities(povm, np.array([alpha]))[:, 0]
         assert np.max(np.abs(dense - closed)) < 1e-12
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_state_of_another_pair_refused(self, dense):
+        # (1/2, 2) also has two blocks, so its weights once fitted the (1/2, 1) POVM
+        povm = RotInvariantPovm.projective(HALF, spin(1))
+        state = InvariantState(HALF, spin(2), dict(zip(total_j_values(HALF, spin(2)), [0.2, 0.8])))
+        if dense:
+            state = state.reconstruct()
+        with pytest.raises(ValueError, match="different spin pairs"):
+            povm_probabilities_from_state(povm, state)
 
 
 class TestBayesUpdate:

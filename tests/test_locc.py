@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 import relangle.locc as locc_module
 from relangle import (
+    LOCC_TWICE_J_LIMIT,
     PPT_TWICE_J_LIMIT,
     CapacityError,
     ConsistencyError,
@@ -85,7 +88,8 @@ def dense_protocol_statistics(config, alpha) -> list[float]:
     alpha, rebuilt as a dense matrix."""
     weights = outcome_probabilities(HALF, config.j, alpha)
     rho = InvariantState(HALF, config.j, weights).reconstruct().matrix
-    aligned, total = (rows.T @ rows.conj() for rows in _protocol_elements(config))
+    aligned, frame = (rows.T @ rows.conj() for rows in _protocol_elements(config))
+    total = np.kron(np.eye(2), frame)
     return [float(np.trace(element @ rho).real) for element in (aligned, total - aligned)]
 
 
@@ -230,11 +234,6 @@ class TestOptimalLocalPovm:
 
 
 class TestLoccProtocol:
-    def test_config_angles(self):
-        config = LoccProtocolConfig(spin("3/2"))
-        assert config.angles.size == 4
-        assert np.allclose(np.diff(config.angles), math.pi / 2.0)
-
     def test_matches_separable_povm_at_spin_half(self):
         config = LoccProtocolConfig(HALF)
         for alpha in np.linspace(0.0, math.pi, 21):
@@ -242,19 +241,15 @@ class TestLoccProtocol:
             assert stats.max_deviation < 1e-11
             assert abs(stats.aligned + stats.antialigned - 1.0) < 1e-12
 
-    def test_deviation_reported_for_larger_spins(self):
-        # the coherent-state fan is not orthogonal beyond spin 1/2, so the
-        # tight-frame completion need not reproduce the two-outcome weights;
-        # the deviation is reported, not asserted away
-        for twice_j in (2, 3, 4):
-            j = spin(f"{twice_j}/2") if twice_j % 2 else spin(twice_j // 2)
-            config = LoccProtocolConfig(j)
-            deviations = [
-                locc_protocol_statistics(config, float(a)).max_deviation
-                for a in np.linspace(0.0, math.pi, 9)
-            ]
-            assert all(0.0 <= d < 0.1 for d in deviations)
-            assert max(deviations) > 1e-6
+    @pytest.mark.parametrize("plane_phi", [0.0, 2.3])
+    @pytest.mark.parametrize("twice_j", [*range(1, 11), 20, 40, LOCC_TWICE_J_LIMIT])
+    def test_reaches_the_optimal_local_povm(self, twice_j, plane_phi):
+        # the design's frame sums to the identity, so the twirled protocol is
+        # the optimal local POVM at every j, not only at j = 1/2
+        config = LoccProtocolConfig(SpinQuantumNumber(twice_j), plane_phi)
+        for alpha in np.linspace(0.0, math.pi, 9):
+            stats = locc_protocol_statistics(config, float(alpha))
+            assert stats.max_deviation <= 1e-12
 
     def test_antialigned_probability_at_aligned_preparation(self):
         # reference weight at alpha = 0 is 1/(2j+2) of the top block
@@ -273,14 +268,31 @@ class TestLoccProtocol:
             assert abs(stats.aligned - aligned) <= 1e-13
             assert abs(stats.antialigned - antialigned) <= 1e-13
 
-    def test_frame_completeness_checked(self):
-        # the frame's S^{-1/2} completion loses accuracy as j grows: its block sums
-        # miss 1 by 4e-14 at 2j = 16 and by 4e-10 to 7e-10 at 2j = 30, far from the
-        # 1e-12 bound on either side (the first failing 2j, 19 to 22, depends on
-        # the plane and on rounding in the eigensolver, so it is not pinned)
-        locc_protocol_statistics(LoccProtocolConfig(SpinQuantumNumber(16)), 1.0)
-        with pytest.raises(ConsistencyError, match=r"j = 15 misses the identity by"):
-            locc_protocol_statistics(LoccProtocolConfig(SpinQuantumNumber(30)), 1.0)
+    @pytest.mark.parametrize("twice_j", [2, 5, 10])
+    def test_frame_operator_checked(self, monkeypatch, twice_j):
+        # one meridian dropped, and the large spin's rows rescaled so that tr F = 2j + 1:
+        # a check of block sums sees only tr F and passes, but F is not the identity
+        amplitudes = locc_module._coherent_amplitudes
+
+        def dropped(twice_spin, theta, phis):
+            scale = 1.0 if twice_spin == 1 else math.sqrt(len(phis) / (len(phis) - 1))
+            return scale * amplitudes(twice_spin, theta, phis[:-1])
+
+        monkeypatch.setattr(locc_module, "_coherent_amplitudes", dropped)
+        with pytest.raises(ConsistencyError, match="coherent-state frame .* misses the identity"):
+            locc_protocol_statistics(LoccProtocolConfig(SpinQuantumNumber(twice_j), 0.3), 1.0)
+
+    def test_config_refuses_spins_past_the_limit_and_zero(self):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"2j <= {LOCC_TWICE_J_LIMIT}"):
+            LoccProtocolConfig(SpinQuantumNumber(LOCC_TWICE_J_LIMIT + 1))
+        assert time.perf_counter() - start < 0.1
+        assert LoccProtocolConfig(SpinQuantumNumber(LOCC_TWICE_J_LIMIT)).j.twice_j == LOCC_TWICE_J_LIMIT
+        with pytest.raises(ValueError, match="at least 1/2"):
+            LoccProtocolConfig(0)
+
+    def test_config_fields(self):
+        assert [field.name for field in dataclasses.fields(LoccProtocolConfig)] == ["j", "plane_phi"]
 
     @pytest.mark.parametrize("j", [1, "1/2", Fraction(3, 2)])
     def test_config_coerces_j_with_spin(self, j):

@@ -139,6 +139,14 @@ class TestSampleOutcome:
         with pytest.raises(TypeError):
             sample_outcome(object(), povm, rng)
 
+    def test_invariant_state_of_another_pair_refused(self):
+        # the (1/2, 1) projective POVM once read the two block weights of (1/2, 2) and drew "J=3/2"
+        rng = np.random.default_rng(7)
+        povm = RotInvariantPovm.projective(HALF, spin(1))
+        state = InvariantState(HALF, spin(2), {spin("3/2"): 0.2, spin("5/2"): 0.8})
+        with pytest.raises(ValueError, match="different spin pairs"):
+            sample_outcome(state, povm, rng)
+
     def test_consistency_error_on_leaky_probabilities(self, monkeypatch):
         import relangle.sim as sim_module
 
