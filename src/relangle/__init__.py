@@ -1,10 +1,10 @@
 """Toolkit for estimating the relative angle between two spin systems.
 
-Implements the optimal (joint, rotationally invariant) measurement and the
-optimal local measurement for a pair of spin coherent states, together with
-the Bayesian machinery (priors over the angle, posteriors, information gain
-in bits), separability thresholds from the partial-transpose spectrum, and
-Monte Carlo oracles for validating the closed forms.
+Implements the optimal (joint, rotationally invariant) measurement and a
+local one, the optimal separable one for a spin-1/2 probe, for any pair of
+spin coherent states, together with the Bayesian machinery (priors over the
+angle, posteriors, information gain in bits), separability thresholds from the
+partial-transpose spectrum, and Monte Carlo oracles for the closed forms.
 """
 
 from .angular import (

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .angular import SpinQuantumNumber
-from .coupling import _total_js
+from .coupling import _total_js, check_dense_capacity
 from .errors import CapacityError, ConsistencyError
 from .estimation import (
     AngleDensity,
@@ -333,6 +333,7 @@ def _cmd_ppt(args: argparse.Namespace) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
+    check_dense_capacity(args.j1, args.j2)  # before the POVM reads the pair's likelihood table
     summary = run_experiment(args.j1, args.j2, *_scenario(args), args.n, args.seed)
     outcomes = [
         {"label": label, "frequency": _sig10(freq), "frequency_se": _sig10(se),

@@ -1,8 +1,7 @@
 """Bayesian estimation of the relative angle between two spin coherent states.
 
 Measurements are rotationally invariant POVMs, i.e. weighted sums of the
-total-spin projectors (``optimal_local_povm`` is the best separable one for a
-spin-1/2 probe).  Every result is a fold of one likelihood, the
+total-spin projectors.  Every result is a fold of one likelihood, the
 total-spin distribution p(J | alpha) of a coherent pair at relative angle
 alpha, which has a closed form for every spin pair: with the larger spin a
 along +z and the smaller spin b at angle alpha,
@@ -10,7 +9,9 @@ along +z and the smaller spin b at angle alpha,
     p(J | alpha) = sum_k T[J, k] s^k (1 - s)^(2b - k),   s = sin^2(alpha / 2),
 
 where T[J, k] = |<a a; b b-k | J, a+b-k>|^2 C(2b, k) is a table of exact
-rationals, one float per entry.  No dense matrix is built.  As ds =
+rationals, one float per entry.  No dense matrix is built.  T also weighs the
+local POVM of every pair (``_povm_weights``), the best separable one for a
+spin-1/2 probe (``optimal_local_povm``).  As ds =
 sin(alpha)/2 dalpha, a density is a polynomial in s held by its Bernstein
 coefficients (``polynomials``), whose mean is its integral.  A posterior's
 coefficients are the Bernstein product of the prior's with a row of T
@@ -587,32 +588,12 @@ def map_estimate(posterior) -> float:
 
 
 def optimal_local_povm(j) -> RotInvariantPovm:
-    """The most informative separable two-outcome POVM for the pair (1/2, j).
-
-    The aligned element carries weight (2j+1)/(2j+2) on the high-J block; the
-    anti-aligned element is the low-J projector plus the remaining 1/(2j+2)
-    of the high-J block.  For j = 1/2 this is the singlet projector plus one
-    third of the triplet versus two thirds of the triplet.
-    """
+    """The local POVM of ``_make_povm`` for (1/2, j), the most informative separable POVM of
+    that pair: aligned, (2j+1)/(2j+2) of the high-J block, and antialigned, the rest."""
     j = spin(j)
     if j.twice_j == 0:
         raise ValueError("the larger spin must be at least 1/2")
-    half = SpinQuantumNumber(1)
-    j_values = _total_js(half.twice_j, j.twice_j)
-    weights = _optimal_local_weights([j.twice_j])[0]
-    return RotInvariantPovm(half, j, ("aligned", "antialigned"), j_values, weights)
-
-
-def _optimal_local_weights(twice_js) -> np.ndarray:
-    """Weights of ``optimal_local_povm`` for each j = twice_j / 2, stacked: shape
-    (pairs, 2, 2), outcomes (aligned, anti-aligned) by blocks (low J, high J)."""
-    twice_js = np.asarray(twice_js, dtype=float)
-    high_weight = (twice_js + 1.0) / (twice_js + 2.0)
-    weights = np.zeros((high_weight.size, 2, 2))
-    weights[:, 0, 1] = high_weight
-    weights[:, 1, 0] = 1.0
-    weights[:, 1, 1] = 1.0 - high_weight
-    return weights
+    return _make_povm("optimal-local", SpinQuantumNumber(1), j)
 
 
 def _make_prior(kind: str):
@@ -624,16 +605,39 @@ def _make_prior(kind: str):
     raise ValueError(f"prior kind must be one of {PRIOR_KINDS}, got {kind!r}")
 
 
-def _make_povm(kind: str, j1, j2) -> RotInvariantPovm:
-    """The POVM of the given kind in ``POVM_KINDS`` on the pair (j1, j2); the
-    optimal local POVM exists only for a spin-1/2 probe j1."""
+def _povm_weights(kind: str, twice_as, tables: np.ndarray) -> np.ndarray:
+    """Weights (pairs, outcomes, blocks by increasing J) of the POVM of the given kind in
+    ``POVM_KINDS`` for the stack ``tables`` of ``_likelihood_tables`` over the larger spins
+    ``twice_as``.  "optimal" measures total spin.  "optimal-local" measures the larger spin a
+    with coherent states and then the smaller spin b along the direction found; twirled, its
+    outcome m = b - k weighs block J by (2a+1)/(2J+1) T[J, k] / C(2b, k), the ratio a quotient
+    of Python integers for any a, and the last outcome, k = 2b, takes 1 minus the others;
+    checked by ``_checked_povm_weights``."""
     if kind == "optimal":
-        return RotInvariantPovm.projective(j1, j2)
+        return np.broadcast_to(np.eye(tables.shape[1]), tables.shape)
     if kind != "optimal-local":
         raise ValueError(f"povm kind must be one of {POVM_KINDS}, got {kind!r}")
-    if spin(j1) != SpinQuantumNumber(1):
-        raise ValueError(f"the optimal-local POVM needs j1 = 1/2, got j1 = {spin(j1)}")
-    return optimal_local_povm(j2)
+    twice_b = tables.shape[2] - 1
+    ratios = np.fromiter(((twice_a + 1) / (twice_a - twice_b + 2 * i + 1)
+                          for twice_a in twice_as for i in range(twice_b + 1)),
+                         float, tables[..., 0].size).reshape(tables.shape[:2])
+    binomials = np.array([float(math.comb(twice_b, k)) for k in range(twice_b)])
+    rest = (tables[..., :-1] / binomials).transpose(0, 2, 1) * ratios[:, None]
+    return _checked_povm_weights(np.concatenate((rest, 1.0 - rest.sum(axis=1, keepdims=True)), 1))
+
+
+def _make_povm(kind: str, j1, j2) -> RotInvariantPovm:
+    """The POVM of the given kind in ``POVM_KINDS`` on (j1, j2), in either order, weighted by
+    ``_povm_weights``.  Outcomes are J=<J>, or the smaller spin's m along the direction found:
+    aligned (m = b), m=<m>, antialigned (m = -b).  CapacityError past the kernel limit."""
+    j1, j2 = spin(j1), spin(j2)
+    twice_b, twice_a = sorted((j1.twice_j, j2.twice_j))
+    weights = _povm_weights(kind, (twice_a,), _likelihood_tables(twice_b, (twice_a,)))[0]
+    j_values = _total_js(j1.twice_j, j2.twice_j)
+    labels = [f"J={J}" for J in j_values] if kind == "optimal" else ["aligned", *(
+        f"m={'-' * (2 * k > twice_b)}{SpinQuantumNumber(abs(twice_b - 2 * k))}"
+        for k in range(1, twice_b)), "antialigned"]
+    return RotInvariantPovm(j1, j2, labels, j_values, weights)
 
 
 def infogain_curve(j_list, prior_kind: str, povm_kind: str) -> list:
@@ -650,13 +654,8 @@ def infogain_curve(j_list, prior_kind: str, povm_kind: str) -> list:
     twice_as = [j.twice_j for j in js]
     if 0 in twice_as:
         raise ValueError("the spin j must be at least 1/2")
-    if povm_kind == "optimal":
-        weights = np.broadcast_to(np.eye(2), (len(js), 2, 2))
-    elif povm_kind == "optimal-local":
-        weights = _optimal_local_weights(twice_as)
-    else:
-        raise ValueError(f"povm kind must be one of {POVM_KINDS}, got {povm_kind!r}")
-    average = _gains(prior, _checked_povm_weights(weights), _likelihood_tables(1, twice_as))[3]
+    tables = _likelihood_tables(1, twice_as)
+    average = _gains(prior, _povm_weights(povm_kind, twice_as, tables), tables)[3]
     return list(zip(js, average.tolist()))
 
 

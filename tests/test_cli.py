@@ -12,7 +12,13 @@ import pytest
 import relangle.estimation as estimation_module
 import relangle.sim as sim_module
 import relangle.cli as cli_module
-from relangle import DiscreteAngleDistribution, average_information_gain, total_j_values
+from relangle import (
+    DiscreteAngleDistribution,
+    average_information_gain,
+    parallel_antiparallel_prior,
+    total_j_values,
+    uniform_direction_prior,
+)
 from relangle.cli import (
     CURVE_MAX_POINTS,
     _build_parser,
@@ -24,7 +30,7 @@ from relangle.cli import (
     _trials_type,
     main,
 )
-from relangle.estimation import RotInvariantPovm, _block_probability_matrix
+from relangle.estimation import RotInvariantPovm, _block_probability_matrix, _make_povm
 from relangle.locc import PPT_TWICE_J_LIMIT
 from relangle.sim import MAX_TRIALS
 
@@ -188,12 +194,60 @@ class TestReport:
         density = {entry["label"]: entry for entry in payload["outcomes"]}
         assert density["aligned"]["posterior"]["type"] == "density"
 
-    def test_local_requires_spin_half_probe(self, capsys):
-        code, _, err = run_cli(
+    def test_local_on_a_spin_one_probe(self, capsys):
+        # the pair once refused for want of a spin-1/2 probe
+        code, out, _ = run_cli(
             capsys, "report", "--j1", "1", "--j2", "1", "--prior", "pap", "--povm", "local"
         )
-        assert code == 2
-        assert "local" in err
+        assert code == 0
+        expected = average_information_gain(1, 1, parallel_antiparallel_prior(),
+                                            _make_povm("optimal-local", 1, 1))
+        payload = json.loads(out)
+        assert [entry["label"] for entry in payload["outcomes"]] == ["aligned", "m=0", "antialigned"]
+        assert payload["I_av_bits"] == _sig10(expected.average_gain_bits)
+
+    # joint-versus-local gains under the uniform prior, to six digits: the local column
+    @pytest.mark.parametrize(("j1", "j2", "gain"), [
+        ("1", "1", 0.094726), ("1", "4", 0.266390), ("2", "2", 0.244836), ("2", "4", 0.383201),
+        ("3", "3", 0.378457), ("7/2", "7/2", 0.438039), ("4", "4", 0.493368),
+    ])
+    def test_local_gain_on_general_pairs(self, capsys, j1, j2, gain):
+        code, out, _ = run_cli(
+            capsys, "report", "--j1", j1, "--j2", j2, "--prior", "uniform", "--povm", "local"
+        )
+        assert code == 0
+        assert round(json.loads(out)["I_av_bits"], 6) == gain
+
+    @pytest.mark.parametrize(("j1", "j2"), [("3/2", "1"), ("1", "3/2")])
+    def test_local_report_in_either_spin_order(self, capsys, j1, j2):
+        code, out, _ = run_cli(
+            capsys, "report", "--j1", j1, "--j2", j2, "--prior", "uniform", "--povm", "local"
+        )
+        assert code == 0
+        prior = uniform_direction_prior()
+        expected = average_information_gain(j1, j2, prior, _make_povm("optimal-local", j1, j2))
+        outcomes = json.loads(out)["outcomes"]
+        assert [entry["label"] for entry in outcomes] == list(expected.povm.labels)
+        assert [entry["p"] for entry in outcomes] == [
+            _sig10(entry.probability) for entry in expected.outcomes]
+        assert json.loads(out)["I_av_bits"] == _sig10(expected.average_gain_bits)
+
+    def test_local_past_the_float_range(self, capsys):
+        # 2j + 1 past the float range once overflowed in the local weights.  The report
+        # equals the one at j = 1e30, where (2j + 1) / (2j + 2) already rounds to 1, but for
+        # the j2 field and posterior densities of order 1/j, at the ends of the grid
+        reports = []
+        for j2 in ("1e400", "1e30"):
+            code, out, err = run_cli(capsys, "report", "--j1", "1/2", "--j2", j2,
+                                     "--prior", "uniform", "--povm", "local")
+            assert (code, err) == (0, "")
+            payload = json.loads(out)
+            assert payload.pop("j2") == str(10**int(j2[2:]))
+            densities = [entry["posterior"].pop("density") for entry in payload["outcomes"]]
+            reports.append((payload, np.array(densities)))
+        (far, far_densities), (near, near_densities) = reports
+        assert far == near
+        assert np.max(np.abs(far_densities - near_densities)) < 1e-40
 
     def test_csv_format_rejected(self, capsys):
         code, _, err = run_cli(
@@ -241,6 +295,17 @@ class TestCurve:
         _, rows = parse_csv(out)
         assert [row[2] for row in rows] == ["a", "a", "b", "b", "c", "c", "d", "d"]
         assert [row[0] for row in rows[:2]] == ["1", "2"]
+
+    def test_spin_past_the_float_range(self, capsys):
+        # every scenario at j = 1e400 gives the rows at j = 1e30 but for the j column
+        rows = []
+        for j in ("1e400", "1e30"):
+            code, out, err = run_cli(capsys, "curve", "--j-min", j, "--j-max", j)
+            assert (code, err) == (0, "")
+            _, table = parse_csv(out)
+            assert [row[0] for row in table] == [str(10**int(j[2:]))] * 4
+            rows.append([row[1:] for row in table])
+        assert rows[0] == rows[1]
 
     def test_empty_range_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -393,11 +458,13 @@ class TestSimulate:
             raise AssertionError("analytic report built before the dense-cap check")
 
         monkeypatch.setattr("relangle.sim._gains", report_not_allowed)
+        cached = estimation_module._table_stack.cache_info()
         code, out, err = run_cli(
             capsys,
             "simulate",
             "--j1", "32", "--j2", "32", "--prior", "pap", "--n", "1",
         )
+        assert estimation_module._table_stack.cache_info() == cached  # nor its likelihood table
         assert code == 2
         assert out == ""
         assert "exceeds the dense cap 4096" in err

@@ -454,10 +454,18 @@ class TestExactEvidencesAndGains:
         if high_weight == 0.5:
             assert report.average_gain_bits == 0.0
 
-    @pytest.mark.parametrize("j", [50, 500])
-    def test_curve_c_approaches_classical_limit_as_one_over_j(self, j):
-        gain = infogain_curve([spin(j)], "uniform-directions", "optimal")[0][1]
-        assert 0.3 < (GAIN_SINGLET_UNIFORM - gain) * j < 0.4
+    # curves c and d; the local measurement's shortfall is twice the joint one's
+    @pytest.mark.parametrize(("povm_kind", "multiple"), [("optimal", 1), ("optimal-local", 2)])
+    @pytest.mark.parametrize("j", [50, 500, 50_000])
+    def test_curve_c_approaches_classical_limit_as_one_over_j(self, povm_kind, multiple, j):
+        # the paper's third claim: a macroscopic spin j acts as a classical axis, and the
+        # gain's shortfall from I_A is multiple / (2 ln 2) / (2j) to leading order
+        gain = infogain_curve([spin(j)], "uniform-directions", povm_kind)[0][1]
+        scaled = (GAIN_SINGLET_UNIFORM - gain) * 2 * j
+        if j <= 500:
+            assert 0.6 < scaled / multiple < 0.8
+        else:
+            assert abs(scaled - multiple / (2.0 * math.log(2.0))) < 1e-3
 
 
 class TestSequentialUpdate:
@@ -783,9 +791,14 @@ class TestScenarioFactories:
         with pytest.raises(ValueError, match="optimal.*optimal-local"):
             _make_povm("x", HALF, HALF)
 
-    def test_local_povm_needs_spin_half_probe(self):
-        with pytest.raises(ValueError, match="local"):
-            _make_povm("optimal-local", 1, 1)
+    def test_local_povm_on_a_spin_one_probe(self):
+        # the pair once refused for want of a spin-1/2 probe: three outcomes, the middle one m = 0
+        povm = _make_povm("optimal-local", 1, 1)
+        assert povm.labels == ("aligned", "m=0", "antialigned")
+        report = average_information_gain(1, 1, uniform_direction_prior(), povm)
+        assert round(report.average_gain_bits, 6) == 0.094726
+        joint = average_information_gain(1, 1, uniform_direction_prior(), _make_povm("optimal", 1, 1))
+        assert report.average_gain_bits < joint.average_gain_bits
 
 
 def born_limit_oracle(j1, alpha, j2):

@@ -13,7 +13,9 @@ from relangle import (
     CapacityError,
     ConsistencyError,
     LoccProtocolConfig,
+    Rotation,
     SpinQuantumNumber,
+    decomposition,
     infogain_curve,
     locc_protocol_statistics,
     optimal_local_povm,
@@ -22,11 +24,13 @@ from relangle import (
     outcome_probabilities,
     ppt_threshold,
     projector,
+    rotation_matrix,
     spin,
     total_j_values,
     werner_state,
 )
-from relangle.angular import Direction
+from relangle.angular import Direction, _coherent_amplitudes
+from relangle.estimation import _gauss_legendre, _make_povm
 from relangle.locc import _protocol_elements, _sixj
 from relangle.states import InvariantState, product_coherent_pair
 
@@ -91,6 +95,34 @@ def dense_protocol_statistics(config, alpha) -> list[float]:
     aligned, frame = (rows.T @ rows.conj() for rows in _protocol_elements(config))
     total = np.kron(np.eye(2), frame)
     return [float(np.trace(element @ rho).real) for element in (aligned, total - aligned)]
+
+
+# (2b, 2a): local measurements of a probe b <= a, equal spins and half-integers included
+LOCAL_PAIRS = [(1, 1), (1, 4), (2, 2), (2, 5), (3, 3), (4, 4), (4, 8), (5, 6)]
+
+
+def dense_local_weights(twice_b, twice_a) -> np.ndarray:
+    """The dense oracle for the local POVM of (b, a): the spin a is measured with coherent
+    states along the product design of ``LoccProtocolConfig``, and the spin b along each
+    direction found, with its rotation matrix.  Element k, for m = b - k, is
+    sum_Omega c |b m; Omega><b m; Omega| (x) |a Omega><a Omega|, with the frame weights c of
+    ``_protocol_elements``; its rows are reduced to Tr(Pi_J E_k) / (2J + 1)."""
+    b, a = SpinQuantumNumber(twice_b), SpinQuantumNumber(twice_a)
+    cosines, weights = _gauss_legendre(twice_a // 2 + 1)
+    phis = 2.0 * math.pi * np.arange(twice_a + 1) / (twice_a + 1)
+    directions = [(math.acos(x), phi, math.sqrt(0.5 * w)) for x, w in zip(cosines, weights)
+                  for phi in phis.tolist()]
+    blocks = decomposition(b, a)
+    sizes = np.array([J.dimension for J in blocks.j_values])
+    elements = []
+    for k in range(twice_b + 1):
+        rows = np.array([
+            np.kron(rotation_matrix(b, Rotation(phi, theta, 0.0))[:, k],
+                    scale * _coherent_amplitudes(twice_a, theta, phi))
+            for theta, phi, scale in directions
+        ])
+        elements.append(blocks._rank_one_block_probabilities(rows) / sizes)
+    return np.array(elements)
 
 
 class TestPartialTranspose:
@@ -231,6 +263,33 @@ class TestOptimalLocalPovm:
         for k in range(povm.n_outcomes):
             result = partial_transpose(povm.element_matrix(k), (2, j.dimension))
             assert result.min_eigenvalue >= -1e-10
+
+
+class TestLocalPovmForEveryPair:
+    @pytest.mark.parametrize(("twice_b", "twice_a"), LOCAL_PAIRS)
+    def test_matches_the_dense_twirl_in_either_order(self, twice_b, twice_a):
+        b, a = SpinQuantumNumber(twice_b), SpinQuantumNumber(twice_a)
+        oracle = dense_local_weights(twice_b, twice_a)
+        for j1, j2 in ((b, a), (a, b)):
+            povm = _make_povm("optimal-local", j1, j2)
+            assert (povm.j1, povm.j2) == (j1, j2)
+            assert np.max(np.abs(povm.weights - oracle)) <= 1e-14
+
+    @pytest.mark.parametrize(("twice_b", "twice_a"), LOCAL_PAIRS)
+    def test_elements_are_ppt_and_complete(self, twice_b, twice_a):
+        b, a = SpinQuantumNumber(twice_b), SpinQuantumNumber(twice_a)
+        povm = _make_povm("optimal-local", b, a)
+        assert np.max(np.abs(povm.weights.sum(axis=0) - 1.0)) <= 1e-15
+        assert partial_transpose_spectrum(b, a, povm.weights).min() >= -1e-14
+
+    @pytest.mark.parametrize("twice_j", [1, 2, 7, 64, 999])
+    def test_spin_half_probe_is_the_optimal_local_povm(self, twice_j):
+        j = SpinQuantumNumber(twice_j)
+        local = optimal_local_povm(j)
+        assert local.labels == ("aligned", "antialigned")
+        assert np.array_equal(local.weights, _make_povm("optimal-local", j, HALF).weights)
+        high = (twice_j + 1) / (twice_j + 2)
+        assert local.weights.tolist() == [[0.0, high], [1.0, 1.0 - high]]
 
 
 class TestLoccProtocol:

@@ -23,6 +23,7 @@ from relangle import (
     uniform_direction_prior,
 )
 from relangle.angular import Direction
+from relangle.estimation import _make_povm
 from relangle.sim import CHUNK_TRIALS, MAX_TRIALS, _prior_sampler
 from relangle.states import InvariantState, collective_rotate, product_coherent_pair
 
@@ -282,6 +283,28 @@ class TestChunkedExperiment:
             pooled = 0.5 * (dense + fast)
             sigma = np.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
             assert np.all(np.abs(dense - fast) <= 5.0 * sigma + 1e-12), (j1, j2)
+
+    def test_local_povm_on_a_general_pair_within_five_sigma(self):
+        # a probe larger than spin 1/2: the spin 1 is measured along the direction that the
+        # spin 3/2 found, so there are three outcomes
+        j1, j2, prior = spin("3/2"), spin(1), uniform_direction_prior()
+        povm = _make_povm("optimal-local", j1, j2)
+        assert povm.labels == ("aligned", "m=0", "antialigned")
+        summary = run_experiment(j1, j2, prior, povm, 20_000, seed=64)
+        for freq, p, se in zip(
+            summary.frequencies, summary.analytic_probabilities, summary.frequency_standard_errors
+        ):
+            assert abs(freq - p) <= 5.0 * se + 1e-12
+        gap = abs(summary.mean_gain_bits - summary.analytic_average_gain_bits)
+        assert gap <= 5.0 * summary.gain_standard_error_bits
+        assert summary.analytic_average_gain_bits == (
+            average_information_gain(j1, j2, prior, povm).average_gain_bits)
+        n = 2000
+        dense = dense_run_experiment(j1, j2, prior, povm, n, seed=65) / n
+        fast = run_experiment(j1, j2, prior, povm, n, seed=66).frequencies
+        pooled = 0.5 * (dense + fast)
+        sigma = np.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
+        assert np.all(np.abs(dense - fast) <= 5.0 * sigma + 1e-12)
 
     def test_never_builds_dense_states(self, monkeypatch):
         def forbidden(*args, **kwargs):
