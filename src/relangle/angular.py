@@ -71,9 +71,12 @@ class SpinQuantumNumber:
         return spin(value)
 
     def __str__(self) -> str:
-        if self.twice_j % 2 == 0:
-            return str(self.twice_j // 2)
-        return f"{self.twice_j}/2"
+        return _spin_label(self.twice_j)
+
+
+def _spin_label(twice_j: int) -> str:
+    """The text of the spin twice_j / 2: "3" or "3/2"."""
+    return f"{twice_j}/2" if twice_j % 2 else str(twice_j // 2)
 
 
 def spin(value) -> SpinQuantumNumber:

@@ -8,9 +8,10 @@ Data goes to stdout (or ``--out``); diagnostics go to stderr.  Exit codes:
 flags are declared once, in parent parsers; ``_json_text`` writes every JSON header.
 
 Long float arrays are written whole, not number by number: ``probs`` CSV is one
-%-format per grid, and ``report`` evaluates all its density posteriors at once
-and writes each row with ``_json_floats``, one %-format of the row, falling back
-to the per-number path for the rare row whose text would differ from it.
+%-format per grid, ``curve`` CSV one %-format for all its scenarios, and
+``report`` evaluates all its density posteriors at once and writes each row with
+``_json_floats``, one %-format of the row, falling back to the per-number path
+for the rare row whose text would differ from it.
 """
 
 import argparse
@@ -22,18 +23,18 @@ import sys
 
 import numpy as np
 
-from .angular import SpinQuantumNumber
+from .angular import SpinQuantumNumber, _spin_label
 from .coupling import _total_js, check_dense_capacity
 from .errors import CapacityError, ConsistencyError
 from .estimation import (
     AngleDensity,
     DiscreteAngleDistribution,
     _block_probability_matrix,
+    _curve_averages,
     _density_values,
     _make_povm,
     _make_prior,
     average_information_gain,
-    infogain_curve,
 )
 from .locc import ppt_threshold
 from .sim import MAX_TRIALS, run_experiment
@@ -44,7 +45,7 @@ SCHEMA_VERSION = 1
 DEFAULT_ALPHA_GRID_POINTS = 181
 
 # Most values of j that one ``curve`` run evaluates: all four scenarios at this limit
-# take about 1.9 s and 168 MB peak RSS (two-core x86-64), about 1.4 KB per value.
+# take about 1 s and 80 MB peak RSS as CSV (two-core x86-64), about 0.4 KB per value.
 CURVE_MAX_POINTS = 100_000
 
 # Fig-style curve letters: (prior kind, POVM kind)
@@ -313,15 +314,16 @@ def _cmd_curve(args: argparse.Namespace) -> str:
     if len(twice_values) > CURVE_MAX_POINTS:
         raise CapacityError(f"the j range has {len(twice_values)} values, past the limit "
                             f"of {CURVE_MAX_POINTS}")
-    j_list = [SpinQuantumNumber(tj) for tj in twice_values]
-    rows = [(str(j), gain, letter) for letter in args.curves
-            for j, gain in infogain_curve(j_list, *CURVE_SCENARIOS[letter])]
+    averages = _curve_averages(twice_values, [CURVE_SCENARIOS[letter] for letter in args.curves])
+    labels = list(map(_spin_label, twice_values))
     if args.format == "csv":
-        lines = ["j,I_av_bits,scenario"]
-        lines += [f"{j},{_csv(gain)},{letter}" for j, gain, letter in rows]
-        return "\n".join(lines) + "\n"
+        # each scenario's lines: its field after each of the labels
+        template = "".join(sep.join(labels) + sep for sep in
+                           (f",%.12g,{letter}\n" for letter in args.curves))
+        return "j,I_av_bits,scenario\n" + template % tuple(averages.ravel().tolist())
     return _json_text(args, rows=[
-        {"j": j, "I_av_bits": _sig10(gain), "scenario": letter} for j, gain, letter in rows
+        {"j": j, "I_av_bits": _sig10(gain), "scenario": letter}
+        for letter, gains in zip(args.curves, averages.tolist()) for j, gain in zip(labels, gains)
     ])
 
 

@@ -25,7 +25,7 @@ Tricomi's asymptotic nodes: O(n^2) work, with no eigensolve (``_gauss_legendre``
 
 Tables, POVM weights, evidences, posteriors and gains carry a leading axis
 of pairs sharing the smaller spin b: a report is a stack of one pair, and a
-gain-versus-j curve one stack for all its j, with the same checks.
+gain-versus-j curve one stack for all its j and scenarios, with the same checks.
 """
 
 import math
@@ -590,9 +590,6 @@ def map_estimate(posterior) -> float:
 def optimal_local_povm(j) -> RotInvariantPovm:
     """The local POVM of ``_make_povm`` for (1/2, j), the most informative separable POVM of
     that pair: aligned, (2j+1)/(2j+2) of the high-J block, and antialigned, the rest."""
-    j = spin(j)
-    if j.twice_j == 0:
-        raise ValueError("the larger spin must be at least 1/2")
     return _make_povm("optimal-local", SpinQuantumNumber(1), j)
 
 
@@ -612,12 +609,14 @@ def _povm_weights(kind: str, twice_as, tables: np.ndarray) -> np.ndarray:
     with coherent states and then the smaller spin b along the direction found; twirled, its
     outcome m = b - k weighs block J by (2a+1)/(2J+1) T[J, k] / C(2b, k), the ratio a quotient
     of Python integers for any a, and the last outcome, k = 2b, takes 1 minus the others;
-    checked by ``_checked_povm_weights``."""
+    checked by ``_checked_povm_weights``.  ValueError for "optimal-local" when b = 0."""
     if kind == "optimal":
         return np.broadcast_to(np.eye(tables.shape[1]), tables.shape)
     if kind != "optimal-local":
         raise ValueError(f"povm kind must be one of {POVM_KINDS}, got {kind!r}")
     twice_b = tables.shape[2] - 1
+    if twice_b == 0:
+        raise ValueError("the local POVM needs both spins to be at least 1/2")
     ratios = np.fromiter(((twice_a + 1) / (twice_a - twice_b + 2 * i + 1)
                           for twice_a in twice_as for i in range(twice_b + 1)),
                          float, tables[..., 0].size).reshape(tables.shape[:2])
@@ -643,20 +642,28 @@ def _make_povm(kind: str, j1, j2) -> RotInvariantPovm:
 def infogain_curve(j_list, prior_kind: str, povm_kind: str) -> list:
     """Average information gain versus j for a spin-1/2 paired with a spin-j.
 
-    Returns one (j, average gain in bits) row per entry of ``j_list``.  The
-    spin-1/2 is the smaller spin of every pair, so the curve is one stack of
-    pairs: one exact-table build and one fold over the pair axis, with no
-    POVM or posterior object built.  Each row is the ``average_gain_bits`` of
-    ``average_information_gain`` on its pair.
+    Returns one (j, average gain in bits) row per entry of ``j_list``: the
+    one-scenario case of ``_curve_averages``.  Each row is the
+    ``average_gain_bits`` of ``average_information_gain`` on its pair.
     """
-    prior = _make_prior(prior_kind)
     js = [spin(j) for j in j_list]
-    twice_as = [j.twice_j for j in js]
+    average = _curve_averages([j.twice_j for j in js], [(prior_kind, povm_kind)])[0]
+    return list(zip(js, average.tolist()))
+
+
+def _curve_averages(twice_as, scenarios) -> np.ndarray:
+    """Average gains in bits, shape (scenarios, pairs), of a spin-1/2 paired with each spin
+    2j in ``twice_as``, under each (prior kind, POVM kind) of ``scenarios``.  The spin-1/2 is
+    the smaller spin of every pair, so all scenarios share one stack of pairs: one table
+    request, each POVM kind's weights and each prior built once, and one ``_gains`` fold per
+    scenario, checks included, with no POVM or posterior object built."""
+    priors = {kind: _make_prior(kind) for kind in dict.fromkeys(p for p, _ in scenarios)}
     if 0 in twice_as:
         raise ValueError("the spin j must be at least 1/2")
     tables = _likelihood_tables(1, twice_as)
-    average = _gains(prior, _povm_weights(povm_kind, twice_as, tables), tables)[3]
-    return list(zip(js, average.tolist()))
+    weights = {kind: _povm_weights(kind, twice_as, tables)
+               for kind in dict.fromkeys(w for _, w in scenarios)}
+    return np.array([_gains(priors[p], weights[w], tables)[3] for p, w in scenarios])
 
 
 def born_limit_check(j1, alpha: float, j2) -> float:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from relangle import (
     rotation_matrix,
     spin,
 )
+from relangle.angular import _spin_label
 
 HALF = spin("1/2")
 
@@ -45,6 +47,14 @@ class TestSpinQuantumNumber:
         for twice in range(0, 11):
             j = SpinQuantumNumber(twice)
             assert SpinQuantumNumber.from_string(str(j)) == j
+
+    def test_label_helper_is_the_spin_text(self):
+        # the text of a spin is that of the fraction 2j / 2: "3" or "3/2"
+        large = 10**400
+        for twice in [*range(0, 2001), 2 * large, 2 * large + 1]:
+            label = _spin_label(twice)
+            assert label == str(SpinQuantumNumber(twice)) == str(Fraction(twice, 2))
+        assert _spin_label(2 * large + 1) == f"{2 * large + 1}/2"
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):

@@ -14,13 +14,16 @@ import relangle.sim as sim_module
 import relangle.cli as cli_module
 from relangle import (
     DiscreteAngleDistribution,
+    SpinQuantumNumber,
     average_information_gain,
+    infogain_curve,
     parallel_antiparallel_prior,
     total_j_values,
     uniform_direction_prior,
 )
 from relangle.cli import (
     CURVE_MAX_POINTS,
+    CURVE_SCENARIOS,
     _build_parser,
     _csv,
     _density_grid,
@@ -259,6 +262,29 @@ class TestReport:
         assert code == 2
 
 
+CURVE_ORACLE_ARGVS = [
+    ["--j-min", "1/2", "--j-max", "50", "--j-step", "1/2"],
+    ["--curves", "d,a"],
+    ["--j-min", "1", "--j-max", "2", "--j-step", "5"],
+    ["--j-min", "1e400", "--j-max", "1e400"],
+]
+
+
+def per_row_curve_text(argv):
+    """Stdout of a curve command line, one row at a time: one infogain_curve per scenario,
+    each j through str(SpinQuantumNumber), each gain through _csv or _sig10."""
+    args = _build_parser().parse_args(argv)
+    js = [SpinQuantumNumber(twice_j) for twice_j in
+          range(args.j_min.twice_j, args.j_max.twice_j + 1, args.j_step.twice_j)]
+    rows = [(str(j), gain, letter) for letter in args.curves
+            for j, gain in infogain_curve(js, *CURVE_SCENARIOS[letter])]
+    if args.format == "csv":
+        lines = ["j,I_av_bits,scenario"] + [f"{j},{_csv(gain)},{letter}" for j, gain, letter in rows]
+        return "\n".join(lines) + "\n"
+    return cli_module._json_text(args, rows=[
+        {"j": j, "I_av_bits": _sig10(gain), "scenario": letter} for j, gain, letter in rows])
+
+
 class TestCurve:
     def test_first_point_matches_report(self, capsys):
         code, out, _ = run_cli(
@@ -360,7 +386,7 @@ class TestCurve:
         assert out == ""
         assert "internal error: outcome probabilities sum to" in err
 
-    def test_builds_one_table_stack_per_scenario_and_no_povm(self, capsys, monkeypatch):
+    def test_builds_one_table_stack_and_no_povm(self, capsys, monkeypatch):
         calls = {"tables": 0, "povms": 0}
         tables, povm_init = estimation_module._likelihood_tables, RotInvariantPovm.__post_init__
 
@@ -377,7 +403,7 @@ class TestCurve:
         code, out, _ = run_cli(capsys, "curve", "--j-min", "1/2", "--j-max", "500", "--j-step", "1/2")
         assert code == 0
         assert len(parse_csv(out)[1]) == 4 * 1000
-        assert calls == {"tables": 4, "povms": 0}
+        assert calls == {"tables": 1, "povms": 0}
 
     def test_scenarios_share_one_table_build(self, capsys):
         estimation_module._table_stack.cache_clear()
@@ -385,7 +411,29 @@ class TestCurve:
         assert code == 0
         assert len(parse_csv(out)[1]) == 4 * 100
         info = estimation_module._table_stack.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
+        assert (info.misses, info.hits) == (1, 0)
+
+    def test_local_weights_built_once_for_b_and_d(self, capsys, monkeypatch):
+        kinds = []
+        weights = estimation_module._povm_weights
+
+        def counted(kind, *args):
+            kinds.append(kind)
+            return weights(kind, *args)
+
+        monkeypatch.setattr(estimation_module, "_povm_weights", counted)
+        code, out, _ = run_cli(capsys, "curve", "--curves", "b,d")
+        assert code == 0
+        assert [row[2] for row in parse_csv(out)[1]] == ["b"] * 20 + ["d"] * 20
+        assert kinds == ["optimal-local"]
+
+    @pytest.mark.parametrize("argv", CURVE_ORACLE_ARGVS, ids=" ".join)
+    @pytest.mark.parametrize("format_", ["csv", "json"])
+    def test_stdout_equals_per_row_serialisation(self, capsys, argv, format_):
+        argv = ["curve", *argv, "--format", format_]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == per_row_curve_text(argv)
 
 
 class TestPpt:

@@ -1,3 +1,4 @@
+import collections
 import decimal
 import math
 import time
@@ -38,6 +39,7 @@ from relangle.angular import Direction, Rotation, rotation_matrix
 from relangle.estimation import (
     _adaptive_integral,
     _block_probability_matrix,
+    _curve_averages,
     _gains,
     _joint_rows,
     _kl_bits,
@@ -623,6 +625,58 @@ class TestInfoGainCurve:
             infogain_curve([HALF, spin(7)], "parallel-antiparallel", "optimal-local")
 
 
+SCENARIOS = [(prior_kind, povm_kind) for prior_kind in ("parallel-antiparallel", "uniform-directions")
+             for povm_kind in ("optimal", "optimal-local")]
+
+
+class TestCurveFold:
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 0], [2]])
+    def test_each_row_equals_infogain_curve_bit_for_bit(self, order):
+        scenarios = [SCENARIOS[i] for i in order]
+        twice_as = range(1, 201)
+        averages = _curve_averages(twice_as, scenarios)
+        assert averages.shape == (len(scenarios), len(twice_as))
+        js = [SpinQuantumNumber(twice_a) for twice_a in twice_as]
+        for row, scenario in zip(averages.tolist(), scenarios):
+            assert row == [gain for _, gain in infogain_curve(js, *scenario)]
+
+    def test_one_table_request_and_each_kind_built_once(self, monkeypatch):
+        calls = collections.Counter()  # (function, first argument)
+        for name in ("_likelihood_tables", "_povm_weights", "_make_prior"):
+            original = getattr(estimation_module, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name, args[0]] += 1
+                return original(*args)
+
+            monkeypatch.setattr(estimation_module, name, counted)
+        _curve_averages(range(1, 50), SCENARIOS + SCENARIOS[::-1])
+        assert calls == {("_likelihood_tables", 1): 1,
+                         ("_make_prior", "parallel-antiparallel"): 1,
+                         ("_make_prior", "uniform-directions"): 1,
+                         ("_povm_weights", "optimal"): 1, ("_povm_weights", "optimal-local"): 1}
+
+    def test_every_scenario_is_checked(self, monkeypatch):
+        # a leaky table fails the check of the first scenario, whichever it is
+        tables = _likelihood_tables
+        monkeypatch.setattr(estimation_module, "_likelihood_tables",
+                            lambda twice_b, twice_as: 1.001 * tables(twice_b, twice_as))
+        for scenario in SCENARIOS:
+            with pytest.raises(ConsistencyError, match="sum to"):
+                _curve_averages(range(1, 4), [scenario])
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="at least 1/2"):
+            _curve_averages(range(0, 3), SCENARIOS)
+        with pytest.raises(ValueError, match="prior kind"):
+            _curve_averages([0], [("bogus", "optimal")])  # the kinds are checked first
+        with pytest.raises(ValueError, match="povm kind"):
+            _curve_averages([1], [("uniform-directions", "bogus")])
+
+    def test_empty_range(self):
+        assert _curve_averages(range(1, 1), SCENARIOS).shape == (4, 0)
+
+
 def one_row_integral(f, tol=1e-10):
     """The one-row adaptive loop that ``_adaptive_integral`` batches: Gauss-Legendre rules
     from 16 to 1024 nodes, doubling, until one agrees with the one before within tol."""
@@ -790,6 +844,22 @@ class TestScenarioFactories:
     def test_unknown_povm_kind_names_the_kinds(self):
         with pytest.raises(ValueError, match="optimal.*optimal-local"):
             _make_povm("x", HALF, HALF)
+
+    @pytest.mark.parametrize("j1,j2", [(0, 1), (1, 0), (0, 0), (0, "1/2")])
+    def test_local_povm_refuses_a_spin_zero(self, j1, j2):
+        # it once failed with "weights shape (1, 1) does not match labels x blocks"
+        with pytest.raises(ValueError, match="both spins to be at least 1/2"):
+            _make_povm("optimal-local", j1, j2)
+
+    def test_optimal_local_povm_refuses_spin_zero(self):
+        with pytest.raises(ValueError, match="at least 1/2"):
+            optimal_local_povm(0)
+
+    def test_joint_povm_on_a_spin_zero_is_projective(self):
+        povm = _make_povm("optimal", 0, 1)
+        projective = RotInvariantPovm.projective(0, 1)
+        assert povm.labels == projective.labels == ("J=1",)
+        assert np.array_equal(povm.weights, projective.weights)
 
     def test_local_povm_on_a_spin_one_probe(self):
         # the pair once refused for want of a spin-1/2 probe: three outcomes, the middle one m = 0
