@@ -20,10 +20,11 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 
-from .angular import SpinQuantumNumber, _spin_label
+from .angular import SpinQuantumNumber, _spin_label, spin
 from .coupling import _total_js, check_dense_capacity
 from .errors import CapacityError, ConsistencyError
 from .estimation import (
@@ -66,13 +67,17 @@ _KINDS = {
 
 
 def _spin_type(text: str) -> SpinQuantumNumber:
+    """A spin of at least 1/2; a zero or negative one is refused in terms of the spin."""
     try:
-        value = SpinQuantumNumber.from_string(text)
+        value = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot parse spin value {text!r}") from exc
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"spin must be at least 1/2, got {value}")
+    try:
+        return spin(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if value.twice_j == 0:
-        raise argparse.ArgumentTypeError("spin must be at least 1/2")
-    return value
 
 
 def _alpha_type(text: str) -> float:

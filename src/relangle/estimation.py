@@ -20,8 +20,10 @@ posteriors need no quadrature.  Information gains are Kullback-Leibler
 divergences in bits; only one between densities needs quadrature,
 Gauss-Legendre in alpha, unless the posterior is linear and the prior
 constant in s (any spin-1/2 probe, uniform prior).  The rules come from
-Newton-type (Halley) iteration on the Legendre three-term recurrence, from
-Tricomi's asymptotic nodes: O(n^2) work, with no eigensolve (``_gauss_legendre``).
+Halley steps in theta = arccos(x), from Tricomi's asymptotic nodes, on the
+cosine series of P_n(cos theta), each step one matrix product with waves
+built by one cumulative product: O(n^2) work, with no eigensolve and no loop
+over the degree (``_gauss_legendre``).
 
 Tables, POVM weights, evidences, posteriors and gains carry a leading axis
 of pairs sharing the smaller spin b: a report is a stack of one pair, and a
@@ -77,40 +79,52 @@ _QUAD_START = 16
 _QUAD_MAX = 1024
 
 
-def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_(n-1)(x), n >= 1, by the recurrence (k+1) P_(k+1) = (2k+1) x P_k - k P_(k-1)."""
-    k = np.arange(1.0, n)
-    scaled_x = np.multiply.outer((2.0 * k + 1.0) / (k + 1.0), x)
-    previous, current = np.ones_like(x), x
-    for row, ratio in zip(scaled_x, (k / (k + 1.0)).tolist()):
-        previous, current = current, row * current - ratio * previous
-    return current, previous
+def _legendre_series(n: int, series: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sum_k series[:, k] e^(i(n - 2k) theta), k = 0 .. n/2, for every theta: one matrix
+    product with the waves, which one cumulative product along k builds from e^(in theta)."""
+    waves = np.empty((series.shape[1], theta.size), dtype=complex)
+    waves[0] = np.exp(1j * n * theta)
+    waves[1:] = np.exp(-2j * theta)
+    # np.cumprod without its Python wrapper, which costs more than the product on the few
+    # waves of the small rules that the LOCC design builds on every call
+    return series @ np.multiply.accumulate(waves, out=waves)
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss-Legendre rule on [-1, 1], n >= 1: increasing nodes, and weights.
 
-    The nodes x in [0, 1), the roots of P_n, start from Tricomi's asymptotic
-    guess and take two Halley steps (Newton's step with P_n'' from Legendre's
-    equation), one recurrence evaluation each; the others are their mirror
-    images.  The weights are 2 / ((1 - x^2) P_n'(x)^2)
-    = 2 (1 - x^2) / (n (P_(n-1) - x P_n))^2.  At a root this is
-    2 (1 - x^2) / (n P_(n-1))^2, but near +-1 a root of P_(n-1) lies close to
-    each node, so that form moves by up to 1e-13 with the rounding of the
-    node, and this one by about 1e-16.  O(n^2), with no eigensolve.
+    The nodes are found in theta, x = cos(theta), on the cosine series
+    P_n(cos t) = sum_k a_k a_(n-k) cos((n - 2k) t), a_k = C(2k, k) / 4^k, whose terms
+    k and n - k are equal.  The nodes x in [0, 1) start from Tricomi's asymptotic
+    guess and take two Halley steps in theta; each evaluates P_n, dP_n/dt and
+    d^2P_n/dt^2 at once (``_legendre_series``).  A last evaluation gives the
+    weights 2 / (dP_n/dt)^2, free of the 1 - x^2 cancellation near +-1, and one
+    more Newton step, taken in x, which resolves the nodes near 0 below the
+    spacing of theta.  The other nodes are their mirror images.  O(n^2), with no
+    eigensolve and no loop over the degree.
     """
     half = (n + 1) // 2  # nodes in [0, 1), the middle one 0 when n is odd
-    theta = (4.0 * np.arange(1, half + 1) - 1.0) * math.pi / (4 * n + 2)
+    theta = np.arange(3.0, 4 * half, 4.0) * math.pi / (4 * n + 2)  # (4k - 1) pi / (4n + 2)
     correction = (n - 1) / (8 * n**3) + (39.0 - 28.0 / np.sin(theta) ** 2) / (384 * n**4)
-    x = (1.0 - correction) * np.cos(theta)
+    theta = np.arccos((1.0 - correction) * np.cos(theta))
+    degrees = np.arange(1.0, n + 1)
+    a = np.ones(n + 1)  # a_k = prod_(j <= k) (j - 1/2) / j
+    np.multiply.accumulate((degrees - 0.5) / degrees, out=a[1:])
+    terms = n // 2 + 1
+    c = a[:terms] * a[:n - terms:-1]  # a_k a_(n-k), k = 0 .. n/2
+    c[:half] *= 2.0  # every wave but cos(0 t) stands for its mirror term too
+    m = n - 2.0 * np.arange(terms)
+    series = np.zeros((3, terms), dtype=complex)  # real parts: P_n, dP_n/dt, d^2P_n/dt^2
+    series[0] = c
+    series.imag[1] = m * c
+    series[2] = -m * series.imag[1]
     for _ in range(2):
-        p, q = _legendre_pair(n, x)
-        slope = n * (q - x * p) / (1.0 - x * x)  # P_n'
+        p, slope, curvature = _legendre_series(n, series, theta).real
         step = p / slope
-        curvature = (2.0 * x * slope - n * (n + 1) * p) / (1.0 - x * x)  # P_n''
-        x = x - step / (1.0 - 0.5 * step * curvature / slope)
-    p, q = _legendre_pair(n, x)
-    w = 2.0 * (1.0 - x * x) / (n * (q - x * p)) ** 2
+        theta = theta - step / (1.0 - 0.5 * step * curvature / slope)
+    p, slope = _legendre_series(n, series[:2], theta).real
+    x = np.cos(theta) + np.sin(theta) * (p / slope)
+    w = 2.0 / slope**2
     middle = n % 2
     return np.concatenate((-x, x[::-1][middle:])), np.concatenate((w, w[::-1][middle:]))
 

@@ -769,6 +769,24 @@ class TestFlagsAndSpins:
         assert "spin must be at least 1/2" in err
 
     @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (["ppt", "--j=-1"], "-1"),
+            (["ppt", "--j=-1/2"], "-1/2"),
+            (["probs", "--j1", "1", "--j2=-1"], "-1"),
+            (["report", "--j1=-1/2", "--j2", "1", "--prior", "pap", "--povm", "optimal"], "-1/2"),
+            (["curve", "--j-min=-1/2"], "-1/2"),
+        ],
+    )
+    def test_negative_spin_is_refused_in_terms_of_the_spin(self, capsys, argv, value):
+        # it once said "twice_j must be non-negative, got -2" for --j=-1
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"spin must be at least 1/2, got {value}\n" in err
+        assert "twice_j" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["report", "--j1", "1/2", "--j2", "1/2", "--prior", "pap", "--povm", "optimal",

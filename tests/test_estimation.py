@@ -788,22 +788,25 @@ class TestQuadRule:
         integrals = (x[None, :] ** twice_k[:, None]) @ w
         assert np.max(np.abs(integrals - 2.0 / (twice_k + 1.0))) <= 1e-13
 
-    @pytest.mark.parametrize("n", [16, 128])
-    def test_matches_a_40_digit_rule(self, n):
-        # Newton's method on the recurrence in 40-digit decimals, from numpy's nodes in [0, 1)
+    @pytest.mark.parametrize("n,stride", [(16, 1), (128, 1), (256, 1), (1024, 16)])
+    def test_matches_a_40_digit_rule(self, n, stride):
+        # Newton's method on the recurrence in 40-digit decimals, from numpy's nodes in [0, 1);
+        # every node of a rule, or every 16th of the largest, and weights to a relative 1e-14
         nodes, weights = _quad_rule(n)
+        start_nodes = np.polynomial.legendre.leggauss(n)[0]
         with decimal.localcontext(decimal.Context(prec=40)):
-            for i, x0 in enumerate(np.polynomial.legendre.leggauss(n)[0][n // 2:], n // 2):
-                x = decimal.Decimal(x0)
+            for i in range(n // 2, n, stride):
+                x = decimal.Decimal(start_nodes[i])
                 for _ in range(3):
                     previous, current = decimal.Decimal(1), x
                     for k in range(1, n):
                         previous, current = (current,
                                              ((2 * k + 1) * x * current - k * previous) / (k + 1))
                     x -= current * (x * x - 1) / (n * (x * current - previous))
-                weight = 2 * (1 - x * x) / (n * previous) ** 2
+                weight = 0.5 * math.pi * float(2 * (1 - x * x) / (n * previous) ** 2)
                 assert abs(nodes[i] - 0.5 * math.pi * (float(x) + 1.0)) <= 1e-15
-                assert abs(weights[i] - 0.5 * math.pi * float(weight)) <= 1e-15
+                assert abs(weights[i] - weight) <= 1e-15
+                assert abs(weights[i] - weight) <= 1e-14 * weight
 
     def test_rules_are_symmetric(self):
         nodes, weights = _quad_rule(64)
