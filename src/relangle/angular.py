@@ -41,7 +41,7 @@ class SpinQuantumNumber:
         if not isinstance(self.twice_j, (int, np.integer)):
             raise TypeError(f"twice_j must be an integer, got {self.twice_j!r}")
         if self.twice_j < 0:
-            raise ValueError(f"twice_j must be non-negative, got {self.twice_j}")
+            raise ValueError(f"twice_j must be non-negative, got {_brief(self.twice_j)}")
         object.__setattr__(self, "twice_j", int(self.twice_j))
 
     @property
@@ -79,6 +79,32 @@ def _spin_label(twice_j: int) -> str:
     return f"{twice_j}/2" if twice_j % 2 else str(twice_j // 2)
 
 
+# Past this many digits an error message writes a number in scientific form.
+_BRIEF_DIGITS = 15
+
+
+def _brief(value) -> str:
+    """An int, Fraction or spin as error messages write it: as ``str`` does while its
+    numerator and denominator have at most 15 digits, else to 6 digits in scientific form.
+    A message naming a huge spin so stays one short line.  No integer is turned into text,
+    which takes time quadratic in its digits and is refused past Python's limit on them.
+
+    The scientific form comes from math.log10 of the integers, which reads only their
+    leading bits; its error, about 1e-16 times the exponent, leaves 6 digits exact.
+    """
+    if isinstance(value, SpinQuantumNumber):
+        value = Fraction(value.twice_j, 2)
+    value = Fraction(value)
+    if abs(value.numerator) < 10**_BRIEF_DIGITS and value.denominator < 10**_BRIEF_DIGITS:
+        return str(value)
+    exponent = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+    power = math.floor(exponent)
+    mantissa = f"{10.0 ** (exponent - power):.6g}"
+    if mantissa == "10":  # 9.999995 and up round to the next power of ten
+        mantissa, power = "1", power + 1
+    return f"{'-' * (value < 0)}{mantissa}e{power:+d}"
+
+
 def spin(value) -> SpinQuantumNumber:
     """Coerce a string, integer, exact half-valued float, or Fraction to a spin."""
     if isinstance(value, SpinQuantumNumber):
@@ -91,7 +117,7 @@ def spin(value) -> SpinQuantumNumber:
         value = Fraction(value)
     if isinstance(value, Fraction):
         if value.denominator not in (1, 2):
-            raise ValueError(f"{value} is not a half-integer spin")
+            raise ValueError(f"{_brief(value)} is not a half-integer spin")
         return SpinQuantumNumber(int(value * 2))
     raise TypeError(f"cannot interpret {value!r} as a spin quantum number")
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angular import SpinQuantumNumber, _spin_label, spin
+from .angular import SpinQuantumNumber, _brief, _spin_label, spin
 from .coupling import _total_js, check_dense_capacity
 from .errors import CapacityError, ConsistencyError
 from .estimation import (
@@ -67,13 +67,20 @@ _KINDS = {
 
 
 def _spin_type(text: str) -> SpinQuantumNumber:
-    """A spin of at least 1/2; a zero or negative one is refused in terms of the spin."""
+    """A spin of at least 1/2; a zero or negative one is refused in terms of the spin, and so
+    is one whose label ("j", or "2j/2" for a half-integer) holds an integer of more digits
+    than Python writes as text (``sys.get_int_max_str_digits``; none where that is 0)."""
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"cannot parse spin value {text!r}") from exc
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"spin must be at least 1/2, got {value}")
+        raise argparse.ArgumentTypeError(f"spin must be at least 1/2, got {_brief(value)}")
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # a numerator below 8**limit, of at most 3 * limit bits, is below 10**limit: no power built
+    if limit and value.numerator.bit_length() > 3 * limit and value.numerator >= 10**limit:
+        raise argparse.ArgumentTypeError(f"spin {_brief(value)} has more than {limit} digits, "
+                                         "past Python's limit for integer text")
     try:
         return spin(value)
     except ValueError as exc:
@@ -308,17 +315,20 @@ def _cmd_report(args: argparse.Namespace) -> str:
 
 
 def _cmd_curve(args: argparse.Namespace) -> str:
-    twice_values = range(args.j_min.twice_j, args.j_max.twice_j + 1, args.j_step.twice_j)
-    if not twice_values:
+    start, stop, step = args.j_min.twice_j, args.j_max.twice_j, args.j_step.twice_j
+    if stop < start:
         raise ValueError("empty j range")
-    if len(twice_values) > 1 and twice_values[-1] != args.j_max.twice_j:
+    steps, rest = divmod(stop - start, step)  # counted, not len(range): 2j may pass 2**63
+    if steps and rest:
         raise ValueError(
-            f"--j-step {args.j_step} from --j-min {args.j_min} skips past --j-max {args.j_max} "
-            f"(the last j would be {SpinQuantumNumber(twice_values[-1])})"
+            f"--j-step {_brief(args.j_step)} from --j-min {_brief(args.j_min)} skips past "
+            f"--j-max {_brief(args.j_max)} (the last j would be "
+            f"{_brief(SpinQuantumNumber(stop - rest))})"
         )
-    if len(twice_values) > CURVE_MAX_POINTS:
-        raise CapacityError(f"the j range has {len(twice_values)} values, past the limit "
+    if steps >= CURVE_MAX_POINTS:
+        raise CapacityError(f"the j range has {_brief(steps + 1)} values, past the limit "
                             f"of {CURVE_MAX_POINTS}")
+    twice_values = range(start, stop + 1, step)
     averages = _curve_averages(twice_values, [CURVE_SCENARIOS[letter] for letter in args.curves])
     labels = list(map(_spin_label, twice_values))
     if args.format == "csv":

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import SpinQuantumNumber, spin
+from .angular import SpinQuantumNumber, _brief, spin
 from .errors import CapacityError
 
 __all__ = [
@@ -174,7 +174,7 @@ def check_dense_capacity(j1: SpinQuantumNumber, j2: SpinQuantumNumber) -> None:
     dim = j1.dimension * j2.dimension
     if dim > DENSE_DIMENSION_CAP:
         raise CapacityError(
-            f"product dimension {dim} exceeds the dense cap {DENSE_DIMENSION_CAP}; "
+            f"product dimension {_brief(dim)} exceeds the dense cap {DENSE_DIMENSION_CAP}; "
             "use the closed-form routines for large spins"
         )
 

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import SpinQuantumNumber, spin
+from .angular import SpinQuantumNumber, _brief, spin
 from .coupling import _total_js, projector
 from .errors import CapacityError, ConsistencyError, ImpossibleOutcomeError
 from .polynomials import bernstein_from_power, bernstein_product, bernstein_values, power_basis
@@ -329,8 +329,8 @@ def _table_stack(twice_b: int, twice_as: tuple) -> np.ndarray:
     rounded float of the exact rational.  CapacityError past the kernel limit.
     """
     if twice_b > KERNEL_TWICE_J_LIMIT:
-        raise CapacityError(f"the smaller spin {SpinQuantumNumber(twice_b)} exceeds the likelihood "
-                            f"kernel's limit 2*min(j1, j2) <= {KERNEL_TWICE_J_LIMIT}")
+        raise CapacityError(f"the smaller spin {_brief(SpinQuantumNumber(twice_b))} exceeds the "
+                            f"likelihood kernel's limit 2*min(j1, j2) <= {KERNEL_TWICE_J_LIMIT}")
     factorial = [math.factorial(n) for n in range(twice_b + 1)]
     tables = np.zeros((len(twice_as), twice_b + 1, twice_b + 1))
     for table, twice_a in zip(tables, twice_as):

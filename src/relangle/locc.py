@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .angular import SpinQuantumNumber, _coherent_amplitudes, spin
+from .angular import SpinQuantumNumber, _brief, _coherent_amplitudes, spin
 from .coupling import _total_js, decomposition
 from .errors import CapacityError, ConsistencyError
 from .estimation import (RotInvariantPovm, _gauss_legendre, optimal_local_povm,
@@ -149,8 +149,8 @@ def ppt_threshold(j) -> float:
     if j.twice_j == 0:
         raise ValueError("the larger spin must be at least 1/2")
     if j.twice_j > PPT_TWICE_J_LIMIT:
-        raise CapacityError(f"spin j = {j} (2j = {j.twice_j}) exceeds the PPT threshold's "
-                            f"limit 2j <= {PPT_TWICE_J_LIMIT}")
+        raise CapacityError(f"spin j = {_brief(j)} (2j = {_brief(j.twice_j)}) exceeds the PPT "
+                            f"threshold's limit 2j <= {PPT_TWICE_J_LIMIT}")
     at_zero, slope = partial_transpose_spectrum(SpinQuantumNumber(1), j, np.eye(2))
     rising = slope > 0.0
     threshold = float(np.max(-at_zero[rising] / slope[rising], initial=0.0))
@@ -177,8 +177,8 @@ class LoccProtocolConfig:
         if self.j.twice_j == 0:
             raise ValueError("the larger spin must be at least 1/2")
         if self.j.twice_j > LOCC_TWICE_J_LIMIT:
-            raise CapacityError(f"spin j = {self.j} (2j = {self.j.twice_j}) exceeds the LOCC "
-                                f"protocol's limit 2j <= {LOCC_TWICE_J_LIMIT}")
+            raise CapacityError(f"spin j = {_brief(self.j)} (2j = {_brief(self.j.twice_j)}) "
+                                f"exceeds the LOCC protocol's limit 2j <= {LOCC_TWICE_J_LIMIT}")
         if not math.isfinite(self.plane_phi):
             raise ValueError(f"plane_phi must be finite, got {self.plane_phi}")
 
@@ -218,18 +218,18 @@ def _protocol_elements(config: LoccProtocolConfig) -> tuple[np.ndarray, np.ndarr
     return (half[:, :, None] * frame[:, None, :]).reshape(len(frame), -1), frame
 
 
-def _protocol_povm(config: LoccProtocolConfig) -> RotInvariantPovm:
+def _protocol_povm(config: LoccProtocolConfig, local: RotInvariantPovm) -> RotInvariantPovm:
     """The protocol as the invariant POVM it is once the state is averaged over
-    rotations: the optimal local POVM's outcomes, with weights Tr(Pi_J E_k) / (2J + 1)
-    read from the aligned element's rows.  ConsistencyError unless F is the identity
-    within 1e-12 in every entry; then the anti-aligned weights are 1 minus the aligned.
+    rotations: the outcomes of ``local``, the optimal local POVM of (1/2, j), with weights
+    Tr(Pi_J E_k) / (2J + 1) read from the aligned element's rows.  ConsistencyError unless
+    F is the identity within 1e-12 in every entry; then the anti-aligned weights are 1
+    minus the aligned.
     """
     aligned, frame = _protocol_elements(config)
     residual = float(np.max(np.abs(frame.T @ frame.conj() - np.eye(config.j.dimension))))
     if not residual <= 1e-12:
         raise ConsistencyError(f"the coherent-state frame for j = {config.j} misses the identity "
                                f"by {residual:.3g}")
-    local = optimal_local_povm(config.j)
     weights = decomposition(local.j1, local.j2)._rank_one_block_probabilities(aligned)
     weights /= [J.dimension for J in local.j_values]
     return replace(local, weights=np.array([weights, 1.0 - weights]))
@@ -239,6 +239,7 @@ def locc_protocol_statistics(config: LoccProtocolConfig, alpha: float) -> Protoc
     """Protocol outcome probabilities for a product pair at relative angle
     alpha, averaged over the collective orientation, next to the closed-form
     statistics of the optimal separable POVM."""
+    local = optimal_local_povm(config.j)
     protocol, reference = (povm_outcome_probabilities(povm, [alpha])[:, 0].tolist()
-                           for povm in (_protocol_povm(config), optimal_local_povm(config.j)))
+                           for povm in (_protocol_povm(config, local), local))
     return ProtocolStatistics(*protocol, *reference)

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from relangle import (
     rotation_matrix,
     spin,
 )
-from relangle.angular import _spin_label
+from relangle.angular import _brief, _spin_label
 
 HALF = spin("1/2")
 
@@ -56,7 +57,31 @@ class TestSpinQuantumNumber:
             assert label == str(SpinQuantumNumber(twice)) == str(Fraction(twice, 2))
         assert _spin_label(2 * large + 1) == f"{2 * large + 1}/2"
 
+    def test_brief_text_of_numbers_in_messages(self):
+        # str's text up to 15 digits in numerator and denominator, scientific past that,
+        # including numbers whose str would pass Python's 4300-digit limit
+        for value in (0, 7, -3, 10**15 - 1, Fraction(3, 2), Fraction(-1, 2),
+                      Fraction(2, 10**15 - 1)):
+            assert _brief(value) == str(value)
+        assert _brief(spin("3/2")) == "3/2" and _brief(spin(5)) == "5"
+        assert _brief(10**15) == "1e+15"
+        assert _brief(123456789012345678) == "1.23457e+17"
+        assert _brief(-4 * 10**400 - 1) == "-4e+400"
+        assert _brief(Fraction(10**400, 3)) == "3.33333e+399"
+        assert _brief(SpinQuantumNumber(2 * 10**5000 + 1)) == "1e+5000"
+        assert _brief(99999949999999999) == "9.99999e+16"
+        assert _brief(99999990000000000) == "1e+17"  # rounds up to the next power of ten
+        # read from the leading bits: turning this integer into text takes about 20 s
+        huge = 3 * 10**1000000
+        started = time.perf_counter()
+        assert _brief(huge) == "3e+1000000" and _brief(Fraction(1, huge)) == "3.33333e-1000001"
+        assert time.perf_counter() - started < 1.0
+
     def test_rejects_invalid(self):
+        with pytest.raises(ValueError, match="twice_j must be non-negative, got -1e"):
+            SpinQuantumNumber(-(10**5000))
+        with pytest.raises(ValueError, match=r"^3\.33333e\+399 is not a half-integer spin$"):
+            spin(Fraction(10**400, 3))
         with pytest.raises(ValueError):
             SpinQuantumNumber(-1)
         with pytest.raises(ValueError):

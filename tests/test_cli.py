@@ -787,6 +787,57 @@ class TestFlagsAndSpins:
         assert "twice_j" not in err
 
     @pytest.mark.parametrize(
+        "argv,limit",
+        [
+            (["ppt", "--j", "1e400"], "2j <= 4000"),
+            (["report", "--j1", "1e400", "--j2", "1e400", "--prior", "uniform",
+              "--povm", "optimal"], "2*min(j1, j2) <= 200"),
+            (["simulate", "--j1", "1/2", "--j2", "1e400", "--prior", "uniform", "--n", "10"],
+             "dense cap 4096"),
+            (["curve", "--j-min", "1", "--j-max", "1e400", "--j-step", "3"],
+             f"limit of {CURVE_MAX_POINTS}"),
+        ],
+    )
+    def test_huge_spin_is_refused_in_one_short_line(self, capsys, argv, limit):
+        # each message once wrote the spin, the dimension or the count in full: 485 to 872
+        # bytes at j = 1e400, and curve failed with an OverflowError traceback
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert len(err.encode()) < 200
+        assert limit in err and "e+" in err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no limit on the digits of integer text")
+    @pytest.mark.parametrize("flag", ["--j1", "--j2"])
+    def test_spin_past_the_integer_text_limit_is_refused(self, capsys, flag):
+        # it once failed every command with Python's "Exceeds the limit (4300 digits)" text
+        argv = ["simulate", "--j1", "1/2", "--j2", "1/2", "--prior", "uniform", "--n", "10"]
+        argv[argv.index(flag) + 1] = "1e5000"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        message = err.splitlines()[-1]
+        digits = sys.get_int_max_str_digits()
+        assert message == (f"relangle simulate: error: argument {flag}: spin 1e+5000 has more "
+                           f"than {digits} digits, past Python's limit for integer text")
+        assert len(message.encode()) < 200
+        assert "Exceeds" not in err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no limit on the digits of integer text")
+    def test_spin_label_at_the_integer_text_limit_is_accepted(self, capsys):
+        # 2j = 2e4300 - 2 has 4301 digits, but the label j = 1e4300 - 1 has 4300
+        digits = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "ppt", "--j", str(10**digits - 1))
+        assert code == 2
+        assert err == f"error: spin j = 1e+{digits} (2j = 2e+{digits}) exceeds the PPT " \
+                      f"threshold's limit 2j <= {PPT_TWICE_J_LIMIT}\n"
+        code, _, err = run_cli(capsys, "ppt", "--j", f"1e{digits}")
+        assert code == 2 and f"more than {digits} digits" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["report", "--j1", "1/2", "--j2", "1/2", "--prior", "pap", "--povm", "optimal",

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import relangle.estimation as estimation_module
 import relangle.locc as locc_module
 from relangle import (
     LOCC_TWICE_J_LIMIT,
@@ -366,6 +367,22 @@ class TestLoccProtocol:
     def test_config_refuses_non_finite_plane(self, plane_phi):
         with pytest.raises(ValueError, match="plane_phi must be finite"):
             LoccProtocolConfig(HALF, plane_phi)
+
+    @pytest.mark.parametrize("twice_j", [1, 4, 7])
+    def test_local_povm_built_once_per_call(self, monkeypatch, twice_j):
+        # the protocol's outcomes and the reference statistics come from one optimal local POVM
+        config, calls = LoccProtocolConfig(SpinQuantumNumber(twice_j), 0.4), []
+        expected = locc_protocol_statistics(config, 0.9)
+        make_povm = estimation_module._make_povm
+
+        def counted(*args):
+            calls.append(args)
+            return make_povm(*args)
+
+        monkeypatch.setattr(estimation_module, "_make_povm", counted)
+        stats = locc_protocol_statistics(config, 0.9)
+        assert dataclasses.astuple(stats) == dataclasses.astuple(expected)
+        assert len(calls) == 1
 
     def test_plane_choice_does_not_matter(self):
         j = spin(1)

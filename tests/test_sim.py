@@ -7,11 +7,13 @@ import pytest
 
 import relangle.sim as sim_module
 from relangle import (
+    AngleDensity,
     ConsistencyError,
     CouplingDecomposition,
     DensityMatrix,
     RotInvariantPovm,
     average_information_gain,
+    bayes_update,
     coherent_state,
     haar_rotation,
     optimal_local_povm,
@@ -397,3 +399,46 @@ class TestPriorSampler:
         assert set(np.unique(samples)) <= {0.0, math.pi}
         sigma = math.sqrt(0.25 / n)
         assert abs(np.mean(samples == math.pi) - 0.5) <= 5.0 * sigma
+
+    def test_density_posterior_kolmogorov_smirnov(self):
+        # a degree-4 posterior: its CDF in s is the Bernstein polynomial of degree n + 1 with
+        # coefficients [0, cumsum(b) / (n + 1)], the antiderivative of the density in s
+        povm = RotInvariantPovm.projective(spin(2), spin(3))
+        posterior = bayes_update(uniform_direction_prior(), 2, 3, povm, povm.labels[1])
+        b = posterior.coefficients
+        n = b.size - 1
+        assert n == 4 and np.ptp(b) > 0.5
+        antiderivative = np.concatenate([[0.0], np.cumsum(b) / (n + 1)])
+        size = 100_000
+        samples = np.sort(_prior_sampler(posterior)(np.random.default_rng(70), size))
+        s = np.sin(0.5 * samples) ** 2
+        cdf = sum(c * math.comb(n + 1, i) * s**i * (1.0 - s) ** (n + 1 - i)
+                  for i, c in enumerate(antiderivative))
+        empirical_hi = np.arange(1, size + 1) / size
+        empirical_lo = np.arange(0, size) / size
+        ks = max(np.max(empirical_hi - cdf), np.max(cdf - empirical_lo))
+        assert ks < 1.63 / math.sqrt(size)  # 1% critical value
+
+    def test_discrete_draws_follow_the_cumulative_rule(self):
+        prior = parallel_antiparallel_prior()
+        samples = _prior_sampler(prior)(np.random.default_rng(71), 1000)
+        u = np.random.default_rng(71).random(1000)
+        k = np.minimum(np.searchsorted(np.cumsum(prior.weights), u, "right"), 1)
+        assert np.array_equal(samples, prior.alphas[k])
+
+    def test_high_degree_density_memory_does_not_grow_with_trials(self):
+        n = 200
+        prior = AngleDensity(2.0 * np.arange(n + 1) / n)  # mean 1, weight rising with s
+        povm = RotInvariantPovm.projective(2, 3)
+        tracemalloc.start()
+        try:
+            summary = run_experiment(spin(2), spin(3), prior, povm, 1_000_000, seed=72)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.n_trials == 1_000_000
+        assert peak < 16 * 2**20
+        for freq, p, se in zip(
+            summary.frequencies, summary.analytic_probabilities, summary.frequency_standard_errors
+        ):
+            assert abs(freq - p) <= 5.0 * se + 1e-12
