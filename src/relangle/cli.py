@@ -66,17 +66,40 @@ _KINDS = {
 }
 
 
+# The exponent of a number's text as Fraction reads it: "e", an optional sign, digits.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+# Past this many characters an error message quotes only the start of an argument.
+_SHOWN_CHARACTERS = 40
+
+
+def _shown(text: str) -> str:
+    """The argument as an error message quotes it: its repr, or past _SHOWN_CHARACTERS
+    characters the repr of its start and its length, so that the message stays one short line."""
+    if len(text) <= _SHOWN_CHARACTERS:
+        return repr(text)
+    return f"{text[:_SHOWN_CHARACTERS // 2]!r}... ({len(text)} characters)"
+
+
 def _spin_type(text: str) -> SpinQuantumNumber:
     """A spin of at least 1/2; a zero or negative one is refused in terms of the spin, and so
     is one whose label ("j", or "2j/2" for a half-integer) holds an integer of more digits
-    than Python writes as text (``sys.get_int_max_str_digits``; none where that is 0)."""
+    than Python writes as text (``sys.get_int_max_str_digits``; none where that is 0).
+
+    An exponent e past twice that limit is refused from the text, before Fraction builds
+    10**|e|: the digits before and after the point number at most the limit each, so the value
+    is 0, below 1/10 or past 10**limit, and no spin the label check would accept."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     try:
+        exponent = _EXPONENT.search(text)
+        if limit and exponent and abs(int(exponent[1])) > 2 * limit:
+            raise argparse.ArgumentTypeError(f"spin {_shown(text.strip())} has more than {limit} "
+                                             "digits, past Python's limit for integer text")
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse spin value {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse spin value {_shown(text)}") from exc
     if value <= 0:
         raise argparse.ArgumentTypeError(f"spin must be at least 1/2, got {_brief(value)}")
-    limit = getattr(sys, "get_int_max_str_digits", int)()
     # a numerator below 8**limit, of at most 3 * limit bits, is below 10**limit: no power built
     if limit and value.numerator.bit_length() > 3 * limit and value.numerator >= 10**limit:
         raise argparse.ArgumentTypeError(f"spin {_brief(value)} has more than {limit} digits, "
@@ -98,7 +121,7 @@ def _alpha_type(text: str) -> float:
         else:
             value = float(cleaned)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse angle {_shown(text)}") from exc
     return value + 0.0  # -0.0 + 0.0 is 0.0, so no output labels the angle "-0"
 
 
@@ -106,7 +129,7 @@ def _seed_type(text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {_shown(text)}") from exc
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value
@@ -116,9 +139,9 @@ def _trials_type(text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"n must be an integer, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"n must be an integer, got {_shown(text)}") from exc
     if not 1 <= value <= MAX_TRIALS:
-        raise argparse.ArgumentTypeError(f"n must lie in [1, 2**53], got {value}")
+        raise argparse.ArgumentTypeError(f"n must lie in [1, 2**53], got {_brief(value)}")
     return value
 
 
@@ -127,7 +150,7 @@ def _curves_type(text: str) -> tuple[str, ...]:
     unknown = [letter for letter in letters if letter not in CURVE_SCENARIOS]
     if unknown or not letters:
         raise argparse.ArgumentTypeError(
-            f"curves must be a comma-separated subset of a,b,c,d, got {text!r}"
+            f"curves must be a comma-separated subset of a,b,c,d, got {_shown(text)}"
         )
     return tuple(letter for letter in "abcd" if letter in letters)
 
@@ -225,11 +248,8 @@ def _json_text(args: argparse.Namespace, raw_texts=(), **fields) -> str:
     header = {"schema": SCHEMA_VERSION, "command": args.command}
     header.update((name, str(given[name])) for name in ("j1", "j2", "j", "prior", "povm")
                   if name in given)
-    text = json.dumps({**header, **fields})
-    if raw_texts:
-        pieces = text.split(_RAW_TEXT)
-        text = "".join(piece + raw for piece, raw in zip(pieces, raw_texts)) + pieces[-1]
-    return text + "\n"
+    pieces = json.dumps({**header, **fields}).split(_RAW_TEXT)
+    return "".join([text for pair in zip(pieces, [*raw_texts, "\n"]) for text in pair])
 
 
 @functools.cache
@@ -336,10 +356,11 @@ def _cmd_curve(args: argparse.Namespace) -> str:
         template = "".join(sep.join(labels) + sep for sep in
                            (f",%.12g,{letter}\n" for letter in args.curves))
         return "j,I_av_bits,scenario\n" + template % tuple(averages.ravel().tolist())
-    return _json_text(args, rows=[
-        {"j": j, "I_av_bits": _sig10(gain), "scenario": letter}
-        for letter, gains in zip(args.curves, averages.tolist()) for j, gain in zip(labels, gains)
-    ])
+    # each scenario's rows: its fields after each of the labels, filled by one _json_floats
+    rows = ", ".join('{"j": "' + (fields + ', {"j": "').join(labels) + fields for fields in
+                     (f'", "I_av_bits": %s, "scenario": "{letter}"}}' for letter in args.curves))
+    values = tuple(_json_floats(averages.ravel().tolist())[1:-1].split(", "))
+    return _json_text(args, [f"[{rows}]" % values], rows=_RAW)
 
 
 def _cmd_ppt(args: argparse.Namespace) -> str:

@@ -74,6 +74,9 @@ POVM_KINDS = ("optimal", "optimal-local")
 # it builds in well under a second, and the larger spin is unrestricted.
 KERNEL_TWICE_J_LIMIT = 200
 
+# Every integer below 2^53 is a float64, so a product of integers that stays below it is exact.
+_EXACT_FLOAT_INTEGERS = 2**53
+
 _QUAD_TOL = 1e-10
 _QUAD_START = 16
 _QUAD_MAX = 1024
@@ -324,29 +327,67 @@ def _table_stack(twice_b: int, twice_as: tuple) -> np.ndarray:
 
         (2J+1) P(2a, x) (2b-x)! (2b)! / [P(2a+2b-x+1, k+1) x! (k-x)! ((2b-k)!)^2]
 
-    with P(n, r) = n! / (n-r)!.  Every factorial is at most (2b)!, and the
-    quotient of Python integers rounds once, so each entry is the correctly
-    rounded float of the exact rational.  CapacityError past the kernel limit.
+    with P(n, r) = n! / (n-r)!.  Every factorial is at most (2b)!.  Each entry
+    is the correctly rounded float of this rational, evaluated one of two ways:
+
+    - a stack of more than one pair whose largest a keeps
+      P(2a+2b+1, 2b+1) ((2b)!)^3 below 2^53, a bound on every numerator and
+      denominator, in float64 arrays along the pair axis (``_float_table_stack``).
+      Every factor is an integer of at least 1, so every partial product is an
+      integer below 2^53, held exactly, and the one division rounds once;
+    - any other stack, such as a single pair or a spin past 2^53 or past the float
+      range, entry by entry in Python integers, whose quotient also rounds once.
+
+    So both give the same bits.  A single pair stays on the loop, which costs less than
+    the arrays' fixed work.  CapacityError past the kernel limit.
     """
     if twice_b > KERNEL_TWICE_J_LIMIT:
         raise CapacityError(f"the smaller spin {_brief(SpinQuantumNumber(twice_b))} exceeds the "
                             f"likelihood kernel's limit 2*min(j1, j2) <= {KERNEL_TWICE_J_LIMIT}")
     factorial = [math.factorial(n) for n in range(twice_b + 1)]
-    tables = np.zeros((len(twice_as), twice_b + 1, twice_b + 1))
-    for table, twice_a in zip(tables, twice_as):
-        for x in range(twice_b + 1):
-            twice_J = twice_a + twice_b - 2 * x
-            head = (twice_J + 1) * math.perm(twice_a, x) * factorial[twice_b - x] * factorial[twice_b]
-            for k in range(x, twice_b + 1):
-                den = (
-                    math.perm(twice_a + twice_b - x + 1, k + 1)
-                    * factorial[x]
-                    * factorial[k - x]
-                    * factorial[twice_b - k] ** 2
-                )
-                table[twice_b - x, k] = head / den
+    if len(twice_as) > 1 and (math.perm(max(twice_as) + twice_b + 1, twice_b + 1)
+                              * factorial[twice_b] ** 3 < _EXACT_FLOAT_INTEGERS):
+        tables = _float_table_stack(twice_b, np.array(twice_as, dtype=float))
+    else:
+        tables = np.zeros((len(twice_as), twice_b + 1, twice_b + 1))
+        for table, twice_a in zip(tables, twice_as):
+            for x in range(twice_b + 1):
+                twice_J = twice_a + twice_b - 2 * x
+                head = ((twice_J + 1) * math.perm(twice_a, x)
+                        * factorial[twice_b - x] * factorial[twice_b])
+                for k in range(x, twice_b + 1):
+                    den = (
+                        math.perm(twice_a + twice_b - x + 1, k + 1)
+                        * factorial[x]
+                        * factorial[k - x]
+                        * factorial[twice_b - k] ** 2
+                    )
+                    table[twice_b - x, k] = head / den
     tables.setflags(write=False)
     return tables
+
+
+def _float_table_stack(twice_b: int, twice_as: np.ndarray) -> np.ndarray:
+    """The tables of ``_table_stack`` for the larger spins ``twice_as`` (float64, one per
+    pair), with the row index i = 2b - x in place of x: the entry is
+
+        (2a-2b+2i+1) P(2a, 2b-i) i! (2b)! / [P(2a+i+1, k+1) (2b-i)! (i+k-2b)! ((2b-k)!)^2]
+
+    where i + k >= 2b, and 0 elsewhere.  Each P is one cumulative product of integer
+    factors along the pair axis; exact while ``_table_stack``'s bound holds."""
+    steps = np.arange(twice_b + 1.0)
+    factorial = np.ones(twice_b + 1)
+    np.multiply.accumulate(steps[1:], out=factorial[1:])
+    falling = np.ones((len(twice_as), twice_b + 1))  # P(2a, x), x = 0 .. 2b
+    np.multiply.accumulate(twice_as[:, None] - steps[:-1], axis=1, out=falling[:, 1:])
+    twice_J_plus_one = twice_as[:, None] + (1.0 - twice_b + 2.0 * steps)
+    head = twice_J_plus_one * falling[:, ::-1] * (factorial * factorial[-1])
+    i, k = np.ogrid[:twice_b + 1, :twice_b + 1]
+    nonzero = i + k >= twice_b
+    den = np.multiply.accumulate(twice_as[:, None, None] + (i + 1.0 - k), axis=2)
+    den *= (factorial[twice_b - i] * factorial[np.where(nonzero, i + k - twice_b, 0)]
+            * factorial[twice_b - k] ** 2)
+    return np.where(nonzero, head[:, :, None] / den, 0.0)
 
 
 def _likelihood_table(twice_b: int, twice_a: int) -> np.ndarray:
@@ -621,9 +662,12 @@ def _povm_weights(kind: str, twice_as, tables: np.ndarray) -> np.ndarray:
     ``POVM_KINDS`` for the stack ``tables`` of ``_likelihood_tables`` over the larger spins
     ``twice_as``.  "optimal" measures total spin.  "optimal-local" measures the larger spin a
     with coherent states and then the smaller spin b along the direction found; twirled, its
-    outcome m = b - k weighs block J by (2a+1)/(2J+1) T[J, k] / C(2b, k), the ratio a quotient
-    of Python integers for any a, and the last outcome, k = 2b, takes 1 minus the others;
-    checked by ``_checked_povm_weights``.  ValueError for "optimal-local" when b = 0."""
+    outcome m = b - k weighs block J by (2a+1)/(2J+1) T[J, k] / C(2b, k), and the last outcome,
+    k = 2b, takes 1 minus the others; checked by ``_checked_povm_weights``.  Each ratio is the
+    correctly rounded float of the integer quotient: one float64 division over a stack of more
+    than one pair whose 2a + 2b + 1 stays below 2^53, where both integers are exact floats, and
+    a quotient of Python integers otherwise, for any a.  ValueError for "optimal-local" when
+    b = 0."""
     if kind == "optimal":
         return np.broadcast_to(np.eye(tables.shape[1]), tables.shape)
     if kind != "optimal-local":
@@ -631,9 +675,13 @@ def _povm_weights(kind: str, twice_as, tables: np.ndarray) -> np.ndarray:
     twice_b = tables.shape[2] - 1
     if twice_b == 0:
         raise ValueError("the local POVM needs both spins to be at least 1/2")
-    ratios = np.fromiter(((twice_a + 1) / (twice_a - twice_b + 2 * i + 1)
-                          for twice_a in twice_as for i in range(twice_b + 1)),
-                         float, tables[..., 0].size).reshape(tables.shape[:2])
+    if len(twice_as) > 1 and max(twice_as) + twice_b + 1 < _EXACT_FLOAT_INTEGERS:
+        twice_a = np.array(twice_as, dtype=float)[:, None]
+        ratios = (twice_a + 1.0) / (twice_a + np.arange(1.0 - twice_b, twice_b + 2.0, 2.0))
+    else:
+        ratios = np.fromiter(((twice_a + 1) / (twice_a - twice_b + 2 * i + 1)
+                              for twice_a in twice_as for i in range(twice_b + 1)),
+                             float, tables[..., 0].size).reshape(tables.shape[:2])
     binomials = np.array([float(math.comb(twice_b, k)) for k in range(twice_b)])
     rest = (tables[..., :-1] / binomials).transpose(0, 2, 1) * ratios[:, None]
     return _checked_povm_weights(np.concatenate((rest, 1.0 - rest.sum(axis=1, keepdims=True)), 1))

@@ -264,7 +264,9 @@ class TestReport:
 
 CURVE_ORACLE_ARGVS = [
     ["--j-min", "1/2", "--j-max", "50", "--j-step", "1/2"],
+    ["--curves", "a,b,c,d"],
     ["--curves", "d,a"],
+    ["--j-min", "1/2", "--j-max", "5", "--j-step", "1/2", "--curves", "d,a"],
     ["--j-min", "1", "--j-max", "2", "--j-step", "5"],
     ["--j-min", "1e400", "--j-max", "1e400"],
 ]
@@ -836,6 +838,62 @@ class TestFlagsAndSpins:
                       f"threshold's limit 2j <= {PPT_TWICE_J_LIMIT}\n"
         code, _, err = run_cli(capsys, "ppt", "--j", f"1e{digits}")
         assert code == 2 and f"more than {digits} digits" in err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no limit on the digits of integer text")
+    @pytest.mark.parametrize("text", ["1e10000000", "1E+10000000", "1e-10000000", "2.5e1_000_000"])
+    def test_huge_exponent_is_refused_before_the_number_is_built(self, capsys, text):
+        # Fraction("1e10000000") builds 10**10000000: about 9 s before the command exited 2
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "ppt", "--j", text)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        digits = sys.get_int_max_str_digits()
+        assert err.splitlines()[-1] == (f"relangle ppt: error: argument --j: spin {text!r} has "
+                                        f"more than {digits} digits, past Python's limit for "
+                                        "integer text")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no limit on the digits of integer text")
+    def test_exponent_up_to_twice_the_limit_is_read_as_before(self, capsys):
+        # a long fraction part can cancel such an exponent, so the value decides
+        digits = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "ppt", "--j", f"0.{'0' * (digits - 1)}1e{2 * digits}")
+        assert code == 2 and f"spin 1e+{digits} has more than {digits} digits" in err
+        code, out, err = run_cli(capsys, "ppt", "--j", f"0.{'0' * (digits - 1)}2e{digits + 1}")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["j"] == "20"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["simulate", "--j1", "1/2", "--j2", "1/2", "--prior", "pap", "--n", "9" * 5000],
+             "argument --n: n must be an integer, got '99999999999999999999'... "
+             "(5000 characters)"),
+            (["simulate", "--j1", "1/2", "--j2", "1/2", "--prior", "pap", "--n", "9" * 4000],
+             "argument --n: n must lie in [1, 2**53], got 1e+4000"),
+            (["simulate", "--j1", "1/2", "--j2", "1/2", "--prior", "pap", "--seed", "9" * 5000],
+             "argument --seed: seed must be an integer, got '99999999999999999999'... "
+             "(5000 characters)"),
+            (["ppt", "--j", "9" * 5000],
+             "argument --j: cannot parse spin value '99999999999999999999'... (5000 characters)"),
+            (["probs", "--j1", "1", "--j2", "x" * 3000],
+             "argument --j2: cannot parse spin value 'xxxxxxxxxxxxxxxxxxxx'... (3000 characters)"),
+            (["probs", "--j1", "1", "--j2", "1", "--alpha", "p" * 3000],
+             "argument --alpha: cannot parse angle 'pppppppppppppppppppp'... (3000 characters)"),
+            (["curve", "--curves", "z," * 3000],
+             "argument --curves: curves must be a comma-separated subset of a,b,c,d, got "
+             "'z,z,z,z,z,z,z,z,z,z,'... (6000 characters)"),
+        ],
+    )
+    def test_long_argument_is_refused_in_one_short_line(self, capsys, argv, message):
+        # each message once echoed the whole argument: 3,180 to 5,252 bytes of stderr
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ") and err.count(": error: ") == 1
+        line = err.splitlines()[-1]
+        assert line == f"relangle {argv[0]}: error: {message}"
+        assert len(line.encode()) < 200
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,6 +3,7 @@ import decimal
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from relangle.estimation import (
     _likelihood_tables,
     _make_povm,
     _make_prior,
+    _povm_weights,
     _quad_rule,
     _stacked,
 )
@@ -821,15 +823,78 @@ class TestQuadRule:
         assert time.perf_counter() - start < 0.5
 
 
+def rational_tables(twice_b, twice_as):
+    """T[J, k] of ``_table_stack``, each entry the correctly rounded float of its Fraction:
+    (2J+1) P(2a, x) (2b-x)! (2b)! / [P(2a+2b-x+1, k+1) x! (k-x)! ((2b-k)!)^2], x = a + b - J."""
+    factorial = math.factorial
+    tables = np.zeros((len(twice_as), twice_b + 1, twice_b + 1))
+    for table, twice_a in zip(tables, twice_as):
+        for x in range(twice_b + 1):
+            for k in range(x, twice_b + 1):
+                head = ((twice_a + twice_b - 2 * x + 1) * math.perm(twice_a, x)
+                        * factorial(twice_b - x) * factorial(twice_b))
+                den = (math.perm(twice_a + twice_b - x + 1, k + 1) * factorial(x)
+                       * factorial(k - x) * factorial(twice_b - k) ** 2)
+                table[twice_b - x, k] = float(Fraction(head, den))
+    return tables
+
+
+def largest_float_fit(twice_b):
+    """The largest 2a with P(2a+2b+1, 2b+1) ((2b)!)^3 below 2^53, by bisection."""
+    def fits(twice_a):
+        return math.perm(twice_a + twice_b + 1, twice_b + 1) * math.factorial(twice_b) ** 3 < 2**53
+
+    low, high = twice_b, 2**53
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if fits(middle) else (low, middle)
+    return low
+
+
+def float_fit_stacks():
+    """(2b, stack, whether the float arrays evaluate it): stacks just below and just past the
+    bound for 2b = 1, 2, 3, two pairs at 10^400 and the empty stack."""
+    cases = []
+    for twice_b in (1, 2, 3):
+        top = largest_float_fit(twice_b)
+        cases += [pytest.param(twice_b, (top - 1, top), True, id=f"2b={twice_b}-below"),
+                  pytest.param(twice_b, (twice_b, twice_b + 1, top), True, id=f"2b={twice_b}-from-b"),
+                  pytest.param(twice_b, (top, top + 1), False, id=f"2b={twice_b}-straddle"),
+                  pytest.param(twice_b, (top + 1, top + 2), False, id=f"2b={twice_b}-past")]
+    return cases + [pytest.param(1, (2 * 10**400, 2 * 10**400 + 1), False, id="j=1e400"),
+                    pytest.param(3, (), False, id="empty")]
+
+
 class TestLikelihoodTables:
-    @pytest.mark.parametrize("twice_b", [1, 2, 7])
+    @pytest.mark.parametrize("twice_b", [1, 2, 3, 7])
     def test_stack_equals_one_table_per_pair_bit_for_bit(self, twice_b):
+        # a stack of 2b <= 3 is evaluated in float arrays, each single table in Python integers
         twice_as = [twice_b, twice_b + 1, 2 * twice_b + 3, 64, 999, 1000]
         stack = _likelihood_tables(twice_b, twice_as)
         single = np.stack([_likelihood_table(twice_b, twice_a) for twice_a in twice_as])
         assert stack.shape == (len(twice_as), twice_b + 1, twice_b + 1)
-        assert np.array_equal(stack, single)
+        assert stack.tobytes() == single.tobytes()
         assert not stack.flags.writeable
+
+    @pytest.mark.parametrize("twice_b,twice_as,in_floats", float_fit_stacks())
+    def test_tables_are_the_correctly_rounded_rationals(self, monkeypatch, twice_b, twice_as,
+                                                        in_floats):
+        estimation_module._table_stack.cache_clear()
+        built = []
+        float_stack = estimation_module._float_table_stack
+        monkeypatch.setattr(estimation_module, "_float_table_stack",
+                            lambda *args: built.append(args) or float_stack(*args))
+        tables = _likelihood_tables(twice_b, twice_as)
+        assert len(built) == in_floats
+        assert tables.shape == (len(twice_as), twice_b + 1, twice_b + 1)
+        assert tables.tobytes() == rational_tables(twice_b, twice_as).tobytes()
+        # the local POVM's ratios: one float division over the stack, or Python-integer
+        # quotients one pair at a time, as for a single pair
+        weights = _povm_weights("optimal-local", twice_as, tables)
+        single = [_povm_weights("optimal-local", (twice_a,), table[None])
+                  for twice_a, table in zip(twice_as, tables)]
+        assert weights.tobytes() == b"".join(w.tobytes() for w in single)
+        estimation_module._table_stack.cache_clear()
 
     def test_one_cache_for_stacks_and_single_tables(self):
         stack = _likelihood_tables(3, [7, 9])
