@@ -155,6 +155,23 @@ def _curves_type(text: str) -> tuple[str, ...]:
     return tuple(letter for letter in "abcd" if letter in letters)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose own errors quote the arguments through ``_shown``: an invalid
+    choice, and the unrecognized arguments, as one text."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {_shown(value)} "
+                                                 f"(choose from {choices})")
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {_shown(' '.join(extras))}")
+        return parsed
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and reused: parsing does not change it.
@@ -171,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario = argparse.ArgumentParser(add_help=False, parents=[common, pair])
     scenario.add_argument("--prior", choices=("pap", "uniform"), required=True)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relangle",
         description="Estimation of the relative angle between two spin systems",
     )

@@ -89,12 +89,14 @@ def _legendre_series(n: int, series: np.ndarray, theta: np.ndarray) -> np.ndarra
     waves[0] = np.exp(1j * n * theta)
     waves[1:] = np.exp(-2j * theta)
     # np.cumprod without its Python wrapper, which costs more than the product on the few
-    # waves of the small rules that the LOCC design builds on every call
+    # waves of the small rules that the LOCC design builds
     return series @ np.multiply.accumulate(waves, out=waves)
 
 
+@lru_cache(maxsize=64)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss-Legendre rule on [-1, 1], n >= 1: increasing nodes, and weights.
+    """The n-node Gauss-Legendre rule on [-1, 1], n >= 1: increasing nodes, and weights,
+    read-only and cached on n (the LOCC design asks for a few small rules again and again).
 
     The nodes are found in theta, x = cos(theta), on the cosine series
     P_n(cos t) = sum_k a_k a_(n-k) cos((n - 2k) t), a_k = C(2k, k) / 4^k, whose terms
@@ -129,7 +131,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.cos(theta) + np.sin(theta) * (p / slope)
     w = 2.0 / slope**2
     middle = n % 2
-    return np.concatenate((-x, x[::-1][middle:])), np.concatenate((w, w[::-1][middle:]))
+    rule = np.concatenate((-x, x[::-1][middle:])), np.concatenate((w, w[::-1][middle:]))
+    for array in rule:
+        array.setflags(write=False)
+    return rule
 
 
 @lru_cache(maxsize=16)

@@ -896,6 +896,36 @@ class TestFlagsAndSpins:
         assert len(line.encode()) < 200
 
     @pytest.mark.parametrize(
+        ("argv", "line"),
+        [
+            (["report", "--j1", "1", "--j2", "1", "--prior", "x" * 3000, "--povm", "optimal"],
+             "relangle report: error: argument --prior: invalid choice: "
+             "'xxxxxxxxxxxxxxxxxxxx'... (3000 characters) (choose from 'pap', 'uniform')"),
+            (["ppt", "--j", "1", "x" * 3000],
+             "relangle: error: unrecognized arguments: 'xxxxxxxxxxxxxxxxxxxx'... (3000 characters)"),
+            (["ppt", "--j", "1", *["x"] * 3000],
+             "relangle: error: unrecognized arguments: 'x x x x x x x x x x '... (5999 characters)"),
+            (["x" * 3000],
+             "relangle: error: argument command: invalid choice: 'xxxxxxxxxxxxxxxxxxxx'... "
+             "(3000 characters) (choose from 'probs', 'report', 'curve', 'ppt', 'simulate')"),
+        ],
+    )
+    def test_argparse_errors_quote_a_long_argument_in_one_short_line(self, capsys, argv, line):
+        # argparse's own messages once echoed the whole argument: 3,101 to 3,216 bytes of stderr
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ") and err.count(": error: ") == 1
+        assert err.splitlines()[-1] == line
+        assert len(err.encode()) < 400
+
+    def test_argparse_errors_quote_a_short_argument_whole(self, capsys):
+        code, _, err = run_cli(capsys, "report", "--j1", "1", "--j2", "1", "--prior", "pap",
+                               "--povm", "joint")
+        assert code == 2
+        assert err.splitlines()[-1] == ("relangle report: error: argument --povm: invalid choice: "
+                                        "'joint' (choose from 'optimal', 'local')")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["report", "--j1", "1/2", "--j2", "1/2", "--prior", "pap", "--povm", "optimal",

@@ -30,7 +30,7 @@ from relangle import (
     total_j_values,
     werner_state,
 )
-from relangle.angular import Direction, _coherent_amplitudes
+from relangle.angular import Direction
 from relangle.estimation import _gauss_legendre, _make_povm
 from relangle.locc import _protocol_elements, _sixj
 from relangle.states import InvariantState, product_coherent_pair
@@ -87,43 +87,42 @@ def exact_sixj(twice_j1, twice_j2, twice_J, twice_K) -> Fraction:
     return delta_squared(j1, j2, J) * delta_squared(j1, j2, K) * total
 
 
+def probe_rows(config, k) -> np.ndarray:
+    """Rows of the protocol's element k, for m = b - k, built here from its frame rows:
+    R_r|b, m> (x) v_r, with R_r the rotation of the probe to direction Omega_r, found from the
+    product design in the order of ``_protocol_elements`` (nodes, then meridians)."""
+    count = config.j.twice_j + 1
+    cosines, _ = _gauss_legendre(config.j.twice_j // 2 + 1)
+    phis = config.plane_phi + 2.0 * math.pi * np.arange(count) / count
+    rotations = [Rotation(phi, math.acos(x), 0.0) for x in cosines.tolist() for phi in phis.tolist()]
+    return np.array([np.kron(rotation_matrix(config.probe, rotation)[:, k], row)
+                     for rotation, row in zip(rotations, _protocol_elements(config), strict=True)])
+
+
 def dense_protocol_statistics(config, alpha) -> list[float]:
     """The dense oracle: Tr(E_k rho) for the protocol's elements, built densely from
-    their frame rows, and the pair's orientation-averaged state at relative angle
-    alpha, rebuilt as a dense matrix."""
-    weights = outcome_probabilities(HALF, config.j, alpha)
-    rho = InvariantState(HALF, config.j, weights).reconstruct().matrix
-    aligned, frame = (rows.T @ rows.conj() for rows in _protocol_elements(config))
-    total = np.kron(np.eye(2), frame)
-    return [float(np.trace(element @ rho).real) for element in (aligned, total - aligned)]
+    ``probe_rows``, and the pair's orientation-averaged state at relative angle alpha,
+    rebuilt as a dense matrix."""
+    weights = outcome_probabilities(config.probe, config.j, alpha)
+    rho = InvariantState(config.probe, config.j, weights).reconstruct().matrix
+    element_rows = (probe_rows(config, k) for k in range(config.probe.dimension))
+    return [float(np.trace(rows.T @ rows.conj() @ rho).real) for rows in element_rows]
 
 
 # (2b, 2a): local measurements of a probe b <= a, equal spins and half-integers included
 LOCAL_PAIRS = [(1, 1), (1, 4), (2, 2), (2, 5), (3, 3), (4, 4), (4, 8), (5, 6)]
 
 
-def dense_local_weights(twice_b, twice_a) -> np.ndarray:
-    """The dense oracle for the local POVM of (b, a): the spin a is measured with coherent
-    states along the product design of ``LoccProtocolConfig``, and the spin b along each
-    direction found, with its rotation matrix.  Element k, for m = b - k, is
-    sum_Omega c |b m; Omega><b m; Omega| (x) |a Omega><a Omega|, with the frame weights c of
-    ``_protocol_elements``; its rows are reduced to Tr(Pi_J E_k) / (2J + 1)."""
-    b, a = SpinQuantumNumber(twice_b), SpinQuantumNumber(twice_a)
-    cosines, weights = _gauss_legendre(twice_a // 2 + 1)
-    phis = 2.0 * math.pi * np.arange(twice_a + 1) / (twice_a + 1)
-    directions = [(math.acos(x), phi, math.sqrt(0.5 * w)) for x, w in zip(cosines, weights)
-                  for phi in phis.tolist()]
-    blocks = decomposition(b, a)
+def dense_local_weights(twice_b, twice_a, plane_phi=0.0) -> np.ndarray:
+    """The dense oracle for the local POVM of (b, a), the dense twirl of the protocol's own
+    rows: the spin a is measured with coherent states along the product design of
+    ``LoccProtocolConfig``, and the spin b along each direction found.  Element k, for
+    m = b - k, has the rows ``probe_rows``, reduced to Tr(Pi_J E_k) / (2J + 1)."""
+    config = LoccProtocolConfig(SpinQuantumNumber(twice_a), plane_phi, SpinQuantumNumber(twice_b))
+    blocks = decomposition(config.probe, config.j)
     sizes = np.array([J.dimension for J in blocks.j_values])
-    elements = []
-    for k in range(twice_b + 1):
-        rows = np.array([
-            np.kron(rotation_matrix(b, Rotation(phi, theta, 0.0))[:, k],
-                    scale * _coherent_amplitudes(twice_a, theta, phi))
-            for theta, phi, scale in directions
-        ])
-        elements.append(blocks._rank_one_block_probabilities(rows) / sizes)
-    return np.array(elements)
+    return np.array([blocks._rank_one_block_probabilities(probe_rows(config, k)) / sizes
+                     for k in range(twice_b + 1)])
 
 
 class TestPartialTranspose:
@@ -304,8 +303,8 @@ class TestLoccProtocol:
     @pytest.mark.parametrize("plane_phi", [0.0, 2.3])
     @pytest.mark.parametrize("twice_j", [*range(1, 11), 20, 40, LOCC_TWICE_J_LIMIT])
     def test_reaches_the_optimal_local_povm(self, twice_j, plane_phi):
-        # the design's frame sums to the identity, so the twirled protocol is
-        # the optimal local POVM at every j, not only at j = 1/2
+        # the design's frame sums to the identity, so the twirled protocol is the optimal
+        # local POVM at every j, not only at j = 1/2; max_deviation is max |F - I|
         config = LoccProtocolConfig(SpinQuantumNumber(twice_j), plane_phi)
         for alpha in np.linspace(0.0, math.pi, 9):
             stats = locc_protocol_statistics(config, float(alpha))
@@ -327,6 +326,22 @@ class TestLoccProtocol:
             aligned, antialigned = dense_protocol_statistics(config, float(alpha))
             assert abs(stats.aligned - aligned) <= 1e-13
             assert abs(stats.antialigned - antialigned) <= 1e-13
+
+    @pytest.mark.parametrize("plane_phi", [0.0, 1.9])
+    @pytest.mark.parametrize(("twice_b", "twice_j"), [(2, 2), (2, 5), (3, 3), (3, 4)])
+    def test_larger_probe_matches_the_dense_twirl(self, twice_b, twice_j, plane_phi):
+        # the protocol's weights come from the closed form; the dense twirl of its own rows,
+        # and the dense trace of its elements, check them for probes b = 1 and 3/2
+        config = LoccProtocolConfig(SpinQuantumNumber(twice_j), plane_phi, SpinQuantumNumber(twice_b))
+        weights = dense_local_weights(twice_b, twice_j, plane_phi)
+        for alpha in np.linspace(0.0, math.pi, 9).tolist():
+            stats = locc_protocol_statistics(config, alpha)
+            assert stats.labels == _make_povm("optimal-local", config.probe, config.j).labels
+            blocks = outcome_probabilities(config.probe, config.j, alpha)
+            twirled = weights @ [blocks[J] for J in sorted(blocks)]
+            assert np.max(np.abs(np.array(stats.probabilities) - twirled)) <= 1e-13
+            dense = dense_protocol_statistics(config, alpha)
+            assert np.max(np.abs(np.array(stats.probabilities) - dense)) <= 1e-13
 
     @pytest.mark.parametrize("twice_j", [2, 5, 10])
     def test_frame_operator_checked(self, monkeypatch, twice_j):
@@ -352,7 +367,23 @@ class TestLoccProtocol:
             LoccProtocolConfig(0)
 
     def test_config_fields(self):
-        assert [field.name for field in dataclasses.fields(LoccProtocolConfig)] == ["j", "plane_phi"]
+        assert [field.name for field in dataclasses.fields(LoccProtocolConfig)] == [
+            "j", "plane_phi", "probe"]
+
+    def test_config_positional_call_keeps_the_spin_half_probe(self):
+        config = LoccProtocolConfig(spin(2), 0.7)
+        assert (config.j, config.plane_phi, config.probe) == (spin(2), 0.7, HALF)
+        assert config == LoccProtocolConfig(spin(2), plane_phi=0.7, probe="1/2")
+        assert locc_protocol_statistics(config, 1.0).labels == ("aligned", "antialigned")
+
+    @pytest.mark.parametrize(("probe", "message"), [
+        (0, "probe spin must be at least 1/2"),
+        ("3/2", "probe spin 3/2 is larger than j = 1"),
+        (10**400, "probe spin 1e[+]400 is larger than j = 1"),
+    ])
+    def test_config_refuses_a_probe_of_zero_or_past_j(self, probe, message):
+        with pytest.raises(ValueError, match=message):
+            LoccProtocolConfig(spin(1), 0.0, probe)
 
     @pytest.mark.parametrize("j", [1, "1/2", Fraction(3, 2)])
     def test_config_coerces_j_with_spin(self, j):
@@ -370,7 +401,7 @@ class TestLoccProtocol:
 
     @pytest.mark.parametrize("twice_j", [1, 4, 7])
     def test_local_povm_built_once_per_call(self, monkeypatch, twice_j):
-        # the protocol's outcomes and the reference statistics come from one optimal local POVM
+        # the protocol's outcomes come from one optimal local POVM, built once per call
         config, calls = LoccProtocolConfig(SpinQuantumNumber(twice_j), 0.4), []
         expected = locc_protocol_statistics(config, 0.9)
         make_povm = estimation_module._make_povm
@@ -379,7 +410,7 @@ class TestLoccProtocol:
             calls.append(args)
             return make_povm(*args)
 
-        monkeypatch.setattr(estimation_module, "_make_povm", counted)
+        monkeypatch.setattr(locc_module, "_make_povm", counted)
         stats = locc_protocol_statistics(config, 0.9)
         assert dataclasses.astuple(stats) == dataclasses.astuple(expected)
         assert len(calls) == 1
