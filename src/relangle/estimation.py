@@ -93,10 +93,8 @@ def _legendre_series(n: int, series: np.ndarray, theta: np.ndarray) -> np.ndarra
     return series @ np.multiply.accumulate(waves, out=waves)
 
 
-@lru_cache(maxsize=64)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss-Legendre rule on [-1, 1], n >= 1: increasing nodes, and weights,
-    read-only and cached on n (the LOCC design asks for a few small rules again and again).
+    """The n-node Gauss-Legendre rule on [-1, 1], n >= 1: increasing nodes, and weights.
 
     The nodes are found in theta, x = cos(theta), on the cosine series
     P_n(cos t) = sum_k a_k a_(n-k) cos((n - 2k) t), a_k = C(2k, k) / 4^k, whose terms
@@ -131,10 +129,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.cos(theta) + np.sin(theta) * (p / slope)
     w = 2.0 / slope**2
     middle = n % 2
-    rule = np.concatenate((-x, x[::-1][middle:])), np.concatenate((w, w[::-1][middle:]))
-    for array in rule:
-        array.setflags(write=False)
-    return rule
+    return np.concatenate((-x, x[::-1][middle:])), np.concatenate((w, w[::-1][middle:]))
 
 
 @lru_cache(maxsize=16)

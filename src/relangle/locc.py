@@ -1,28 +1,29 @@
-"""Local measurement machinery for a probe spin b paired with a larger spin j.
+"""Local measurement machinery for a spin-1/2 paired with a larger spin j.
 
 Covers partial transposition and negativity, the partial-transpose spectrum
 of any rotationally invariant operator in closed form (6j symbols), the
 separability (PPT) threshold of the invariant two-outcome family that it
-gives exactly, and the local protocol, in which the large spin is measured
-with coherent states whose directions form a spherical design of strength
-2j, and the probe along the reported direction.  Each term of its outcome-m
-element is a collective rotation of |j, j> (x) |b, m>, which the twirl over
-collective rotations ignores, so for any design the twirled element weighs
-block J by (2j+1)/(2J+1) T[J, k] / C(2b, k), k = b - m: the closed form of
-the optimal local POVM of ``estimation``.  The design adds one fact, that its
-frame operator is the identity, which makes the elements complete; the
-protocol checks that fact and is then that POVM.
+gives exactly, and the aligned/anti-aligned local protocol, in which the
+large spin is measured with coherent states whose directions form a
+spherical design of strength 2j, and the spin-1/2 along the reported
+direction.  Each term of its aligned element is a collective rotation of
+|j, j> (x) |1/2, 1/2>, which the twirl over collective rotations ignores, so
+for any design the twirled element weighs block J by the closed form of the
+optimal local POVM of ``estimation``, (2j+1)/(2J+1) T[J, 0].  The design adds
+one fact, that its frame operator is the identity, which makes the elements
+complete; the protocol checks that fact and is then that POVM.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .angular import SpinQuantumNumber, _brief, _coherent_amplitudes, spin
 from .coupling import _total_js
 from .errors import CapacityError, ConsistencyError
-from .estimation import RotInvariantPovm, _gauss_legendre, _make_povm, povm_outcome_probabilities
+from .estimation import RotInvariantPovm, _gauss_legendre, optimal_local_povm, povm_outcome_probabilities
 
 __all__ = [
     "PartialTransposeResult",
@@ -167,60 +168,48 @@ def ppt_threshold(j) -> float:
 
 @dataclass(frozen=True)
 class LoccProtocolConfig:
-    """The local protocol for (probe, j).  Its coherent-state directions are a product design:
+    """The local protocol for (1/2, j).  Its coherent-state directions are a product design:
     floor(j) + 1 Gauss-Legendre nodes in cos(theta) times 2j + 1 meridians equally spaced in
-    azimuth from ``plane_phi``; the probe is measured along the direction found.  ``j`` and
-    ``probe`` are coerced with ``spin``; j = 0, a probe of 0 or larger than j, or a non-finite
+    azimuth from ``plane_phi``.  ``j`` is coerced with ``spin``; j = 0 or a non-finite
     ``plane_phi`` raises ValueError, and 2j past ``LOCC_TWICE_J_LIMIT`` CapacityError.
     """
 
     j: SpinQuantumNumber
     plane_phi: float = 0.0
-    probe: SpinQuantumNumber = SpinQuantumNumber(1)
 
     def __post_init__(self):
         object.__setattr__(self, "j", spin(self.j))
-        object.__setattr__(self, "probe", spin(self.probe))
         if self.j.twice_j == 0:
             raise ValueError("the larger spin must be at least 1/2")
         if self.j.twice_j > LOCC_TWICE_J_LIMIT:
             raise CapacityError(f"spin j = {_brief(self.j)} (2j = {_brief(self.j.twice_j)}) "
                                 f"exceeds the LOCC protocol's limit 2j <= {LOCC_TWICE_J_LIMIT}")
-        if self.probe.twice_j == 0:
-            raise ValueError("the probe spin must be at least 1/2")
-        if self.probe > self.j:
-            raise ValueError(f"the probe spin {_brief(self.probe)} is larger than j = {self.j}")
         if not math.isfinite(self.plane_phi):
             raise ValueError(f"plane_phi must be finite, got {self.plane_phi}")
 
 
 @dataclass(frozen=True, eq=False)
 class ProtocolStatistics:
-    """Outcome probabilities of the local protocol at one angle, one per outcome ``labels``:
-    aligned (m = b), m=<m>, antialigned (m = -b), for the probe's m along the direction found.
+    """Aligned/anti-aligned probabilities of the local protocol at one angle.
 
     Twirled, the protocol is the closed-form optimal local POVM of ``estimation``, so these
-    are that POVM's probabilities, and ``reference_aligned`` and ``reference_antialigned``,
-    the closed form's, are the same numbers.  ``max_deviation`` is what the design adds:
-    max |F - I| over the entries of its frame operator F.  It bounds how far the protocol as
-    built is from the closed form, since its twirled weights are the closed form times
-    tr F / (2j + 1).
+    are that POVM's probabilities.  ``max_deviation`` is what the design adds: max |F - I|
+    over the entries of its frame operator F.  It bounds how far the protocol as built is
+    from the closed form, since its twirled weights are the closed form times tr F / (2j + 1).
     """
 
-    labels: tuple[str, ...]
-    probabilities: tuple[float, ...]
+    aligned: float
+    antialigned: float
     max_deviation: float
 
-    @property
-    def aligned(self) -> float:
-        return self.probabilities[0]
 
-    @property
-    def antialigned(self) -> float:
-        return self.probabilities[-1]
-
-    reference_aligned = aligned
-    reference_antialigned = antialigned
+@lru_cache(maxsize=LOCC_TWICE_J_LIMIT // 2 + 1)
+def _design_rule(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_gauss_legendre(node_count)``, read-only: the design's polar rule, one per j."""
+    rule = _gauss_legendre(node_count)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
 
 
 def _protocol_elements(config: LoccProtocolConfig) -> np.ndarray:
@@ -230,11 +219,11 @@ def _protocol_elements(config: LoccProtocolConfig) -> np.ndarray:
     weight of cos(theta_a).  F = sum (2j + 1) c |Omega><Omega| is the identity: the azimuths
     cancel its off-diagonal entries, and the nodes integrate each diagonal entry, a
     polynomial of degree 2j in cos(theta), exactly.  The rows are sqrt((2j + 1) c) |j, Omega>.
-    Element k, sum_r R_r|b, b-k><b, b-k|R_r^dagger (x) |v_r><v_r| with R_r the rotation to
-    Omega_r, twirls to the closed form times tr F / (2j + 1), so it is not built.
+    The aligned element, sum_r |1/2, Omega_r><1/2, Omega_r| (x) |v_r><v_r|, twirls to the
+    closed form times tr F / (2j + 1), so it is not built.
     """
     count = config.j.twice_j + 1
-    cosines, weights = _gauss_legendre(config.j.twice_j // 2 + 1)
+    cosines, weights = _design_rule(config.j.twice_j // 2 + 1)
     phis = config.plane_phi + 2.0 * math.pi * np.arange(count)[:, None] / count  # one row each
     return np.concatenate([math.sqrt(0.5 * w) * _coherent_amplitudes(config.j.twice_j, theta, phis)
                            for theta, w in zip(np.arccos(cosines).tolist(), weights.tolist())])
@@ -242,7 +231,7 @@ def _protocol_elements(config: LoccProtocolConfig) -> np.ndarray:
 
 def _protocol_povm(config: LoccProtocolConfig) -> tuple[RotInvariantPovm, float]:
     """The protocol as the invariant POVM it is once the state is averaged over rotations,
-    the optimal local POVM of (probe, j), and max |F - I|.  ConsistencyError unless F is the
+    the optimal local POVM of (1/2, j), and max |F - I|.  ConsistencyError unless F is the
     identity within 1e-12 in every entry: only then do the elements sum to the identity.
     """
     frame = _protocol_elements(config)
@@ -250,12 +239,12 @@ def _protocol_povm(config: LoccProtocolConfig) -> tuple[RotInvariantPovm, float]
     if not residual <= 1e-12:
         raise ConsistencyError(f"the coherent-state frame for j = {config.j} misses the identity "
                                f"by {residual:.3g}")
-    return _make_povm("optimal-local", config.probe, config.j), residual
+    return optimal_local_povm(config.j), residual
 
 
 def locc_protocol_statistics(config: LoccProtocolConfig, alpha: float) -> ProtocolStatistics:
-    """Protocol outcome probabilities for a product pair (probe, j) at relative angle alpha,
+    """Protocol outcome probabilities for a product pair (1/2, j) at relative angle alpha,
     averaged over the collective orientation, with the frame check's residual."""
     povm, residual = _protocol_povm(config)
-    probabilities = povm_outcome_probabilities(povm, [alpha])[:, 0]
-    return ProtocolStatistics(povm.labels, tuple(probabilities.tolist()), residual)
+    aligned, antialigned = povm_outcome_probabilities(povm, [alpha])[:, 0].tolist()
+    return ProtocolStatistics(aligned, antialigned, residual)

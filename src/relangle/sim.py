@@ -107,9 +107,6 @@ def _prior_sampler(prior):
     the mixture sum_k (b_k / (n + 1)) Beta(k + 1, n - k + 1): it picks its component k the
     same way, draws G1 ~ Gamma(k + 1) and G2 ~ Gamma(n - k + 1), and returns
     alpha = 2 atan2(sqrt(G1), sqrt(G2)), whose s is G1 / (G1 + G2) with no 1 - s formed.
-    At degree 0, the uniform prior, every shape is 1, and the scalar shape 1.0 draws the
-    same Gammas as an array of them, in about half the time; the pick stays, so that the
-    generator's stream does not move.
     """
     if isinstance(prior, DiscreteAngleDistribution):
         cumulative = np.cumsum(prior.weights)
@@ -124,10 +121,7 @@ def _prior_sampler(prior):
 
         def draw(rng, size):
             k = _pick(cumulative, rng, size)
-            if n:
-                first, second = rng.standard_gamma(k + 1.0), rng.standard_gamma(n + 1.0 - k)
-            else:
-                first, second = rng.standard_gamma(1.0, size), rng.standard_gamma(1.0, size)
+            first, second = rng.standard_gamma(k + 1.0), rng.standard_gamma(n + 1.0 - k)
             return 2.0 * np.arctan2(np.sqrt(first), np.sqrt(second))
 
         return draw

@@ -31,7 +31,7 @@ from relangle import (
     werner_state,
 )
 from relangle.angular import Direction
-from relangle.estimation import _gauss_legendre, _make_povm
+from relangle.estimation import _gauss_legendre, _make_povm, povm_outcome_probabilities
 from relangle.locc import _protocol_elements, _sixj
 from relangle.states import InvariantState, product_coherent_pair
 
@@ -87,25 +87,28 @@ def exact_sixj(twice_j1, twice_j2, twice_J, twice_K) -> Fraction:
     return delta_squared(j1, j2, J) * delta_squared(j1, j2, K) * total
 
 
-def probe_rows(config, k) -> np.ndarray:
-    """Rows of the protocol's element k, for m = b - k, built here from its frame rows:
-    R_r|b, m> (x) v_r, with R_r the rotation of the probe to direction Omega_r, found from the
-    product design in the order of ``_protocol_elements`` (nodes, then meridians)."""
+def probe_rows(twice_b, config, k) -> np.ndarray:
+    """Rows of element k, for m = b - k, of the protocol with a probe spin b in place of the
+    spin-1/2, built here from its frame rows: R_r|b, m> (x) v_r, with R_r the rotation of the
+    probe to direction Omega_r, found from the product design in the order of
+    ``_protocol_elements`` (nodes, then meridians)."""
     count = config.j.twice_j + 1
     cosines, _ = _gauss_legendre(config.j.twice_j // 2 + 1)
     phis = config.plane_phi + 2.0 * math.pi * np.arange(count) / count
     rotations = [Rotation(phi, math.acos(x), 0.0) for x in cosines.tolist() for phi in phis.tolist()]
-    return np.array([np.kron(rotation_matrix(config.probe, rotation)[:, k], row)
+    probe = SpinQuantumNumber(twice_b)
+    return np.array([np.kron(rotation_matrix(probe, rotation)[:, k], row)
                      for rotation, row in zip(rotations, _protocol_elements(config), strict=True)])
 
 
-def dense_protocol_statistics(config, alpha) -> list[float]:
-    """The dense oracle: Tr(E_k rho) for the protocol's elements, built densely from
-    ``probe_rows``, and the pair's orientation-averaged state at relative angle alpha,
-    rebuilt as a dense matrix."""
-    weights = outcome_probabilities(config.probe, config.j, alpha)
-    rho = InvariantState(config.probe, config.j, weights).reconstruct().matrix
-    element_rows = (probe_rows(config, k) for k in range(config.probe.dimension))
+def dense_protocol_statistics(config, alpha, twice_b=1) -> list[float]:
+    """The dense oracle: Tr(E_k rho) for the elements of the protocol with probe b, built
+    densely from ``probe_rows``, and the pair's orientation-averaged state at relative angle
+    alpha, rebuilt as a dense matrix."""
+    probe = SpinQuantumNumber(twice_b)
+    weights = outcome_probabilities(probe, config.j, alpha)
+    rho = InvariantState(probe, config.j, weights).reconstruct().matrix
+    element_rows = (probe_rows(twice_b, config, k) for k in range(twice_b + 1))
     return [float(np.trace(rows.T @ rows.conj() @ rho).real) for rows in element_rows]
 
 
@@ -115,13 +118,13 @@ LOCAL_PAIRS = [(1, 1), (1, 4), (2, 2), (2, 5), (3, 3), (4, 4), (4, 8), (5, 6)]
 
 def dense_local_weights(twice_b, twice_a, plane_phi=0.0) -> np.ndarray:
     """The dense oracle for the local POVM of (b, a), the dense twirl of the protocol's own
-    rows: the spin a is measured with coherent states along the product design of
+    frame rows: the spin a is measured with coherent states along the product design of
     ``LoccProtocolConfig``, and the spin b along each direction found.  Element k, for
     m = b - k, has the rows ``probe_rows``, reduced to Tr(Pi_J E_k) / (2J + 1)."""
-    config = LoccProtocolConfig(SpinQuantumNumber(twice_a), plane_phi, SpinQuantumNumber(twice_b))
-    blocks = decomposition(config.probe, config.j)
+    config = LoccProtocolConfig(SpinQuantumNumber(twice_a), plane_phi)
+    blocks = decomposition(SpinQuantumNumber(twice_b), config.j)
     sizes = np.array([J.dimension for J in blocks.j_values])
-    return np.array([blocks._rank_one_block_probabilities(probe_rows(config, k)) / sizes
+    return np.array([blocks._rank_one_block_probabilities(probe_rows(twice_b, config, k)) / sizes
                      for k in range(twice_b + 1)])
 
 
@@ -314,8 +317,7 @@ class TestLoccProtocol:
         # reference weight at alpha = 0 is 1/(2j+2) of the top block
         j = spin(1)
         stats = locc_protocol_statistics(LoccProtocolConfig(j), 0.0)
-        assert abs(stats.reference_antialigned - 0.25) < 1e-14
-        assert abs(stats.antialigned - stats.reference_antialigned) <= stats.max_deviation
+        assert abs(stats.antialigned - 0.25) < 1e-14
 
     @pytest.mark.parametrize("plane_phi", [0.0, 0.77])
     @pytest.mark.parametrize("twice_j", [1, 2, 3, 4])
@@ -329,19 +331,18 @@ class TestLoccProtocol:
 
     @pytest.mark.parametrize("plane_phi", [0.0, 1.9])
     @pytest.mark.parametrize(("twice_b", "twice_j"), [(2, 2), (2, 5), (3, 3), (3, 4)])
-    def test_larger_probe_matches_the_dense_twirl(self, twice_b, twice_j, plane_phi):
-        # the protocol's weights come from the closed form; the dense twirl of its own rows,
-        # and the dense trace of its elements, check them for probes b = 1 and 3/2
-        config = LoccProtocolConfig(SpinQuantumNumber(twice_j), plane_phi, SpinQuantumNumber(twice_b))
+    def test_larger_probe_twirls_to_the_closed_form(self, twice_b, twice_j, plane_phi):
+        # the protocol takes its weights from the closed form, which holds for any probe b:
+        # the dense twirl of the frame rows with a probe b = 1 or 3/2, and the dense trace of
+        # those elements, both give the closed-form local POVM of (b, j)
+        config = LoccProtocolConfig(SpinQuantumNumber(twice_j), plane_phi)
+        povm = _make_povm("optimal-local", SpinQuantumNumber(twice_b), config.j)
         weights = dense_local_weights(twice_b, twice_j, plane_phi)
+        assert np.max(np.abs(weights - povm.weights)) <= 1e-13
         for alpha in np.linspace(0.0, math.pi, 9).tolist():
-            stats = locc_protocol_statistics(config, alpha)
-            assert stats.labels == _make_povm("optimal-local", config.probe, config.j).labels
-            blocks = outcome_probabilities(config.probe, config.j, alpha)
-            twirled = weights @ [blocks[J] for J in sorted(blocks)]
-            assert np.max(np.abs(np.array(stats.probabilities) - twirled)) <= 1e-13
-            dense = dense_protocol_statistics(config, alpha)
-            assert np.max(np.abs(np.array(stats.probabilities) - dense)) <= 1e-13
+            closed = povm_outcome_probabilities(povm, [alpha])[:, 0]
+            dense = dense_protocol_statistics(config, alpha, twice_b)
+            assert np.max(np.abs(closed - dense)) <= 1e-13
 
     @pytest.mark.parametrize("twice_j", [2, 5, 10])
     def test_frame_operator_checked(self, monkeypatch, twice_j):
@@ -367,23 +368,7 @@ class TestLoccProtocol:
             LoccProtocolConfig(0)
 
     def test_config_fields(self):
-        assert [field.name for field in dataclasses.fields(LoccProtocolConfig)] == [
-            "j", "plane_phi", "probe"]
-
-    def test_config_positional_call_keeps_the_spin_half_probe(self):
-        config = LoccProtocolConfig(spin(2), 0.7)
-        assert (config.j, config.plane_phi, config.probe) == (spin(2), 0.7, HALF)
-        assert config == LoccProtocolConfig(spin(2), plane_phi=0.7, probe="1/2")
-        assert locc_protocol_statistics(config, 1.0).labels == ("aligned", "antialigned")
-
-    @pytest.mark.parametrize(("probe", "message"), [
-        (0, "probe spin must be at least 1/2"),
-        ("3/2", "probe spin 3/2 is larger than j = 1"),
-        (10**400, "probe spin 1e[+]400 is larger than j = 1"),
-    ])
-    def test_config_refuses_a_probe_of_zero_or_past_j(self, probe, message):
-        with pytest.raises(ValueError, match=message):
-            LoccProtocolConfig(spin(1), 0.0, probe)
+        assert [field.name for field in dataclasses.fields(LoccProtocolConfig)] == ["j", "plane_phi"]
 
     @pytest.mark.parametrize("j", [1, "1/2", Fraction(3, 2)])
     def test_config_coerces_j_with_spin(self, j):
@@ -410,7 +395,7 @@ class TestLoccProtocol:
             calls.append(args)
             return make_povm(*args)
 
-        monkeypatch.setattr(locc_module, "_make_povm", counted)
+        monkeypatch.setattr(estimation_module, "_make_povm", counted)
         stats = locc_protocol_statistics(config, 0.9)
         assert dataclasses.astuple(stats) == dataclasses.astuple(expected)
         assert len(calls) == 1

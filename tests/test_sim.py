@@ -419,16 +419,6 @@ class TestPriorSampler:
         ks = max(np.max(empirical_hi - cdf), np.max(cdf - empirical_lo))
         assert ks < 1.63 / math.sqrt(size)  # 1% critical value
 
-    def test_uniform_draws_equal_the_array_shape_draws(self):
-        # the uniform prior draws its Gammas with the scalar shape 1.0; an array of ones after
-        # the same pick, as a density of higher degree would pass, draws the same stream
-        size = 2000
-        samples = _prior_sampler(uniform_direction_prior())(np.random.default_rng(72), size)
-        rng = np.random.default_rng(72)
-        rng.random(size)  # the pick of the one component
-        first, second = rng.standard_gamma(np.ones(size)), rng.standard_gamma(np.ones(size))
-        assert np.array_equal(samples, 2.0 * np.arctan2(np.sqrt(first), np.sqrt(second)))
-
     def test_discrete_draws_follow_the_cumulative_rule(self):
         prior = parallel_antiparallel_prior()
         samples = _prior_sampler(prior)(np.random.default_rng(71), 1000)
