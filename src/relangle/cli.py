@@ -4,8 +4,9 @@ Subcommands: ``probs`` (outcome probability tables), ``report`` (full
 estimation report), ``curve`` (average information gain versus j),
 ``ppt`` (separability threshold), and ``simulate`` (Monte Carlo experiment).
 Data goes to stdout (or ``--out``); diagnostics go to stderr.  Exit codes:
-0 success, 2 usage or configuration error, 1 internal-consistency error.  Shared
-flags are declared once, in parent parsers; ``_json_text`` writes every JSON header.
+0 success, 2 usage or configuration error, 1 internal-consistency error.  Each command
+has its own parser, declaring each flag once; the full parser is assembled from them only
+for top-level help and errors.  ``_json_text`` writes every JSON header.
 
 Long float arrays are written whole, not number by number: ``probs`` CSV is one
 %-format per grid, ``curve`` CSV one %-format for all its scenarios, and
@@ -157,13 +158,21 @@ def _curves_type(text: str) -> tuple[str, ...]:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose own errors quote the arguments through ``_shown``: an invalid
-    choice, and the unrecognized arguments, as one text."""
+    choice, an ambiguous option, and the unrecognized arguments, as one text."""
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
             choices = ", ".join(map(repr, action.choices))
             raise argparse.ArgumentError(action, f"invalid choice: {_shown(value)} "
                                                  f"(choose from {choices})")
+
+    def _get_option_tuples(self, option_string):  # more than one match is ambiguous
+        matches = super()._get_option_tuples(option_string)
+        if len(matches) > 1:
+            options = ", ".join(match[1] for match in matches)
+            raise argparse.ArgumentError(None, f"ambiguous option: {_shown(option_string)} "
+                                               f"could match {options}")
+        return matches
 
     def parse_args(self, args=None, namespace=None):
         parsed, extras = self.parse_known_args(args, namespace)
@@ -172,59 +181,74 @@ class _Parser(argparse.ArgumentParser):
         return parsed
 
 
+# Each command's line in the top-level help, in the order that help lists them
+_COMMAND_HELP = {
+    "probs": "outcome probabilities of the total-spin measurement",
+    "report": "posteriors and information gains for one scenario",
+    "curve": "average information gain versus j for a spin-1/2 probe",
+    "ppt": "separability threshold of the two-outcome invariant POVM",
+    "simulate": "Monte Carlo repetition of the single-shot experiment",
+}
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser, built on first use and reused.  Each flag is declared once, for
+    every command that reads it; shared ones come first: --out, --format, --j1/--j2, --prior."""
+    parser = _Parser(prog=f"relangle {name}")
+    add = parser.add_argument
+    add("--out", default=None, help="output path (default: stdout)")
+    if name in ("probs", "curve"):
+        add("--format", choices=("csv", "json"), default="csv", help="output format (default: csv)")
+    if name in ("probs", "report", "simulate"):
+        add("--j1", type=_spin_type, required=True)
+        add("--j2", type=_spin_type, required=True)
+    if name in ("report", "simulate"):
+        add("--prior", choices=("pap", "uniform"), required=True)
+    if name == "probs":
+        add("--alpha", type=_alpha_type, default=None,
+            help="single relative angle instead of the default 181-point grid")
+    elif name == "report":
+        add("--povm", choices=("optimal", "local"), required=True)
+    elif name == "curve":
+        add("--j-min", type=_spin_type, default=SpinQuantumNumber(1))
+        add("--j-max", type=_spin_type, default=SpinQuantumNumber(20))
+        add("--j-step", type=_spin_type, default=SpinQuantumNumber(1),
+            help="must land on --j-max, unless it is longer than the whole range, "
+                 "which gives --j-min alone")
+        add("--curves", type=_curves_type, default=("a", "b", "c", "d"),
+            help="comma-separated subset of a,b,c,d "
+                 "(a: pap/optimal, b: pap/local, c: uniform/optimal, d: uniform/local)")
+    elif name == "ppt":
+        add("--j", type=_spin_type, required=True)
+    elif name == "simulate":
+        add("--povm", choices=("optimal", "local"), default="optimal")
+        add("--n", type=_trials_type, default=100_000, help="number of trials")
+        add("--seed", type=_seed_type, default=0, help="RNG seed (u64, default: 0)")
+    return parser
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and reused: parsing does not change it.
-    Flags that several subcommands share are declared once, in parent parsers, whose
-    flags come before each subcommand's own."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-    formatted = argparse.ArgumentParser(add_help=False, parents=[common])
-    formatted.add_argument("--format", choices=("csv", "json"), default="csv",
-                           help="output format (default: csv)")
-    pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--j1", type=_spin_type, required=True)
-    pair.add_argument("--j2", type=_spin_type, required=True)
-    scenario = argparse.ArgumentParser(add_help=False, parents=[common, pair])
-    scenario.add_argument("--prior", choices=("pap", "uniform"), required=True)
-
-    parser = _Parser(
-        prog="relangle",
-        description="Estimation of the relative angle between two spin systems",
-    )
+    """The full parser, each command's parser under its name, built on first use and reused:
+    for top-level help and errors, and a command's extras, which argparse reports from the top."""
+    parser = _Parser(prog="relangle",
+                     description="Estimation of the relative angle between two spin systems")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("probs", parents=[formatted, pair],
-                       help="outcome probabilities of the total-spin measurement")
-    p.add_argument("--alpha", type=_alpha_type, default=None,
-                   help="single relative angle instead of the default 181-point grid")
-
-    p = sub.add_parser("report", parents=[scenario],
-                       help="posteriors and information gains for one scenario")
-    p.add_argument("--povm", choices=("optimal", "local"), required=True)
-
-    p = sub.add_parser("curve", parents=[formatted],
-                       help="average information gain versus j for a spin-1/2 probe")
-    p.add_argument("--j-min", type=_spin_type, default=SpinQuantumNumber(1))
-    p.add_argument("--j-max", type=_spin_type, default=SpinQuantumNumber(20))
-    p.add_argument("--j-step", type=_spin_type, default=SpinQuantumNumber(1),
-                   help="must land on --j-max, unless it is longer than the whole range, "
-                        "which gives --j-min alone")
-    p.add_argument("--curves", type=_curves_type, default=("a", "b", "c", "d"),
-                   help="comma-separated subset of a,b,c,d "
-                        "(a: pap/optimal, b: pap/local, c: uniform/optimal, d: uniform/local)")
-
-    p = sub.add_parser("ppt", parents=[common],
-                       help="separability threshold of the two-outcome invariant POVM")
-    p.add_argument("--j", type=_spin_type, required=True)
-
-    p = sub.add_parser("simulate", parents=[scenario],
-                       help="Monte Carlo repetition of the single-shot experiment")
-    p.add_argument("--povm", choices=("optimal", "local"), default="optimal")
-    p.add_argument("--n", type=_trials_type, default=100_000, help="number of trials")
-    p.add_argument("--seed", type=_seed_type, default=0, help="RNG seed (u64, default: 0)")
-
+    for name, text in _COMMAND_HELP.items():
+        sub.add_parser(name, parents=[_command_parser(name)], add_help=False, help=text)
     return parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """A line that names a command and holds only its flags is parsed by the command's parser
+    alone, any other by the full parser."""
+    if argv and argv[0] in _COMMAND_HELP:
+        args, extras = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _sig10(x: float) -> float:
@@ -413,9 +437,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -25,6 +25,7 @@ from relangle.cli import (
     CURVE_MAX_POINTS,
     CURVE_SCENARIOS,
     _build_parser,
+    _command_parser,
     _csv,
     _density_grid,
     _density_grid_texts,
@@ -627,12 +628,15 @@ class TestParserReuse:
     def test_each_call_gives_what_it_gives_alone(self, capsys, sequence, codes):
         alone = []
         for argv in sequence:
-            _build_parser.cache_clear()
+            _command_parser.cache_clear()
             alone.append(run_cli(capsys, *argv)[:2])
+        _command_parser.cache_clear()
         _build_parser.cache_clear()
         together = [run_cli(capsys, *argv)[:2] for argv in sequence]
         assert together == alone
-        assert _build_parser.cache_info().misses == 1  # one parser served every call
+        # one parser per command served every call, and the full tree was never built
+        assert _command_parser.cache_info().misses == len({argv[0] for argv in sequence})
+        assert _build_parser.cache_info().misses == 0
         assert [code for code, _ in alone] == codes
 
     def test_defaults_survive_reuse(self, capsys):
@@ -649,14 +653,84 @@ class TestParserReuse:
         assert not grid.flags.writeable
 
     def test_parser_is_not_built_at_import(self):
-        script = "import relangle.cli\nprint(relangle.cli._build_parser.cache_info().currsize)\n"
+        script = ("import relangle.cli as cli\n"
+                  "print(cli._build_parser.cache_info().currsize,"
+                  " cli._command_parser.cache_info().currsize)\n")
         src = Path(__file__).resolve().parents[1] / "src"
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "0"
+        assert result.stdout.strip() == "0 0"
+
+
+# each command: a valid line, then lines on which argparse exits: help, a missing required
+# flag (curve: a missing value), an invalid choice (ppt: a flag it lacks), a trailing
+# unrecognized argument, a bad spin, --out with no value
+PARITY_LINES = {
+    "probs": [["--j1", "1", "--j2", "3/2", "--alpha", "pi/3", "--format", "json"],
+              ["-h"], ["--j1", "1"], ["--j1", "1", "--j2", "1", "--format", "xml"],
+              ["--j1", "1", "--j2", "1", "extra"], ["--j1", "0", "--j2", "1"],
+              ["--j1", "1", "--j2", "1", "--out"]],
+    "report": [["--j1", "1", "--j2", "1/2", "--prior", "uniform", "--povm", "local", "--out", "r"],
+               ["--help"], ["--j1", "1", "--j2", "1", "--prior", "pap"],
+               ["--j1", "1", "--j2", "1", "--prior", "flat", "--povm", "optimal"],
+               ["--j1", "1", "--j2", "1", "--prior", "pap", "--povm", "optimal", "extra"],
+               ["--j1", "1", "--j2", "-1/2", "--prior", "pap", "--povm", "optimal"],
+               ["--j1", "1", "--j2", "1", "--prior", "pap", "--povm", "optimal", "--out"]],
+    "curve": [["--j-min", "1/2", "--j-max", "5", "--j-step", "1/2", "--curves", "d,a"],
+              ["-h"], ["--format"], ["--format", "xml"], ["--j-max", "5", "extra"],
+              ["--j-max", "x"], ["--out"]],
+    "ppt": [["--j", "3/2", "--out", "p.json"],
+            ["-h"], [], ["--j", "1", "--format", "json"], ["--j", "1", "extra"], ["--j", "0"],
+            ["--j", "1", "--out"]],
+    "simulate": [SIMULATE[1:] + ["--povm", "local", "--seed", "5"],
+                 ["-h"], ["--j1", "1", "--j2", "1"], [*SIMULATE[1:], "--povm", "joint"],
+                 [*SIMULATE[1:], "extra"], ["--j1", "1/3", "--j2", "1", "--prior", "pap"],
+                 [*SIMULATE[1:], "--out"]],
+}
+
+
+def full_tree_result(capsys, argv):
+    """(exit code, stdout, stderr) of the full parser on a line on which it exits."""
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code or 0, captured.out, captured.err
+
+
+class TestCommandParser:
+    """A command line is parsed by its command's parser alone, with what the full parser gives."""
+
+    @pytest.mark.parametrize("command", list(PARITY_LINES))
+    def test_valid_line_parses_as_in_the_full_parser(self, command):
+        argv = [command, *PARITY_LINES[command][0]]
+        assert vars(cli_module._parse(argv)) == vars(_build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv", [[command, *line] for command, lines in PARITY_LINES.items() for line in lines[1:]])
+    def test_exiting_line_exits_as_in_the_full_parser(self, capsys, argv):
+        assert run_cli(capsys, *argv) == full_tree_result(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"]])
+    def test_top_level_lines_print_the_top_level_usage(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == full_tree_result(capsys, argv)
+        assert (out + err).startswith("usage: relangle [-h] {probs,report,curve,ppt,simulate}")
+        assert code == (0 if argv == ["-h"] else 2)
+
+    @pytest.mark.parametrize("argv", [["ppt", "--j", "3/2"], ["ppt", "--j", "0"], SIMULATE])
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch, argv):
+        expected = run_cli(capsys, *argv)
+        _command_parser.cache_clear()
+        _build_parser.cache_clear()
+        monkeypatch.setattr(sys, "argv", ["relangle", *argv])
+        code = main()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+        assert _command_parser.cache_info().misses == 1
+        assert _build_parser.cache_info().misses == 0
 
 
 def per_number_text(argv):
@@ -908,6 +982,10 @@ class TestFlagsAndSpins:
             (["x" * 3000],
              "relangle: error: argument command: invalid choice: 'xxxxxxxxxxxxxxxxxxxx'... "
              "(3000 characters) (choose from 'probs', 'report', 'curve', 'ppt', 'simulate')"),
+            (["report", "--j1", "1", "--j2", "1", "--prior", "pap", "--povm", "optimal",
+              "--j=" + "x" * 3000],
+             "relangle report: error: ambiguous option: '--j=xxxxxxxxxxxxxxxx'... "
+             "(3004 characters) could match --j1, --j2"),
         ],
     )
     def test_argparse_errors_quote_a_long_argument_in_one_short_line(self, capsys, argv, line):
@@ -924,6 +1002,21 @@ class TestFlagsAndSpins:
         assert code == 2
         assert err.splitlines()[-1] == ("relangle report: error: argument --povm: invalid choice: "
                                         "'joint' (choose from 'optimal', 'local')")
+
+    @pytest.mark.parametrize(
+        ("argv", "line"),
+        [
+            (["report", "--j1", "1", "--j2", "1", "--prior", "pap", "--povm", "optimal", "--j=1"],
+             "relangle report: error: ambiguous option: '--j=1' could match --j1, --j2"),
+            (["curve", "--j-m", "3"],
+             "relangle curve: error: ambiguous option: '--j-m' could match --j-min, --j-max"),
+        ],
+    )
+    def test_ambiguous_option_quotes_a_short_argument_whole(self, capsys, argv, line):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count(": error: ") == 1
+        assert err.splitlines()[-1] == line
 
     @pytest.mark.parametrize(
         "argv",
