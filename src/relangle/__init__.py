@@ -44,7 +44,6 @@ from .estimation import (
     map_estimate,
     optimal_local_povm,
     outcome_probabilities,
-    outcome_probability,
     parallel_antiparallel_prior,
     povm_outcome_probabilities,
     povm_probabilities_from_state,

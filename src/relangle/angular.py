@@ -8,7 +8,6 @@ index 0 corresponds to m = +j and index 2j to m = -j.  Rotations use the z-y-z
 Euler convention, R = exp(-i a Jz) exp(-i b Jy) exp(-i g Jz).
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,10 +47,6 @@ class SpinQuantumNumber:
     def dimension(self) -> int:
         """Dimension 2j + 1 of the spin-j representation."""
         return self.twice_j + 1
-
-    @property
-    def as_float(self) -> float:
-        return self.twice_j / 2.0
 
     def twice_m_values(self) -> range:
         """All doubled magnetic quantum numbers, from +2j down to -2j."""
@@ -114,6 +109,8 @@ def spin(value) -> SpinQuantumNumber:
     if isinstance(value, (int, np.integer)):
         return SpinQuantumNumber(2 * int(value))
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{value} is not a half-integer spin")
         value = Fraction(value)
     if isinstance(value, Fraction):
         if value.denominator not in (1, 2):
@@ -130,70 +127,10 @@ class Rotation:
     euler_beta: float
     euler_gamma: float
 
-    @classmethod
-    def identity(cls) -> "Rotation":
-        return cls(0.0, 0.0, 0.0)
-
-    def inverse(self) -> "Rotation":
-        return Rotation(-self.euler_gamma, -self.euler_beta, -self.euler_alpha)
-
-    def compose(self, other: "Rotation") -> "Rotation":
-        """Rotation equal to applying ``other`` first and ``self`` second.
-
-        Computed on the defining representation, so at half-integer j the
-        rotation matrix of the result can differ from the matrix product by a
-        global sign.
-        """
-        u = _su2_matrix(self) @ _su2_matrix(other)
-        return _euler_from_su2(u)
-
-    def so3_matrix(self) -> np.ndarray:
-        """The 3x3 orthogonal matrix acting on direction vectors."""
-        return (
-            _rot3_z(self.euler_alpha)
-            @ _rot3_y(self.euler_beta)
-            @ _rot3_z(self.euler_gamma)
-        )
-
-
-def _rot3_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rot3_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _su2_matrix(r: Rotation) -> np.ndarray:
-    half_sum = 0.5 * (r.euler_alpha + r.euler_gamma)
-    half_diff = 0.5 * (r.euler_alpha - r.euler_gamma)
-    c, s = math.cos(0.5 * r.euler_beta), math.sin(0.5 * r.euler_beta)
-    return np.array(
-        [
-            [c * cmath.exp(-1j * half_sum), -s * cmath.exp(-1j * half_diff)],
-            [s * cmath.exp(1j * half_diff), c * cmath.exp(1j * half_sum)],
-        ]
-    )
-
-
-def _euler_from_su2(u: np.ndarray) -> Rotation:
-    lower = abs(u[1, 0])
-    diag = abs(u[1, 1])
-    beta = 2.0 * math.atan2(lower, diag)
-    if lower < 1e-15:
-        return Rotation(2.0 * cmath.phase(u[1, 1]), 0.0, 0.0)
-    if diag < 1e-15:
-        return Rotation(2.0 * cmath.phase(u[1, 0]), math.pi, 0.0)
-    alpha = cmath.phase(u[1, 1] * u[1, 0])
-    gamma = cmath.phase(u[1, 1] * u[1, 0].conjugate())
-    return Rotation(alpha, beta, gamma)
-
 
 @dataclass(frozen=True)
 class Direction:
-    """Point on the unit sphere: polar angle theta in [0, pi], azimuth phi."""
+    """Point on the unit sphere: polar angle theta in [0, pi], finite azimuth phi."""
 
     theta: float
     phi: float
@@ -201,6 +138,8 @@ class Direction:
     def __post_init__(self):
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "theta", float(min(max(self.theta, 0.0), math.pi)))
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
@@ -210,14 +149,6 @@ class Direction:
         return np.array(
             [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
         )
-
-    @classmethod
-    def from_vector(cls, v) -> "Direction":
-        v = np.asarray(v, dtype=float)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise ValueError("zero vector has no direction")
-        return cls(math.acos(max(-1.0, min(1.0, v[2] / norm))), math.atan2(v[1], v[0]))
 
 
 def angle_between(n1: Direction, n2: Direction) -> float:
@@ -245,11 +176,6 @@ class StateVector:
             raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    def overlap(self, other: "StateVector") -> complex:
-        if self.j != other.j:
-            raise ValueError("states belong to different spins")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def angular_momentum_operators(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import SpinQuantumNumber, _brief, spin
-from .coupling import _total_js, projector
+from .coupling import _total_js
 from .errors import CapacityError, ConsistencyError, ImpossibleOutcomeError
 from .polynomials import bernstein_from_power, bernstein_product, bernstein_values, power_basis
 from .states import DensityMatrix, InvariantState, invariant_average
@@ -50,7 +50,6 @@ __all__ = [
     "RotInvariantPovm",
     "OutcomeReport",
     "EstimationReport",
-    "outcome_probability",
     "outcome_probabilities",
     "povm_outcome_probabilities",
     "povm_probabilities_from_state",
@@ -300,27 +299,13 @@ class RotInvariantPovm:
         except ValueError:
             raise ValueError(f"unknown outcome label {label!r}") from None
 
-    def element_matrix(self, k: int) -> np.ndarray:
-        """Dense matrix of element k (subject to the dense dimension cap)."""
-        dim = self.j1.dimension * self.j2.dimension
-        matrix = np.zeros((dim, dim))
-        for weight, J in zip(self.weights[k], self.j_values):
-            if weight != 0.0:
-                matrix += weight * projector(self.j1, self.j2, J).matrix
-        return matrix
-
-
-def _likelihood_tables(twice_b: int, twice_as) -> np.ndarray:
-    """The read-only stack of ``_table_stack`` for the larger spins in the sequence
-    ``twice_as``, cached on (twice_b, tuple(twice_as)): every caller of one stack, such
-    as the scenarios of a curve, shares one build."""
-    return _table_stack(twice_b, tuple(twice_as))
-
 
 @lru_cache(maxsize=128)
 def _table_stack(twice_b: int, twice_as: tuple) -> np.ndarray:
     """T[J, k] = |<a a; b b-k | J, a+b-k>|^2 C(2b, k) for a shared smaller spin b and each
-    larger spin a >= b in ``twice_as``, stacked along a leading pair axis.
+    larger spin a >= b in the tuple ``twice_as``, stacked along a leading pair axis: read-only
+    and cached, so every caller of one stack, such as the scenarios of a curve, shares one
+    build, and a single pair's table is its stack of one.
 
     Rows follow increasing J, columns k = 0 .. 2b.  With x = a + b - J the
     entry vanishes unless x <= k, and otherwise equals
@@ -390,11 +375,6 @@ def _float_table_stack(twice_b: int, twice_as: np.ndarray) -> np.ndarray:
     return np.where(nonzero, head[:, :, None] / den, 0.0)
 
 
-def _likelihood_table(twice_b: int, twice_a: int) -> np.ndarray:
-    """The table of the single pair b <= a, a view into the stack cache of ``_likelihood_tables``."""
-    return _likelihood_tables(twice_b, (twice_a,))[0]
-
-
 def _block_probability_matrix(j1: SpinQuantumNumber, j2: SpinQuantumNumber, alphas: np.ndarray) -> np.ndarray:
     """p(J | alpha) for a product coherent pair, shape (n_blocks, n_alphas).
 
@@ -402,15 +382,16 @@ def _block_probability_matrix(j1: SpinQuantumNumber, j2: SpinQuantumNumber, alph
     so the larger one, a, is fixed along +z and the smaller one, b, is the
     binomial (Wigner-d) mixture |d^b_{b-k,b}(alpha)|^2 = C(2b, k) s^k (1-s)^(2b-k)
     of its m = b - k components, s = sin^2(alpha/2); the exact table
-    ``_likelihood_table`` carries the stretched Clebsch-Gordan weights.
+    ``_table_stack`` carries the stretched Clebsch-Gordan weights.
     Raises CapacityError when 2 min(j1, j2) exceeds ``KERNEL_TWICE_J_LIMIT``.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     # written as "not inside" so that NaN angles fail it too
     if alphas.size and not (alphas.min() >= -1e-9 and alphas.max() <= math.pi + 1e-9):
         raise ValueError("relative angles must lie in [0, pi]")
-    table = _likelihood_table(*sorted((j1.twice_j, j2.twice_j)))
-    return table @ power_basis(alphas, table.shape[1] - 1)
+    twice_b, twice_a = sorted((j1.twice_j, j2.twice_j))
+    (table,) = _table_stack(twice_b, (twice_a,))
+    return table @ power_basis(alphas, twice_b)
 
 
 def outcome_probabilities(j1, j2, alpha: float) -> dict:
@@ -418,15 +399,6 @@ def outcome_probabilities(j1, j2, alpha: float) -> dict:
     j1, j2 = spin(j1), spin(j2)
     column = _block_probability_matrix(j1, j2, np.array([alpha]))[:, 0]
     return dict(zip(_total_js(j1.twice_j, j2.twice_j), column.tolist()))
-
-
-def outcome_probability(j1, j2, J, alpha: float) -> float:
-    """Probability of the total-spin-J outcome at relative angle alpha."""
-    j1, j2, J = spin(j1), spin(j2), spin(J)
-    probabilities = outcome_probabilities(j1, j2, alpha)
-    if J not in probabilities:
-        raise ValueError(f"J={J} outside the range for ({j1}, {j2})")
-    return probabilities[J]
 
 
 def povm_outcome_probabilities(povm: RotInvariantPovm, alphas) -> np.ndarray:
@@ -449,8 +421,8 @@ def _stacked(j1, j2, povm: RotInvariantPovm) -> tuple[np.ndarray, np.ndarray]:
     """The POVM's weights and its pair's likelihood table, as a stack of one pair."""
     if (povm.j1, povm.j2) != (spin(j1), spin(j2)):
         raise ValueError("POVM does not act on the requested spin pair")
-    table = _likelihood_table(*sorted((povm.j1.twice_j, povm.j2.twice_j)))
-    return povm.weights[None], table[None]
+    twice_b, twice_a = sorted((povm.j1.twice_j, povm.j2.twice_j))
+    return povm.weights[None], _table_stack(twice_b, (twice_a,))
 
 
 def _joint_rows(prior, weights: np.ndarray, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -659,7 +631,7 @@ def _make_prior(kind: str):
 
 def _povm_weights(kind: str, twice_as, tables: np.ndarray) -> np.ndarray:
     """Weights (pairs, outcomes, blocks by increasing J) of the POVM of the given kind in
-    ``POVM_KINDS`` for the stack ``tables`` of ``_likelihood_tables`` over the larger spins
+    ``POVM_KINDS`` for the stack ``tables`` of ``_table_stack`` over the larger spins
     ``twice_as``.  "optimal" measures total spin.  "optimal-local" measures the larger spin a
     with coherent states and then the smaller spin b along the direction found; twirled, its
     outcome m = b - k weighs block J by (2a+1)/(2J+1) T[J, k] / C(2b, k), and the last outcome,
@@ -693,7 +665,7 @@ def _make_povm(kind: str, j1, j2) -> RotInvariantPovm:
     aligned (m = b), m=<m>, antialigned (m = -b).  CapacityError past the kernel limit."""
     j1, j2 = spin(j1), spin(j2)
     twice_b, twice_a = sorted((j1.twice_j, j2.twice_j))
-    weights = _povm_weights(kind, (twice_a,), _likelihood_tables(twice_b, (twice_a,)))[0]
+    weights = _povm_weights(kind, (twice_a,), _table_stack(twice_b, (twice_a,)))[0]
     j_values = _total_js(j1.twice_j, j2.twice_j)
     labels = [f"J={J}" for J in j_values] if kind == "optimal" else ["aligned", *(
         f"m={'-' * (2 * k > twice_b)}{SpinQuantumNumber(abs(twice_b - 2 * k))}"
@@ -722,7 +694,7 @@ def _curve_averages(twice_as, scenarios) -> np.ndarray:
     priors = {kind: _make_prior(kind) for kind in dict.fromkeys(p for p, _ in scenarios)}
     if 0 in twice_as:
         raise ValueError("the spin j must be at least 1/2")
-    tables = _likelihood_tables(1, twice_as)
+    tables = _table_stack(1, tuple(twice_as))
     weights = {kind: _povm_weights(kind, twice_as, tables)
                for kind in dict.fromkeys(w for _, w in scenarios)}
     return np.array([_gains(priors[p], weights[w], tables)[3] for p, w in scenarios])

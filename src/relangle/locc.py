@@ -64,7 +64,7 @@ def partial_transpose(op: np.ndarray, dims: tuple[int, int]) -> PartialTranspose
     d1, d2 = int(dims[0]), int(dims[1])
     if op.shape != (d1 * d2, d1 * d2):
         raise ValueError(f"operator shape {op.shape} does not match dims {dims}")
-    if np.max(np.abs(op - op.conj().T)) > 1e-10:
+    if not np.max(np.abs(op - op.conj().T)) <= 1e-10:  # NaN fails too
         raise ValueError("partial transpose expects a Hermitian operator")
     transposed = (
         op.reshape(d1, d2, d1, d2).transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)

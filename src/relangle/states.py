@@ -91,9 +91,6 @@ class DensityMatrix:
     def spins(self) -> tuple[SpinQuantumNumber, SpinQuantumNumber]:
         return SpinQuantumNumber(self.dims[0] - 1), SpinQuantumNumber(self.dims[1] - 1)
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
@@ -120,9 +117,6 @@ class InvariantState:
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"block weights sum to {total}, expected 1")
         object.__setattr__(self, "weights", cleaned)
-
-    def weight(self, J) -> float:
-        return self.weights[spin(J)]
 
     def weight_array(self) -> np.ndarray:
         """Weights in increasing-J order."""

@@ -381,8 +381,8 @@ class TestCurve:
         assert (code, out) == (2, "")
 
     def test_leaky_table_exits_1(self, capsys, monkeypatch):
-        tables = estimation_module._likelihood_tables
-        monkeypatch.setattr(estimation_module, "_likelihood_tables",
+        tables = estimation_module._table_stack
+        monkeypatch.setattr(estimation_module, "_table_stack",
                             lambda twice_b, twice_as: 0.999 * tables(twice_b, twice_as))
         code, out, err = run_cli(capsys, "curve", "--j-max", "3", "--curves", "c")
         assert code == 1
@@ -391,7 +391,7 @@ class TestCurve:
 
     def test_builds_one_table_stack_and_no_povm(self, capsys, monkeypatch):
         calls = {"tables": 0, "povms": 0}
-        tables, povm_init = estimation_module._likelihood_tables, RotInvariantPovm.__post_init__
+        tables, povm_init = estimation_module._table_stack, RotInvariantPovm.__post_init__
 
         def counted_tables(*args):
             calls["tables"] += 1
@@ -401,7 +401,7 @@ class TestCurve:
             calls["povms"] += 1
             povm_init(self)
 
-        monkeypatch.setattr(estimation_module, "_likelihood_tables", counted_tables)
+        monkeypatch.setattr(estimation_module, "_table_stack", counted_tables)
         monkeypatch.setattr(RotInvariantPovm, "__post_init__", counted_povm)
         code, out, _ = run_cli(capsys, "curve", "--j-min", "1/2", "--j-max", "500", "--j-step", "1/2")
         assert code == 0

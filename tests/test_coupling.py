@@ -56,12 +56,18 @@ def exact_clebsch_gordan(tj1, tj2, tm1, tm2, tJ, tM):
     return math.copysign(math.sqrt(norm * total * total), total)
 
 
+def casimir(j):
+    """j(j + 1), the eigenvalue of J^2 on spin j."""
+    half = j.twice_j / 2
+    return half * (half + 1)
+
+
 def apply_total_j_squared(j1, j2, vectors):
     """J^2 = j1(j1+1) + j2(j2+1) + 2 J1.J2 applied to the columns of vectors on
     the product space, through the single-spin operators, without forming a
     dim^2 matrix."""
     psi = vectors.reshape(j1.dimension, j2.dimension, -1)
-    result = (j1.as_float * (j1.as_float + 1) + j2.as_float * (j2.as_float + 1)) * psi
+    result = (casimir(j1) + casimir(j2)) * psi
     for a, b in zip(angular_momentum_operators(j1), angular_momentum_operators(j2)):
         result = result + 2 * np.einsum("ij,kl,jlc->ikc", a, b, psi, optimize=True)
     return result.reshape(vectors.shape)
@@ -199,7 +205,7 @@ class TestDecomposition:
             dec = decomposition(j1, j2)
             j_squared = total_j_squared(j1, j2)
             for block in map(dec.block, dec.j_values):
-                jj = block.J.as_float * (block.J.as_float + 1.0)
+                jj = casimir(block.J)
                 residual = j_squared @ block.isometry - jj * block.isometry
                 assert np.max(np.abs(residual)) < 1e-10
 
@@ -253,7 +259,7 @@ class TestBlockProbabilities:
             rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
             expected = []
             for J in total_j_values(j1, j2):
-                u = vectors[:, np.abs(eigenvalues - J.as_float * (J.as_float + 1)) < 1e-6]
+                u = vectors[:, np.abs(eigenvalues - casimir(J)) < 1e-6]
                 assert u.shape[1] == J.dimension
                 expected.append(float(np.trace(u.conj().T @ rho @ u).real))
             probabilities = decomposition(j1, j2).block_probabilities(rho)
@@ -317,8 +323,8 @@ class TestDenseCap:
         j_squared = np.zeros((count, n, n), dtype=complex)
         for a, b in zip(angular_momentum_operators(j1), angular_momentum_operators(j2)):
             j_squared += 2 * a[p1[:, :, None], p1[:, None, :]] * b[p2[:, :, None], p2[:, None, :]]
-        j_squared += (j1.as_float * (j1.as_float + 1) + j2.as_float * (j2.as_float + 1)) * np.eye(n)
-        jj = np.array([J.as_float * (J.as_float + 1) for J in dec.j_values])
+        j_squared += (casimir(j1) + casimir(j2)) * np.eye(n)
+        jj = np.array([casimir(J) for J in dec.j_values])
         residual = j_squared @ dec.sectors - dec.sectors * jj
         unpadded = np.arange(n) <= np.arange(count)[:, None]
         # about 45 ulps of the largest eigenvalue
@@ -333,8 +339,8 @@ class TestDenseCap:
         low, high = dec.block(lowest).isometry, dec.block(highest).isometry
         for J, v in ((lowest, low), (highest, high)):
             assert np.max(np.abs(v.T @ v - np.eye(J.dimension))) <= 1e-13
-            residual = apply_total_j_squared(j1, j2, v) - J.as_float * (J.as_float + 1) * v
-            assert np.max(np.abs(residual)) <= 1e-14 * highest.as_float * (highest.as_float + 1)
+            residual = apply_total_j_squared(j1, j2, v) - casimir(J) * v
+            assert np.max(np.abs(residual)) <= 1e-14 * casimir(highest)
         assert np.max(np.abs(low.T @ high)) <= 1e-13
 
     @pytest.mark.parametrize("rank", [1, 3])

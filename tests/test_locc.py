@@ -35,6 +35,8 @@ from relangle.estimation import _gauss_legendre, _make_povm, povm_outcome_probab
 from relangle.locc import _protocol_elements, _sixj
 from relangle.states import InvariantState, product_coherent_pair
 
+from oracles import povm_element_matrix
+
 HALF = spin("1/2")
 
 # (2j1, 2j2): integer and half-integer spins, up to (5/2, 7/2)
@@ -156,10 +158,14 @@ class TestPartialTranspose:
             partial_transpose(np.eye(4), (2, 3))
 
     def test_non_hermitian_raises(self):
-        matrix = np.eye(4, dtype=complex)
-        matrix[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            partial_transpose(matrix, (2, 2))
+        # NaN fails the Hermitian check too, before the eigensolver sees it
+        skew = np.eye(4, dtype=complex)
+        skew[0, 1] = 1.0
+        one_nan = np.eye(4) / 4
+        one_nan[2, 2] = np.nan
+        for matrix in (skew, np.full((4, 4), np.nan), one_nan):
+            with pytest.raises(ValueError, match="expects a Hermitian operator"):
+                partial_transpose(matrix, (2, 2))
 
 
 class TestSixj:
@@ -264,7 +270,7 @@ class TestOptimalLocalPovm:
         j = spin(f"{twice_j}/2") if twice_j % 2 else spin(twice_j // 2)
         povm = optimal_local_povm(j)
         for k in range(povm.n_outcomes):
-            result = partial_transpose(povm.element_matrix(k), (2, j.dimension))
+            result = partial_transpose(povm_element_matrix(povm, k), (2, j.dimension))
             assert result.min_eigenvalue >= -1e-10
 
 

@@ -20,6 +20,8 @@ from relangle import (
 )
 from relangle.states import DensityMatrix, InvariantState
 
+from oracles import compose, direction_from_vector, inverse, so3_matrix
+
 HALF = spin("1/2")
 
 
@@ -42,7 +44,7 @@ def directions_at_angle(rng, alpha):
     perp = np.cross(n1.unit_vector, helper)
     perp /= np.linalg.norm(perp)
     v2 = math.cos(alpha) * n1.unit_vector + math.sin(alpha) * perp
-    return n1, Direction.from_vector(v2)
+    return n1, direction_from_vector(v2)
 
 
 class TestProductCoherentPair:
@@ -59,7 +61,7 @@ class TestProductCoherentPair:
                 spin(1), spin("3/2"), random_direction(rng), random_direction(rng)
             )
             assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
-            assert abs(rho.purity() - 1.0) < 1e-12
+            assert abs(np.trace(rho.matrix @ rho.matrix).real - 1.0) < 1e-12
 
     @pytest.mark.parametrize("j1_text, j2_text", [("1/2", "1/2"), ("1", "3/2"), ("5/2", "4")])
     def test_matrix_is_the_outer_product(self, j1_text, j2_text):
@@ -94,7 +96,7 @@ class TestProductCoherentPair:
             u = np.kron(rotation_matrix(HALF, r), rotation_matrix(spin(1), r))
             value = np.trace(rho.matrix @ u @ rho.matrix @ u.conj().T).real
             rotated = collective_rotate(rho, q)
-            r_conjugated = q.compose(r).compose(q.inverse())
+            r_conjugated = compose(compose(q, r), inverse(q))
             u2 = np.kron(
                 rotation_matrix(HALF, r_conjugated), rotation_matrix(spin(1), r_conjugated)
             )
@@ -106,7 +108,7 @@ class TestCollectiveRotate:
     def test_identity(self):
         rng = np.random.default_rng(2)
         rho = product_coherent_pair(HALF, HALF, random_direction(rng), random_direction(rng))
-        same = collective_rotate(rho, Rotation.identity())
+        same = collective_rotate(rho, Rotation(0.0, 0.0, 0.0))
         assert np.max(np.abs(same.matrix - rho.matrix)) < 1e-13
 
     def test_spectrum_preserved(self):
@@ -122,13 +124,13 @@ class TestCollectiveRotate:
         for _ in range(10):
             n1, n2 = random_direction(rng), random_direction(rng)
             r = random_rotation(rng)
-            q = r.so3_matrix()
+            q = so3_matrix(r)
             rotated = collective_rotate(product_coherent_pair(spin(1), HALF, n1, n2), r)
             reprepared = product_coherent_pair(
                 spin(1),
                 HALF,
-                Direction.from_vector(q @ n1.unit_vector),
-                Direction.from_vector(q @ n2.unit_vector),
+                direction_from_vector(q @ n1.unit_vector),
+                direction_from_vector(q @ n2.unit_vector),
             )
             assert np.max(np.abs(rotated.matrix - reprepared.matrix)) < 1e-10
 
@@ -140,13 +142,13 @@ class TestInvariantAverage:
         rho = DensityMatrix(np.eye(dim) / dim, (j1.dimension, j2.dimension))
         state = invariant_average(rho)
         for J in total_j_values(j1, j2):
-            assert abs(state.weight(J) - J.dimension / dim) < 1e-13
+            assert abs(state.weights[J] - J.dimension / dim) < 1e-13
 
     def test_parallel_qubits_fill_triplet(self):
         rho = product_coherent_pair(HALF, HALF, Direction(0, 0), Direction(0, 0))
         state = invariant_average(rho)
-        assert abs(state.weight(spin(0))) < 1e-13
-        assert abs(state.weight(spin(1)) - 1.0) < 1e-13
+        assert abs(state.weights[spin(0)]) < 1e-13
+        assert abs(state.weights[spin(1)] - 1.0) < 1e-13
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
@@ -154,7 +156,7 @@ class TestInvariantAverage:
         once = invariant_average(rho)
         twice = invariant_average(once.reconstruct())
         for J in once.weights:
-            assert abs(once.weight(J) - twice.weight(J)) < 1e-13
+            assert abs(once.weights[J] - twice.weights[J]) < 1e-13
 
     def test_insensitive_to_collective_rotation(self):
         rng = np.random.default_rng(6)
@@ -163,7 +165,7 @@ class TestInvariantAverage:
         for _ in range(5):
             rotated = invariant_average(collective_rotate(rho, random_rotation(rng)))
             for J in base.weights:
-                assert abs(base.weight(J) - rotated.weight(J)) < 1e-11
+                assert abs(base.weights[J] - rotated.weights[J]) < 1e-11
 
     def test_weights_depend_only_on_relative_angle(self):
         rng = np.random.default_rng(7)
@@ -173,7 +175,7 @@ class TestInvariantAverage:
             w1 = invariant_average(pair1)
             w2 = invariant_average(pair2)
             for J in w1.weights:
-                assert abs(w1.weight(J) - w2.weight(J)) < 1e-11
+                assert abs(w1.weights[J] - w2.weights[J]) < 1e-11
 
     def test_matches_haar_sampling_oracle(self):
         # Monte Carlo version of the group average, at reduced trial count;
