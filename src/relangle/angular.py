@@ -172,7 +172,7 @@ class StateVector:
                 f"got shape {amps.shape}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -19,11 +19,17 @@ divided by C(2b, k), and its evidence is their mean, so evidences and
 posteriors need no quadrature.  Information gains are Kullback-Leibler
 divergences in bits; only one between densities needs quadrature,
 Gauss-Legendre in alpha, unless the posterior is linear and the prior
-constant in s (any spin-1/2 probe, uniform prior).  The rules come from
-Halley steps in theta = arccos(x), from Tricomi's asymptotic nodes, on the
-cosine series of P_n(cos theta), each step one matrix product with waves
-built by one cumulative product: O(n^2) work, with no eigensolve and no loop
-over the degree (``_gauss_legendre``).
+constant in s (any spin-1/2 probe, uniform prior).  A posterior q with x
+more exact leading zero coefficients than the prior p, and y more trailing
+ones, puts x q ln s + y q ln(1 - s), not analytic at the ends, into
+q ln(q/p).  The rule integrates q ln(q/p) less q [x (ln s - A) +
+y (ln(1 - s) - B)], which is smooth and loses nothing: A and B are q's means
+of ln s and ln(1 - s), in closed form from
+int_0^1 C(m, k) s^k (1 - s)^(m - k) ln s ds = (H_k - H_(m+1)) / (m + 1).
+The rules come from Halley steps in theta = arccos(x), from Tricomi's
+asymptotic nodes, on the cosine series of P_n(cos theta), each step one
+matrix product with waves built by one cumulative product: O(n^2) work, with
+no eigensolve and no loop over the degree (``_gauss_legendre``).
 
 Tables, POVM weights, evidences, posteriors and gains carry a leading axis
 of pairs sharing the smaller spin b: a report is a stack of one pair, and a
@@ -491,10 +497,23 @@ def _kl_bits(prior, q: np.ndarray) -> np.ndarray:
         c0, c1 = q[..., 0], q[..., 1]
         return (_linear_x_log_x(c0, c1) - math.log(p) * 0.5 * (c0 + c1)) / math.log(2.0)
 
-    def integrand(rows, a):
-        return _kl_terms(_density_values(rows, a), prior.pdf(a), 1e-12)
+    # q / p is s^x (1 - s)^y times a function positive on [0, 1]: the rule integrates
+    # q [log2(q / p) - (x (ln s - A) + y (ln(1 - s) - B)) / ln 2] (module docstring)
+    rows, n = q.reshape(-1, q.shape[-1]), q.shape[-1]
+    nonzero, prior_nonzero = rows != 0.0, prior.coefficients != 0.0
+    x = nonzero.argmax(axis=1) - prior_nonzero.argmax()  # exact zeros at s = 0, q's less p's
+    y = nonzero[:, ::-1].argmax(axis=1) - prior_nonzero[::-1].argmax()  # and at s = 1
+    tails = np.cumsum(1.0 / np.arange(n, 0.0, -1.0)) / n  # (H_(m+1) - H_(m-i)) / (m + 1)
+    shift = ((x[:, None] * tails[::-1] + y[:, None] * tails) * rows).sum(axis=1)  # -(xA + yB)
+    rows = np.column_stack((rows, x, y, shift))
 
-    return _adaptive_integral(integrand, q.reshape(-1, q.shape[-1]))[0].reshape(q.shape[:-1])
+    def integrand(rows, a):
+        values, (x, y, shift) = _density_values(rows[:, :-3], a), rows[:, -3:].T[..., None]
+        log_s, log_c = np.log(np.sin(0.5 * a) ** 2), np.log(np.cos(0.5 * a) ** 2)
+        return (_kl_terms(values, prior.pdf(a), 1e-12)
+                - values * (x * log_s + y * log_c + shift) / math.log(2.0))
+
+    return _adaptive_integral(integrand, rows)[0].reshape(q.shape[:-1])
 
 
 def information_gain(prior, posterior) -> float:
@@ -502,7 +521,8 @@ def information_gain(prior, posterior) -> float:
 
     Uses the continuity convention 0 log 0 = 0.  Posterior mass where the
     prior has none raises ValueError (it cannot occur for posteriors produced
-    by ``bayes_update``).
+    by ``bayes_update``).  Only a discrete prior can raise it: a density
+    prior is positive on (0, 1), where every quadrature node lies.
     """
     if isinstance(prior, DiscreteAngleDistribution):
         if not isinstance(posterior, DiscreteAngleDistribution):

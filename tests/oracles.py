@@ -1,8 +1,9 @@
 """Independent references that the unit tests check the library against.
 
-Rotations on the defining SU(2) and SO(3) representations, directions from
-3-vectors, and the dense matrix of a rotationally invariant POVM element.
-None of them is on a library path; each is written from its definition.
+Rotations on the defining SU(2) and SO(3) representations, random rotations
+and directions, directions from 3-vectors, and the dense matrix of a
+rotationally invariant POVM element.  None of them is on a library path; each
+is written from its definition.
 """
 
 import cmath
@@ -60,6 +61,20 @@ def so3_matrix(r: Rotation) -> np.ndarray:
     c, s = math.cos(r.euler_beta), math.sin(r.euler_beta)
     about_y = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
     return about_z(r.euler_alpha) @ about_y @ about_z(r.euler_gamma)
+
+
+def random_rotation(rng) -> Rotation:
+    """Euler angles drawn uniformly from their ranges (not Haar: a spread of test cases)."""
+    return Rotation(
+        rng.uniform(0, 2 * math.pi),
+        rng.uniform(0, math.pi),
+        rng.uniform(0, 2 * math.pi),
+    )
+
+
+def random_direction(rng) -> Direction:
+    """A direction uniform on the sphere."""
+    return Direction(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
 
 
 def direction_from_vector(v) -> Direction:

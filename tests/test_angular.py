@@ -19,21 +19,16 @@ from relangle import (
 )
 from relangle.angular import _brief, _spin_label
 
-from oracles import compose, direction_from_vector, inverse, so3_matrix
+from oracles import (
+    compose,
+    direction_from_vector,
+    inverse,
+    random_direction,
+    random_rotation,
+    so3_matrix,
+)
 
 HALF = spin("1/2")
-
-
-def random_rotation(rng):
-    return Rotation(
-        rng.uniform(0, 2 * math.pi),
-        rng.uniform(0, math.pi),
-        rng.uniform(0, 2 * math.pi),
-    )
-
-
-def random_direction(rng):
-    return Direction(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
 
 
 class TestSpinQuantumNumber:
@@ -274,3 +269,8 @@ class TestCoherentState:
     def test_state_vector_requires_normalization(self):
         with pytest.raises(ValueError):
             StateVector(HALF, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("amplitudes", [[math.nan, 0.0], [1.0, math.nan], [math.inf, 0.0]])
+    def test_state_vector_rejects_nan_and_inf(self, amplitudes):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(HALF, np.array(amplitudes))

@@ -6,7 +6,6 @@ import pytest
 
 from relangle import (
     CapacityError,
-    Rotation,
     RotInvariantPovm,
     SpinQuantumNumber,
     angular_momentum_operators,
@@ -18,6 +17,8 @@ from relangle import (
     total_j_values,
 )
 from relangle.coupling import _total_js
+
+from oracles import random_rotation
 
 HALF = spin("1/2")
 
@@ -216,8 +217,7 @@ class TestDecomposition:
         pairs = ((HALF, HALF), (spin(1), spin("3/2")), (spin("3/2"), spin(1)), (spin(2), HALF))
         for j1, j2 in pairs:
             dec = decomposition(j1, j2)
-            r = Rotation(rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi),
-                         rng.uniform(0, 2 * math.pi))
+            r = random_rotation(rng)
             u = np.kron(rotation_matrix(j1, r), rotation_matrix(j2, r))
             for J in dec.j_values:
                 v = dec.block(J).isometry
@@ -391,11 +391,7 @@ class TestProjector:
         rng = np.random.default_rng(2)
         j1, j2 = spin(1), spin("3/2")
         for _ in range(20):
-            r = Rotation(
-                rng.uniform(0, 2 * math.pi),
-                rng.uniform(0, math.pi),
-                rng.uniform(0, 2 * math.pi),
-            )
+            r = random_rotation(rng)
             u = np.kron(rotation_matrix(j1, r), rotation_matrix(j2, r))
             for J in total_j_values(j1, j2):
                 p = projector(j1, j2, J).matrix

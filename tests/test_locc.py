@@ -30,12 +30,11 @@ from relangle import (
     total_j_values,
     werner_state,
 )
-from relangle.angular import Direction
 from relangle.estimation import _gauss_legendre, _make_povm, povm_outcome_probabilities
 from relangle.locc import _protocol_elements, _sixj
 from relangle.states import InvariantState, product_coherent_pair
 
-from oracles import povm_element_matrix
+from oracles import povm_element_matrix, random_direction
 
 HALF = spin("1/2")
 
@@ -140,8 +139,7 @@ class TestPartialTranspose:
     def test_product_states_stay_positive(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            n1 = Direction(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-            n2 = Direction(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+            n1, n2 = random_direction(rng), random_direction(rng)
             rho = product_coherent_pair(spin(1), spin("3/2"), n1, n2)
             result = partial_transpose(rho.matrix, rho.dims)
             assert result.min_eigenvalue >= -1e-12

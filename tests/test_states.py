@@ -20,21 +20,16 @@ from relangle import (
 )
 from relangle.states import DensityMatrix, InvariantState
 
-from oracles import compose, direction_from_vector, inverse, so3_matrix
+from oracles import (
+    compose,
+    direction_from_vector,
+    inverse,
+    random_direction,
+    random_rotation,
+    so3_matrix,
+)
 
 HALF = spin("1/2")
-
-
-def random_rotation(rng):
-    return Rotation(
-        rng.uniform(0, 2 * math.pi),
-        rng.uniform(0, math.pi),
-        rng.uniform(0, 2 * math.pi),
-    )
-
-
-def random_direction(rng):
-    return Direction(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
 
 
 def directions_at_angle(rng, alpha):
