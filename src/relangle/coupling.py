@@ -8,14 +8,18 @@ the package.
 Only product states with m1 + m2 = M couple to (J, M), so the Clebsch-Gordan
 matrix is one orthogonal matrix per magnetic sector M: the eigenvectors of the
 tridiagonal restriction of J^2, found for every sector M >= 0 in one batched
-eigh call.  Sector -M is the mirror image (m1, m2) -> (-m1, -m2) of sector M
-with column J scaled by (-1)^(j1 + j2 - J).  Condon-Shortley signs follow the
-ladder: <J, M - 1|J-|J, M> > 0 ties each sector to the one above, and at M = J
-the coefficient with the larger spin at its top m is a one-term Racah sum.
+eigh call and kept up to the sign of each column.  Block weights, being
+quadratic in every column, never need those signs.  Sector -M is the mirror
+image (m1, m2) -> (-m1, -m2) of sector M with column J scaled by
+(-1)^(j1 + j2 - J).  Signed reads (Clebsch-Gordan coefficients and block
+isometries) scale each column by its Condon-Shortley sign, built on the first
+such read: <J, M - 1|J-|J, M> > 0 ties each sector to the one above, and at
+M = J the coefficient with the larger spin at its top m is a one-term Racah
+sum.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,11 +58,12 @@ def _total_js(twice_j1: int, twice_j2: int) -> tuple[SpinQuantumNumber, ...]:
 def clebsch_gordan(j1, j2, twice_m1: int, twice_m2: int, J, twice_M: int) -> float:
     """Coefficient <j1 m1; j2 m2 | J M> in the Condon-Shortley convention.
 
-    Magnetic quantum numbers are passed doubled (2m).  Returns 0 when
-    M != m1 + m2 or when J violates the triangle condition; labels off the
-    m-ladder of their spin raise ValueError.  The entry is read from the
-    pair's cached sector table, so pairs past the dense cap raise
-    CapacityError.
+    Magnetic quantum numbers are passed doubled (2m).  Returns exactly 0 when
+    M != m1 + m2, when J violates the triangle condition, and for
+    <j1 0; j2 0 | J 0> with j1 + j2 + J odd; labels off the m-ladder of their
+    spin raise ValueError.  The entry is read from the pair's cached sector
+    table and scaled by its Condon-Shortley sign, so pairs past the dense cap
+    raise CapacityError.
     """
     j1, j2, J = spin(j1), spin(j2), spin(J)
     for label, jj, tm in (("m1", j1, twice_m1), ("m2", j2, twice_m2), ("M", J, twice_M)):
@@ -70,6 +75,8 @@ def clebsch_gordan(j1, j2, twice_m1: int, twice_m2: int, J, twice_M: int) -> flo
         return 0.0
     if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2 or (tj1 + tj2 - tJ) % 2 != 0:
         return 0.0
+    if twice_m1 == twice_m2 == 0 and (tj1 + tj2 + tJ) // 2 % 2 == 1:
+        return 0.0
     sign = 1.0
     if twice_M < 0:  # read the mirror coefficient <j1 -m1; j2 -m2 | J -M>
         twice_m1, twice_M = -twice_m1, -twice_M
@@ -77,7 +84,8 @@ def clebsch_gordan(j1, j2, twice_m1: int, twice_m2: int, J, twice_M: int) -> flo
     sector = (tj1 + tj2 - twice_M) // 2
     row = (tj1 - twice_m1) // 2 if tj1 <= tj2 else (tj2 - twice_M + twice_m1) // 2
     column = (tJ - abs(tj1 - tj2)) // 2
-    return sign * float(_decomposition(tj1, tj2).sectors[sector, row, column])
+    dec = _decomposition(tj1, tj2)
+    return sign * float(dec.sectors[sector, row, column] * dec._signs[sector, column])
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,12 +105,40 @@ class CouplingDecomposition:
     at product indices ``rows[i]``; its column k is the k-th total spin in
     increasing order.  Every sector is padded to n = min(2j1+1, 2j2+1) rows
     and columns, with zero entries and row index 0.
+
+    ``sectors`` holds each column up to its sign: block weights do not depend
+    on it.  ``_signs`` (sectors, n) holds the Condon-Shortley factor +-1 of
+    every column, built on the first signed read (``block`` and
+    ``clebsch_gordan``) and then kept on the decomposition.
     """
 
     j1: SpinQuantumNumber
     j2: SpinQuantumNumber
     rows: np.ndarray  # shape (sectors, n)
     sectors: np.ndarray  # shape (sectors, n, n), orthogonal on the unpadded rows and columns
+
+    @cached_property
+    def _signs(self) -> np.ndarray:
+        # In sector M = J the entry with the larger spin at its top m is
+        # positive, times (-1)^(j1 + j2 - J) when that spin is j2; below it the
+        # sign of <J, M - 1|J-|J, M> ties each sector to the last.  (The entry
+        # at m1 = j1 is positive in every sector, but can be 1e-18.)
+        twice_j1, twice_j2 = self.j1.twice_j, self.j2.twice_j
+        small, big = sorted((twice_j1, twice_j2))
+        sector, row, _, twice_mb, lower_s = _ladder(small, big)
+        lower_b = np.sqrt(np.maximum(big * (big + 2) - twice_mb * (twice_mb - 2), 0))
+        top = small - row  # column k first appears in sector M = J
+        vectors = self.sectors
+        # J- of each sector in the rows of the next: the larger spin's lowering
+        # keeps the row, the smaller spin's moves it down one.
+        lowered = lower_b[:-1, :, None] * vectors[:-1]
+        lowered[:, 1:] += lower_s[:-1, None] * vectors[:-1, :-1]
+        factor = np.ones((len(sector), small + 1))
+        factor[1:] = np.where(sector[1:] > top, np.sign(np.sum(vectors[1:] * lowered, axis=1)), 1.0)
+        factor[top, row] = np.sign(vectors[top, top, row]) * (-1.0) ** (top * (twice_j1 <= twice_j2))
+        signs = np.cumprod(factor, axis=0)
+        signs.setflags(write=False)
+        return signs
 
     @property
     def j_values(self) -> tuple[SpinQuantumNumber, ...]:
@@ -122,7 +158,8 @@ class CouplingDecomposition:
         k = self.rows.shape[1] - 1 - first
         sector, row = np.nonzero(self.sectors[:, :, k])
         column = sector - first  # J - M: columns run over decreasing M
-        index, values = self.rows[sector, row], self.sectors[sector, row, k]
+        index = self.rows[sector, row]
+        values = self.sectors[sector, row, k] * self._signs[sector, k]
         dim = self.j1.dimension * self.j2.dimension
         isometry = np.zeros((dim, J.dimension))
         isometry[index, column] = values
@@ -137,8 +174,15 @@ class CouplingDecomposition:
         Sector M contributes the diagonal of V^T rho_M V, with rho_M the rows
         and columns of rho in the sector.  The block of sector -M, gathered in
         mirrored order, is added to that of M first: column signs cancel in
-        the quadratic form.  V is real, so only the real part of rho enters.
+        the quadratic form, so V is read unsigned.  V is real, so only the
+        real part of rho enters.  An operator that is not dim x dim raises
+        ValueError.
         """
+        dim = self.j1.dimension * self.j2.dimension
+        if np.shape(matrix) != (dim, dim):
+            raise ValueError(
+                f"operator of shape {np.shape(matrix)} on the ({self.j1}, {self.j2}) product "
+                f"space; expected ({dim}, {dim})")
         real = np.real(matrix)
         rows = self.rows
         blocks = real[rows[:, :, None], rows[:, None, :]]
@@ -179,18 +223,26 @@ def check_dense_capacity(j1: SpinQuantumNumber, j2: SpinQuantumNumber) -> None:
         )
 
 
+def _ladder(small: int, big: int):
+    """Sector index (a column vector), row, 2m of the smaller and of the
+    larger spin in each slot, and twice <m - 1|J-|m> of the smaller spin, for
+    doubled spins small <= big; the smaller spin (j1 on a tie) has
+    m = small/2 - row."""
+    sector = np.arange((small + big) // 2 + 1)[:, None]
+    row = np.arange(small + 1)
+    twice_ms = small - 2 * row
+    twice_mb = big - 2 * (sector - row)
+    lower_s = np.sqrt(small * (small + 2) - twice_ms * (twice_ms - 2))
+    return sector, row, twice_ms, twice_mb, lower_s
+
+
 @lru_cache(maxsize=128)
 def _decomposition(twice_j1: int, twice_j2: int) -> CouplingDecomposition:
     small, big = sorted((twice_j1, twice_j2))
     n = small + 1
-    sector = np.arange((small + big) // 2 + 1)[:, None]
-    row = np.arange(n)  # the smaller spin (j1 on a tie) has m = small/2 - row
+    sector, row, twice_ms, twice_mb, lower_s = _ladder(small, big)
     unpadded = row <= sector
-    twice_ms = small - 2 * row
-    twice_mb = big - 2 * (sector - row)
-    # twice the ladder operators' matrix elements, zero past the end of a ladder
-    lower_s = np.sqrt(small * (small + 2) - twice_ms * (twice_ms - 2))
-    lower_b = np.sqrt(np.maximum(big * (big + 2) - twice_mb * (twice_mb - 2), 0))
+    # twice the raising operator's matrix elements, zero past the end of the ladder
     raise_b = np.sqrt(np.maximum(big * (big + 2) - twice_mb * (twice_mb + 2), 0))
     # 4 J^2 on each sector; padded slots get -4 so that they sort first
     off = lower_s[:-1] * raise_b[:, :-1]
@@ -202,18 +254,6 @@ def _decomposition(twice_j1: int, twice_j2: int) -> CouplingDecomposition:
     vectors = np.linalg.eigh(j_squared)[1]
     top = n - 1 - row  # column k first appears in sector M = J
     vectors = np.where(unpadded[:, :, None] & (sector >= top)[:, None, :], vectors, 0.0)
-    # Condon-Shortley signs.  In sector M = J the entry with the larger spin
-    # at its top m is positive, times (-1)^(j1 + j2 - J) when that spin is j2;
-    # below it the sign of <J, M - 1|J-|J, M> ties each sector to the last.
-    # (The entry at m1 = j1 is positive in every sector, but can be 1e-18.)
-    # J- of each sector in the rows of the next: the larger spin's lowering
-    # keeps the row, the smaller spin's moves it down one.
-    lowered = lower_b[:-1, :, None] * vectors[:-1]
-    lowered[:, 1:] += lower_s[:-1, None] * vectors[:-1, :-1]
-    factor = np.ones((len(sector), n))
-    factor[1:] = np.where(sector[1:] > top, np.sign(np.sum(vectors[1:] * lowered, axis=1)), 1.0)
-    factor[top, row] = np.sign(vectors[top, top, row]) * (-1.0) ** (top * (twice_j1 <= twice_j2))
-    vectors *= np.cumprod(factor, axis=0)[:, None, :]
     i1 = row if twice_j1 <= twice_j2 else sector - row
     rows = np.where(unpadded, i1 * (twice_j2 + 1) + sector - i1, 0)
     vectors.setflags(write=False)

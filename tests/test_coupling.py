@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,14 +12,16 @@ from relangle import (
     angular_momentum_operators,
     clebsch_gordan,
     decomposition,
+    invariant_average,
+    product_coherent_pair,
     projector,
     rotation_matrix,
     spin,
     total_j_values,
 )
-from relangle.coupling import _total_js
+from relangle.coupling import _decomposition, _total_js
 
-from oracles import random_rotation
+from oracles import random_direction, random_rotation
 
 HALF = spin("1/2")
 
@@ -72,6 +75,11 @@ def apply_total_j_squared(j1, j2, vectors):
     for a, b in zip(angular_momentum_operators(j1), angular_momentum_operators(j2)):
         result = result + 2 * np.einsum("ij,kl,jlc->ikc", a, b, psi, optimize=True)
     return result.reshape(vectors.shape)
+
+
+def signed(dec):
+    """A copy of dec whose sectors carry their Condon-Shortley column signs."""
+    return dataclasses.replace(dec, sectors=dec.sectors * dec._signs[:, None, :])
 
 
 def cg_table(j1, j2, J, twice_M):
@@ -138,6 +146,20 @@ class TestClebschGordan:
 
     def test_outside_triangle_is_zero(self):
         assert clebsch_gordan(HALF, HALF, 1, 1, spin(3), 2) == 0.0
+
+    def test_parity_rule_at_zero_m_is_exact(self):
+        # <j1 0; j2 0 | J 0> vanishes when j1 + j2 + J is odd: exact +0.0, not
+        # rounding noise (the eigenvector entry of <1 0; 1 0 | 1 0> is -5e-17)
+        for twice_j1 in range(0, 13, 2):
+            for twice_j2 in range(0, 13, 2):
+                j1, j2 = SpinQuantumNumber(twice_j1), SpinQuantumNumber(twice_j2)
+                for J in total_j_values(j1, j2):
+                    value = clebsch_gordan(j1, j2, 0, 0, J, 0)
+                    if (twice_j1 + twice_j2 + J.twice_j) // 2 % 2 == 1:
+                        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+                    else:
+                        exact = exact_clebsch_gordan(twice_j1, twice_j2, 0, 0, J.twice_j, 0)
+                        assert exact != 0.0 and abs(value - exact) < 1e-14
 
     def test_highest_weight_is_one(self):
         for j1, j2 in ((HALF, spin(2)), (spin(1), spin("3/2")), (spin(3), spin(3))):
@@ -234,14 +256,50 @@ class TestDecomposition:
             decomposition(spin(40), spin(40))
 
     def test_cached_entry_is_small_at_the_cap(self):
-        # the cache holds sectors, not dense isometries (134 MB at this pair)
+        # the cache holds sectors and, after a signed read, their column
+        # signs, not dense isometries (134 MB at this pair)
         dec = decomposition(spin("63/2"), spin("63/2"))
+        dec.block(spin(0))
+        assert "_signs" in vars(dec)
         arrays = [value for value in vars(dec).values() if isinstance(value, np.ndarray)]
         assert arrays
         assert sum(array.nbytes for array in arrays) < 4e6
 
 
+class TestColumnSigns:
+    def test_weights_never_build_the_signs(self):
+        _decomposition.cache_clear()
+        j1, j2 = spin(2), spin("5/2")
+        dec = decomposition(j1, j2)
+        rng = np.random.default_rng(9)
+        state = product_coherent_pair(j1, j2, random_direction(rng), random_direction(rng))
+        invariant_average(state)
+        assert decomposition(j1, j2) is dec
+        assert "_signs" not in vars(dec)
+        dec.block_probabilities(state.matrix)
+        assert "_signs" not in vars(dec)
+        dec.block(spin("1/2"))
+        assert "_signs" in vars(dec)
+
+    @pytest.mark.parametrize("twice_j1, twice_j2", [(0, 7), (1, 1), (4, 3), (3, 8), (12, 12)])
+    def test_signs_are_one_per_sector_and_column(self, twice_j1, twice_j2):
+        dec = decomposition(SpinQuantumNumber(twice_j1), SpinQuantumNumber(twice_j2))
+        signs = dec._signs
+        assert signs.shape == dec.rows.shape == dec.sectors.shape[:2]
+        assert np.all(np.abs(signs) == 1.0)
+        assert dec._signs is signs
+
+
 class TestBlockProbabilities:
+    def test_operator_shape_is_checked(self):
+        dec = decomposition(spin(1), spin(1))
+        with pytest.raises(ValueError, match="expected \\(9, 9\\)"):
+            dec.block_probabilities(np.eye(16) / 16)
+        with pytest.raises(ValueError, match="expected \\(9, 9\\)"):
+            dec.block_probabilities(np.ones((9, 5)))
+        with pytest.raises(ValueError):
+            dec.block_probabilities(np.ones(81) / 81)
+
     @pytest.mark.parametrize(
         "j1_text, j2_text",
         [("1/2", "1/2"), ("1", "3/2"), ("3/2", "1"), ("7/2", "1"), ("1", "7/2"),
@@ -285,6 +343,22 @@ class TestRankOneBlockProbabilities:
                 expected = dec.block_probabilities(vectors.T @ vectors.conj())
                 got = dec._rank_one_block_probabilities(vectors)
                 assert np.max(np.abs(got - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("twice_j1", range(13))
+    def test_column_signs_do_not_change_the_bits(self, twice_j1):
+        # the weights from the unsigned sectors equal those from the signed ones
+        rng = np.random.default_rng(100 + twice_j1)
+        for twice_j2 in range(13):
+            dec = decomposition(SpinQuantumNumber(twice_j1), SpinQuantumNumber(twice_j2))
+            reference = signed(dec)
+            dim = (twice_j1 + 1) * (twice_j2 + 1)
+            for rank in (1, 3):
+                vectors = random_unit_stack(rng, rank, dim)
+                operator = vectors.T @ vectors.conj()
+                assert np.array_equal(dec.block_probabilities(operator),
+                                      reference.block_probabilities(operator))
+                assert np.array_equal(dec._rank_one_block_probabilities(vectors),
+                                      reference._rank_one_block_probabilities(vectors))
 
 
 @pytest.mark.parametrize("j1_text, j2_text", [("63/2", "63/2"), ("255/2", "15/2")])
@@ -353,6 +427,17 @@ class TestDenseCap:
         parts = np.concatenate((vectors.real, vectors.imag))
         expected = dec.block_probabilities(parts.T @ parts)
         assert np.max(np.abs(dec._rank_one_block_probabilities(vectors) - expected)) <= 1e-13
+
+    def test_column_signs_do_not_change_the_bits(self, j1_text, j2_text):
+        dec = decomposition(spin(j1_text), spin(j2_text))
+        reference = signed(dec)
+        vectors = random_unit_stack(np.random.default_rng(7), 3, 4096)
+        assert np.array_equal(dec._rank_one_block_probabilities(vectors),
+                              reference._rank_one_block_probabilities(vectors))
+        parts = np.concatenate((vectors.real, vectors.imag))
+        operator = parts.T @ parts
+        assert np.array_equal(dec.block_probabilities(operator),
+                              reference.block_probabilities(operator))
 
 
 class TestProjector:

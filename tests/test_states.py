@@ -8,9 +8,11 @@ from relangle import (
     CouplingDecomposition,
     Direction,
     Rotation,
+    angle_between,
     coherent_state,
     collective_rotate,
     invariant_average,
+    outcome_probabilities,
     partial_transpose,
     product_coherent_pair,
     rotation_matrix,
@@ -171,6 +173,18 @@ class TestInvariantAverage:
             w2 = invariant_average(pair2)
             for J in w1.weights:
                 assert abs(w1.weights[J] - w2.weights[J]) < 1e-11
+
+    @pytest.mark.parametrize("j1_text, j2_text", [("63/2", "63/2"), ("1/2", "2047/2"),
+                                                  ("255/2", "15/2")])
+    def test_matches_the_closed_form_at_the_dense_cap(self, j1_text, j2_text):
+        # the sector path against the likelihood kernel at product dimension 4096
+        j1, j2 = spin(j1_text), spin(j2_text)
+        rng = np.random.default_rng(j1.twice_j + j2.twice_j)
+        for _ in range(3):
+            n1, n2 = random_direction(rng), random_direction(rng)
+            weights = invariant_average(product_coherent_pair(j1, j2, n1, n2)).weight_array()
+            direct = outcome_probabilities(j1, j2, angle_between(n1, n2))
+            assert np.max(np.abs(weights - [direct[J] for J in sorted(direct)])) <= 1e-13
 
     def test_matches_haar_sampling_oracle(self):
         # Monte Carlo version of the group average, at reduced trial count;
