@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .angular import SpinQuantumNumber, _brief, _spin_label, spin
-from .coupling import _total_js, check_dense_capacity
+from .coupling import _total_js
 from .errors import CapacityError, ConsistencyError
 from .estimation import (
     AngleDensity,
@@ -295,17 +295,12 @@ def _json_text(args: argparse.Namespace, raw_texts=(), **fields) -> str:
 
 @functools.cache
 def _density_grid() -> tuple:
-    """The default angle grid, read-only, and its printed labels as a tuple."""
+    """The default angle grid, read-only, its printed labels as one JSON text, and its
+    angles as CSV fields."""
     grid = np.linspace(0.0, math.pi, DEFAULT_ALPHA_GRID_POINTS)
     grid.setflags(write=False)
-    return grid, tuple(_sig10(a) for a in grid.tolist())
-
-
-@functools.cache
-def _density_grid_texts() -> tuple:
-    """The default grid's labels as one JSON text, and its angles as CSV fields."""
-    grid, labels = _density_grid()
-    return json.dumps(labels), tuple(map(_csv, grid.tolist()))
+    angles = grid.tolist()
+    return grid, json.dumps([_sig10(a) for a in angles]), tuple(map(_csv, angles))
 
 
 def _scenario(args: argparse.Namespace) -> tuple:
@@ -318,7 +313,7 @@ def _cmd_probs(args: argparse.Namespace) -> str:
     probabilities = _block_probability_matrix(args.j1, args.j2, grid).T
     labels = [str(J) for J in _total_js(args.j1.twice_j, args.j2.twice_j)]
     if args.format == "csv":
-        alphas = _density_grid_texts()[1] if args.alpha is None else [_csv(args.alpha)]
+        alphas = _density_grid()[2] if args.alpha is None else [_csv(args.alpha)]
         fields = [f",{J},%.12g\n" for J in labels]
         # each angle's lines: the angle before each of the fields
         template = "".join(alpha + alpha.join(fields) for alpha in alphas)
@@ -352,8 +347,7 @@ def _density_texts(posteriors) -> list[str]:
     densities = [p.coefficients for p in posteriors if isinstance(p, AngleDensity)]
     if not densities:
         return []
-    grid = _density_grid()[0]
-    labels = _density_grid_texts()[0]
+    grid, labels, _ = _density_grid()
     texts = []
     for row in _density_values(np.stack(densities), grid).tolist():
         texts += [labels, _json_floats(row)]
@@ -412,7 +406,6 @@ def _cmd_ppt(args: argparse.Namespace) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
-    check_dense_capacity(args.j1, args.j2)  # before the POVM reads the pair's likelihood table
     summary = run_experiment(args.j1, args.j2, *_scenario(args), args.n, args.seed)
     outcomes = [
         {"label": label, "frequency": _sig10(freq), "frequency_se": _sig10(se),

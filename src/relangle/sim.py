@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import Rotation, spin
-from .coupling import check_dense_capacity
 from .errors import ConsistencyError
 from .estimation import (
     AngleDensity,
@@ -152,14 +151,12 @@ def run_experiment(
     ``SeedSequence(seed, spawn_key=(c,))``.  The mean gain and its standard
     error follow exactly from the outcome counts.
 
-    Pairs above the dense cap raise CapacityError before any work is done,
-    which keeps experiments within reach of the dense per-trial reference
-    they are checked against.  So does a trial count outside
-    [1, ``MAX_TRIALS``], with ValueError."""
+    A trial count outside [1, ``MAX_TRIALS``] raises ValueError before any
+    work is done.  No dense matrix is built, so every pair within the
+    likelihood kernel's limit runs."""
     j1, j2 = spin(j1), spin(j2)
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, 2**53], got {n_trials}")
-    check_dense_capacity(j1, j2)
     (analytic,), _, (gains,), (average,) = _gains(prior, *_stacked(j1, j2, povm))
     draw_angles = _prior_sampler(prior)
 

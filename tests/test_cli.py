@@ -28,7 +28,6 @@ from relangle.cli import (
     _command_parser,
     _csv,
     _density_grid,
-    _density_grid_texts,
     _json_floats,
     _sig10,
     _trials_type,
@@ -502,23 +501,24 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["n_trials"] == 1
 
-    def test_pair_above_dense_cap_exits_2(self, capsys, monkeypatch):
-        # product dimension 65 * 65 = 4225, just above the cap: refused before
-        # the analytic probabilities and gains are computed
-        def report_not_allowed(*args):
-            raise AssertionError("analytic report built before the dense-cap check")
+    def test_pair_past_the_kernel_limit_exits_2(self, capsys, monkeypatch):
+        # 2*min(j1, j2) = 202: the POVM's likelihood table refuses the pair before the
+        # analytic gains are computed or any trial is sampled
+        def not_allowed(*args):
+            raise AssertionError("simulation ran past the kernel limit")
 
-        monkeypatch.setattr("relangle.sim._gains", report_not_allowed)
-        cached = estimation_module._table_stack.cache_info()
+        monkeypatch.setattr(sim_module, "_gains", not_allowed)
+        monkeypatch.setattr(sim_module, "_sample_chunk", not_allowed)
+        cached = estimation_module._table_stack.cache_info().currsize
         code, out, err = run_cli(
             capsys,
             "simulate",
-            "--j1", "32", "--j2", "32", "--prior", "pap", "--n", "1",
+            "--j1", "101", "--j2", "101", "--prior", "pap", "--n", "1",
         )
-        assert estimation_module._table_stack.cache_info() == cached  # nor its likelihood table
+        assert estimation_module._table_stack.cache_info().currsize == cached  # no table kept
         assert code == 2
         assert out == ""
-        assert "exceeds the dense cap 4096" in err
+        assert "2*min(j1, j2) <= 200" in err
 
     def test_trials_past_exact_counts_exit_2_before_sampling(self, capsys, monkeypatch):
         # past 2**53 the counts are no longer exact floats; no trial may run
@@ -646,9 +646,9 @@ class TestParserReuse:
         assert run_cli(capsys, "probs", "--j1", "1", "--j2", "1")[1].startswith("alpha,J,")
 
     def test_density_grid_is_read_only(self):
-        grid, labels = _density_grid()
-        assert isinstance(labels, tuple)
-        assert len(labels) == len(grid) == 181
+        grid, labels_text, alphas = _density_grid()
+        labels = json.loads(labels_text)
+        assert len(labels) == len(alphas) == len(grid) == 181
         assert labels[0] == 0.0 and labels[-1] == 3.141592654
         assert not grid.flags.writeable
 
@@ -737,7 +737,8 @@ def per_number_text(argv):
     """Stdout of a report or probs command line, serialised one number at a time: each
     density value through _sig10 and json.dumps, each CSV field through _csv."""
     args = _build_parser().parse_args(argv)
-    grid, labels = _density_grid()
+    grid = _density_grid()[0]
+    labels = [_sig10(a) for a in grid.tolist()]
     if args.command == "probs":
         alphas = grid if args.alpha is None else np.array([args.alpha])
         probabilities = _block_probability_matrix(args.j1, args.j2, alphas).T.tolist()
@@ -822,9 +823,8 @@ class TestArrayWriter:
         assert out == per_number_text(argv)
 
     def test_grid_texts_are_the_labels_and_csv_fields(self):
-        grid, labels = _density_grid()
-        labels_text, alphas = _density_grid_texts()
-        assert labels_text == json.dumps(labels)
+        grid, labels_text, alphas = _density_grid()
+        assert labels_text == json.dumps([_sig10(a) for a in grid.tolist()])
         assert alphas == tuple(_csv(a) for a in grid.tolist())
 
 
@@ -868,8 +868,8 @@ class TestFlagsAndSpins:
             (["ppt", "--j", "1e400"], "2j <= 4000"),
             (["report", "--j1", "1e400", "--j2", "1e400", "--prior", "uniform",
               "--povm", "optimal"], "2*min(j1, j2) <= 200"),
-            (["simulate", "--j1", "1/2", "--j2", "1e400", "--prior", "uniform", "--n", "10"],
-             "dense cap 4096"),
+            (["simulate", "--j1", "1e400", "--j2", "1e400", "--prior", "uniform", "--n", "10"],
+             "2*min(j1, j2) <= 200"),
             (["curve", "--j-min", "1", "--j-max", "1e400", "--j-step", "3"],
              f"limit of {CURVE_MAX_POINTS}"),
         ],

@@ -308,6 +308,24 @@ class TestChunkedExperiment:
         sigma = np.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
         assert np.all(np.abs(dense - fast) <= 5.0 * sigma + 1e-12)
 
+    @pytest.mark.parametrize("j1,j2,make_prior", [
+        (spin(20), spin(100), uniform_direction_prior),
+        (HALF, spin(10**6), parallel_antiparallel_prior),
+    ], ids=["20-100-uniform", "half-1e6-pap"])
+    def test_pair_past_the_dense_cap_within_five_sigma(self, j1, j2, make_prior):
+        # product dimensions 41 * 201 and 2 * 2000001, past DENSE_DIMENSION_CAP: sampling
+        # reads only the closed-form likelihood, so no dense limit applies
+        prior, povm = make_prior(), _make_povm("optimal", j1, j2)
+        summary = run_experiment(j1, j2, prior, povm, 20_000, seed=67)
+        for freq, p, se in zip(
+            summary.frequencies, summary.analytic_probabilities, summary.frequency_standard_errors
+        ):
+            assert abs(freq - p) <= 5.0 * se + 1e-12
+        gap = abs(summary.mean_gain_bits - summary.analytic_average_gain_bits)
+        assert gap <= 5.0 * summary.gain_standard_error_bits
+        assert summary.analytic_average_gain_bits == (
+            average_information_gain(j1, j2, prior, povm).average_gain_bits)
+
     def test_never_builds_dense_states(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("run_experiment took the dense per-trial path")
