@@ -9,10 +9,13 @@ has its own parser, declaring each flag once; the full parser is assembled from 
 for top-level help and errors.  ``_json_text`` writes every JSON header.
 
 Long float arrays are written whole, not number by number: ``probs`` CSV is one
-%-format per grid, ``curve`` CSV one %-format for all its scenarios, and
-``report`` evaluates all its density posteriors at once and writes each row with
-``_json_floats``, one %-format of the row, falling back to the per-number path
-for the rare row whose text would differ from it.
+%-format per grid, ``curve`` CSV one %-format for all its scenarios, and each
+JSON row of floats (``curve`` JSON, the grid labels, each density posterior of
+``report``) one %-format of the row by ``_json_rows``.  That writer classifies
+the values in numpy and writes only the odd ones (zeros, near-integers,
+non-finite, huge or tiny values) number by number, not their whole row.  ``report`` is
+one ``_gains`` fold over its pair, as ``curve`` and ``simulate`` are: the
+posteriors are checked once, as a stack, and no posterior object is built.
 """
 
 import argparse
@@ -29,14 +32,16 @@ from .angular import SpinQuantumNumber, _brief, _spin_label, spin
 from .coupling import _total_js
 from .errors import CapacityError, ConsistencyError
 from .estimation import (
-    AngleDensity,
     DiscreteAngleDistribution,
     _block_probability_matrix,
+    _check_coefficients,
+    _checked_weights,
     _curve_averages,
     _density_values,
+    _gains,
     _make_povm,
     _make_prior,
-    average_information_gain,
+    _stacked,
 )
 from .locc import ppt_threshold
 from .sim import MAX_TRIALS, run_experiment
@@ -260,19 +265,26 @@ def _csv(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-# "%.10g" % v is the JSON text of _sig10(v) but for integer tokens, which lack ".0", and
-# for NaN and infinities (spelled with "n"), values that round to 1e10 or more (with "e+")
-# and subnormals, below 2.3e-308, whose shortest repr can have fewer digits.
-_SUBNORMAL_EXPONENT = re.compile(r"e-3(?:0[89]|[12]\d)")
-_INTEGER_TOKEN = re.compile(r"([\[ ]-?\d+)([,\]])")
-
-
-def _json_floats(values: list) -> str:
-    """json.dumps([_sig10(v) for v in values]), from one %-format of the whole list."""
-    text = ("[" + ", ".join(["%.10g"] * len(values)) + "]") % tuple(values)
-    if "n" in text or "e+" in text or ("e-3" in text and _SUBNORMAL_EXPONENT.search(text)):
-        return json.dumps([_sig10(v) for v in values])
-    return _INTEGER_TOKEN.sub(r"\1.0\2", text)
+def _json_rows(values: np.ndarray) -> list[str]:
+    """json.dumps([_sig10(v) for v in row]) for each row of a 2-D float array, from one
+    %-format of the row.  Its field for a value v is "%.10g", the JSON text of _sig10(v),
+    unless v is odd: 0, non-finite, |v| >= 1e9 (its text may take "e+"), |v| < 1e-300 (the
+    shortest repr of a subnormal can have fewer digits) or within 1e-9 of a nonzero integer,
+    relative (its text may be an integer token, which lacks ".0").  An odd value whose text
+    is an integer token takes the field "%.10g.0", any other "%s" and its per-number text."""
+    magnitude, nearest = np.abs(values), np.rint(values)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        odd = ~((magnitude >= 1e-300) & (magnitude < 1e9)) | (
+            (nearest != 0.0) & (np.abs(values - nearest) <= 1e-9 * np.abs(nearest)))
+    rows = values.tolist()
+    fields = [["%.10g"] * values.shape[1] for _ in rows]
+    for r, c in zip(*(index.tolist() for index in np.nonzero(odd))):
+        value = rows[r][c]
+        if ("%.10g" % value).lstrip("-").isdigit():
+            fields[r][c] = "%.10g.0"
+        else:
+            fields[r][c], rows[r][c] = "%s", json.dumps(_sig10(value))
+    return [("[" + ", ".join(row_fields) + "]") % tuple(row) for row_fields, row in zip(fields, rows)]
 
 
 # A field value whose JSON text is given to _json_text ready-made; json.dumps writes it
@@ -299,8 +311,8 @@ def _density_grid() -> tuple:
     angles as CSV fields."""
     grid = np.linspace(0.0, math.pi, DEFAULT_ALPHA_GRID_POINTS)
     grid.setflags(write=False)
-    angles = grid.tolist()
-    return grid, json.dumps([_sig10(a) for a in angles]), tuple(map(_csv, angles))
+    angles = ",".join(["%.12g"] * grid.size) % tuple(grid.tolist())  # _csv of each angle
+    return grid, _json_rows(grid[None])[0], tuple(angles.split(","))
 
 
 def _scenario(args: argparse.Namespace) -> tuple:
@@ -326,47 +338,32 @@ def _cmd_probs(args: argparse.Namespace) -> str:
     ])
 
 
-def _serialize_posterior(posterior) -> dict | None:
-    """A posterior's JSON fields; a density's grid labels and values are _RAW."""
-    if posterior is None:
-        return None
-    if isinstance(posterior, DiscreteAngleDistribution):
-        return {
-            "type": "discrete",
-            "support": [
-                {"alpha": _sig10(a), "weight": _sig10(w)}
-                for a, w in zip(posterior.alphas, posterior.weights)
-            ],
-        }
-    return {"type": "density", "alpha": _RAW, "density": _RAW}
-
-
-def _density_texts(posteriors) -> list[str]:
-    """The JSON texts that the _RAW fields of the posteriors' density entries stand for, in
-    order: the grid labels and the values on the grid of each density, all evaluated at once."""
-    densities = [p.coefficients for p in posteriors if isinstance(p, AngleDensity)]
-    if not densities:
-        return []
-    grid, labels, _ = _density_grid()
-    texts = []
-    for row in _density_values(np.stack(densities), grid).tolist():
-        texts += [labels, _json_floats(row)]
-    return texts
-
-
 def _cmd_report(args: argparse.Namespace) -> str:
-    report = average_information_gain(args.j1, args.j2, *_scenario(args))
-    outcomes = [
-        {
-            "label": entry.label,
-            "p": _sig10(entry.probability),
-            "I_bits": _sig10(entry.information_gain_bits),
-            "posterior": _serialize_posterior(entry.posterior),
-        }
-        for entry in report.outcomes
-    ]
-    texts = _density_texts(entry.posterior for entry in report.outcomes)
-    return _json_text(args, texts, outcomes=outcomes, I_av_bits=_sig10(report.average_gain_bits))
+    """One ``_gains`` fold over the pair.  The posteriors of the outcomes that can occur are
+    checked as a stack, as their objects' constructors would check them (ConsistencyError);
+    a density's grid labels and values are _RAW, all its densities evaluated at once."""
+    prior, povm = _scenario(args)
+    probabilities, posteriors, gains, average = _gains(prior, *_stacked(args.j1, args.j2, povm))
+    possible = probabilities[0] > 0.0
+    rows = posteriors[0][possible]
+    texts = []
+    if isinstance(prior, DiscreteAngleDistribution):
+        alphas = [_sig10(a) for a in prior.alphas.tolist()]
+        shown = [{"type": "discrete", "support": [{"alpha": a, "weight": _sig10(w)}
+                                                  for a, w in zip(alphas, weights)]}
+                 for weights in _checked_weights(rows, ConsistencyError).tolist()]
+    else:
+        _check_coefficients(rows, ConsistencyError)
+        grid, labels, _ = _density_grid()
+        shown = [{"type": "density", "alpha": _RAW, "density": _RAW}] * len(rows)
+        for density in _json_rows(_density_values(rows, grid)):
+            texts += [labels, density]
+    posterior = iter(shown)
+    outcomes = [{"label": label, "p": _sig10(p), "I_bits": _sig10(gain),
+                 "posterior": next(posterior) if p > 0.0 else None}
+                for label, p, gain in zip(povm.labels, probabilities[0].tolist(),
+                                          gains[0].tolist())]
+    return _json_text(args, texts, outcomes=outcomes, I_av_bits=_sig10(average[0]))
 
 
 def _cmd_curve(args: argparse.Namespace) -> str:
@@ -391,10 +388,10 @@ def _cmd_curve(args: argparse.Namespace) -> str:
         template = "".join(sep.join(labels) + sep for sep in
                            (f",%.12g,{letter}\n" for letter in args.curves))
         return "j,I_av_bits,scenario\n" + template % tuple(averages.ravel().tolist())
-    # each scenario's rows: its fields after each of the labels, filled by one _json_floats
+    # each scenario's rows: its fields after each of the labels, filled by one _json_rows row
     rows = ", ".join('{"j": "' + (fields + ', {"j": "').join(labels) + fields for fields in
                      (f'", "I_av_bits": %s, "scenario": "{letter}"}}' for letter in args.curves))
-    values = tuple(_json_floats(averages.ravel().tolist())[1:-1].split(", "))
+    values = tuple(_json_rows(averages.reshape(1, -1))[0][1:-1].split(", "))
     return _json_text(args, [f"[{rows}]" % values], rows=_RAW)
 
 

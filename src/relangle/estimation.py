@@ -186,12 +186,7 @@ class DiscreteAngleDistribution:
         # min/max comparisons written so that NaN fails them too
         if alphas.size and not (alphas.min() >= -1e-12 and alphas.max() <= math.pi + 1e-12):
             raise ValueError("support points must lie in [0, pi]")
-        if weights.size and not weights.min() >= -1e-12:
-            raise ValueError("weights must be non-negative")
-        weights = np.maximum(weights, 0.0)
-        total = float(weights.sum())
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"weights sum to {total}, expected 1")
+        weights = _checked_weights(weights)
         alphas.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "alphas", alphas)
@@ -211,12 +206,9 @@ class AngleDensity:
 
     def __init__(self, coefficients, outcome_label: str | None = None):
         coefficients = np.array(coefficients, dtype=float)
-        # written so that NaN fails too
-        if coefficients.ndim != 1 or coefficients.size == 0 or not np.all(coefficients >= 0.0):
+        if coefficients.ndim != 1 or coefficients.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d array of non-negative numbers")
-        total = float(coefficients.sum()) / coefficients.size
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"density integrates to {total}, expected 1")
+        _check_coefficients(coefficients)
         coefficients.setflags(write=False)
         self.coefficients = coefficients
         self.outcome_label = outcome_label
@@ -227,6 +219,31 @@ class AngleDensity:
 
     def pdf(self, alphas) -> np.ndarray:
         return _density_values(self.coefficients, np.asarray(alphas, dtype=float))
+
+
+def _checked_weights(weights: np.ndarray, error=ValueError) -> np.ndarray:
+    """Discrete weights (last axis) clipped at zero; ``error`` unless every weight is at least
+    -1e-12 and each distribution's weights sum to 1 within 1e-12.  NaN fails both checks."""
+    if not (weights >= -1e-12).all():
+        raise error("weights must be non-negative")
+    weights = np.maximum(weights, 0.0)
+    totals = weights.sum(axis=-1)
+    deviations = np.abs(totals - 1.0)
+    if not (deviations <= 1e-12).all():
+        raise error(f"weights sum to {float(np.ravel(totals)[np.argmax(deviations)])}, expected 1")
+    return weights
+
+
+def _check_coefficients(coefficients: np.ndarray, error=ValueError) -> None:
+    """``error`` unless the Bernstein coefficients (last axis) are non-negative and each
+    density's mean, its integral, is 1 within 1e-10.  NaN fails both checks."""
+    if not (coefficients >= 0.0).all():
+        raise error("density coefficients must be non-negative")
+    means = coefficients.sum(axis=-1) / coefficients.shape[-1]
+    deviations = np.abs(means - 1.0)
+    if not (deviations <= 1e-10).all():
+        raise error(f"density integrates to {float(np.ravel(means)[np.argmax(deviations)])}, "
+                    "expected 1")
 
 
 def _density_values(coefficients: np.ndarray, alphas: np.ndarray) -> np.ndarray:

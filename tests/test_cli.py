@@ -28,12 +28,18 @@ from relangle.cli import (
     _command_parser,
     _csv,
     _density_grid,
-    _json_floats,
+    _json_rows,
     _sig10,
     _trials_type,
     main,
 )
-from relangle.estimation import RotInvariantPovm, _block_probability_matrix, _make_povm
+from relangle.estimation import (
+    AngleDensity,
+    RotInvariantPovm,
+    _block_probability_matrix,
+    _density_values,
+    _make_povm,
+)
 from relangle.locc import PPT_TWICE_J_LIMIT
 from relangle.sim import MAX_TRIALS
 
@@ -251,6 +257,26 @@ class TestReport:
         (far, far_densities), (near, near_densities) = reports
         assert far == near
         assert np.max(np.abs(far_densities - near_densities)) < 1e-40
+
+    @pytest.mark.parametrize("prior", ["pap", "uniform"])
+    def test_report_is_one_fold_with_no_posterior_object(self, capsys, monkeypatch, prior):
+        def not_allowed(*args, **kwargs):
+            raise AssertionError("report built an object path")
+
+        built = []
+        discrete_init = DiscreteAngleDistribution.__post_init__
+        density_init = AngleDensity.__init__
+        monkeypatch.setattr(estimation_module, "average_information_gain", not_allowed)
+        monkeypatch.setattr(estimation_module, "_posterior", not_allowed)
+        monkeypatch.setattr(DiscreteAngleDistribution, "__post_init__",
+                            lambda self: built.append(self) or discrete_init(self))
+        monkeypatch.setattr(AngleDensity, "__init__",
+                            lambda self, *args: built.append(self) or density_init(self, *args))
+        code, out, err = run_cli(capsys, "report", "--j1", "2", "--j2", "3",
+                                 "--prior", prior, "--povm", "optimal")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["outcomes"]) == 5
+        assert len(built) == 1  # the prior
 
     def test_csv_format_rejected(self, capsys):
         code, _, err = run_cli(
@@ -665,6 +691,61 @@ class TestParserReuse:
         assert result.stdout.strip() == "0 0"
 
 
+def fold_with(change):
+    """A stand-in for ``_gains`` that applies ``change`` to its pair's probabilities,
+    posteriors and gains, in place, and then recomputes the average gain."""
+    gains_of = estimation_module._gains
+
+    def changed(prior, weights, tables):
+        probabilities, posteriors, gains, average = gains_of(prior, weights, tables)
+        change(probabilities[0], posteriors[0], gains[0])
+        return probabilities, posteriors, gains, (probabilities * gains).sum(axis=-1)
+
+    return changed
+
+
+def negative_weight(probabilities, posteriors, gains):
+    posteriors[0, :2] = [-1e-9, 1.0 + 1e-9]
+
+
+def mean_past_one(probabilities, posteriors, gains):
+    posteriors[0] *= 1.0 + 1e-9
+
+
+def zero_evidence(probabilities, posteriors, gains):
+    # the first outcome's probability moves to the last, which keeps the table consistent
+    probabilities[-1] += probabilities[0]
+    probabilities[0] = gains[0] = 0.0
+
+
+class TestReportFold:
+    """``report`` checks its posteriors as a stack, as the posterior objects would."""
+
+    @pytest.mark.parametrize(("prior", "change", "message"), [
+        ("pap", negative_weight, "weights must be non-negative"),
+        ("uniform", mean_past_one, "density integrates to 1.000000001"),
+    ])
+    def test_bad_posterior_exits_1(self, capsys, monkeypatch, prior, change, message):
+        monkeypatch.setattr(cli_module, "_gains", fold_with(change))
+        code, out, err = run_cli(capsys, "report", "--j1", "1", "--j2", "2",
+                                 "--prior", prior, "--povm", "optimal")
+        assert (code, out) == (1, "")
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("prior", ["pap", "uniform"])
+    @pytest.mark.parametrize("povm", ["optimal", "local"])
+    def test_zero_evidence_prints_null_as_the_object_path(self, capsys, monkeypatch, prior, povm):
+        changed = fold_with(zero_evidence)
+        monkeypatch.setattr(cli_module, "_gains", changed)
+        monkeypatch.setattr(estimation_module, "_gains", changed)
+        argv = ["report", "--j1", "1", "--j2", "2", "--prior", prior, "--povm", povm]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["outcomes"][0]["posterior"] is None
+        assert out == per_number_text(argv)
+
+
 # each command: a valid line, then lines on which argparse exits: help, a missing required
 # flag (curve: a missing value), an invalid choice (ppt: a flag it lacks), a trailing
 # unrecognized argument, a bad spin, --out with no value
@@ -781,40 +862,78 @@ LARGE_REPORT_ARGVS = [
     ["report", "--j1", "50", "--j2", j2, "--prior", "uniform", "--povm", "optimal"]
     for j2 in ("60", "100")
 ]
+# every scenario on pairs from the smallest to the kernel limit and past the float range
+REPORT_PAIR_ARGVS = [
+    ["report", "--j1", j1, "--j2", j2, "--prior", prior, "--povm", povm]
+    for j1, j2 in [("1/2", "1/2"), ("1", "1"), ("1/2", "1"), ("3", "10"), ("50", "60"),
+                   ("100", "100"), ("1/2", "1e6"), ("7/2", "9/2"), ("20", "100")]
+    for prior in ("pap", "uniform") for povm in ("optimal", "local")
+]
 
 SIG10_VALUES = [0.0, -0.0, 1.0, 2.0, -3.0, 1e-5, 1.5e-05, 1.0136653451e-316, 5e-324,
                 2.2250738585e-308, 9999999999.5, 1e10, 1e15, 1e16, 0.99999999999, 123456.0,
                 math.nan, math.inf, -math.inf]
+# either side of the writer's bounds: 1e9, 1e-300, and 1e-9 relative of an integer
+BOUNDARY_VALUES = [999999999.4, 999999999.6, 1e9, 0.99999999995, 0.9999999999499999,
+                   -2.00000000004, 123456.000000049, 1e-300, 9.99e-301]
 
 
 def random_rows():
     rng = np.random.default_rng(2003)
     signs = rng.choice([-1.0, 1.0], size=(20, 181))
-    rows = [signs * 10.0 ** rng.uniform(-320.0, 20.0, size=(20, 181)),  # every format
-            3.0 * rng.random((20, 181)),  # density-like: the %-format path
+    return [signs * 10.0 ** rng.uniform(-320.0, 20.0, size=(20, 181)),  # every format
+            3.0 * rng.random((20, 181)),  # density-like: the shared field
             np.round(rng.normal(size=(20, 181)), 3)]
-    return [row.tolist() for block in rows for row in block]
+
+
+def near_integer_rows():
+    """Integers k, |k| < 1000, each off by 10**U(-14, -5) either way."""
+    rng = np.random.default_rng(2004)
+    offsets = rng.choice([-1.0, 1.0], size=(20, 181)) * 10.0 ** rng.uniform(-14.0, -5.0, (20, 181))
+    return rng.integers(-999, 1000, size=(20, 181)) + offsets
+
+
+def row_text(values) -> str:
+    return _json_rows(np.array([values], dtype=float))[0]
+
+
+def per_number_rows(stack) -> list:
+    return [json.dumps([_sig10(v) for v in row]) for row in stack.tolist()]
 
 
 class TestArrayWriter:
-    @pytest.mark.parametrize("value", SIG10_VALUES)
+    @pytest.mark.parametrize("value", SIG10_VALUES + BOUNDARY_VALUES)
     def test_single_value_equals_per_number_json(self, value):
-        assert _json_floats([value]) == json.dumps([_sig10(value)])
+        assert row_text([value]) == json.dumps([_sig10(value)])
 
     def test_listed_values_together_equal_per_number_json(self):
         finite = [v for v in SIG10_VALUES if math.isfinite(v)]
-        for values in (SIG10_VALUES, finite, finite[:6], []):
-            assert _json_floats(values) == json.dumps([_sig10(v) for v in values])
+        for values in (SIG10_VALUES, finite, finite[:6], BOUNDARY_VALUES, []):
+            assert row_text(values) == json.dumps([_sig10(v) for v in values])
 
     def test_random_rows_equal_per_number_json(self):
-        for row in random_rows():
-            assert _json_floats(row) == json.dumps([_sig10(v) for v in row])
+        for stack in random_rows():
+            assert _json_rows(stack) == per_number_rows(stack)
+
+    def test_near_integer_rows_equal_per_number_json(self):
+        stack = near_integer_rows()
+        assert _json_rows(stack) == per_number_rows(stack)
+        assert _json_rows(-stack) == per_number_rows(-stack)
+
+    def test_density_shaped_stack_equals_per_number_json(self):
+        # 34 densities on the default grid, as many as an estimate pass writes
+        rng = np.random.default_rng(2005)
+        coefficients = rng.random((34, 12))
+        coefficients /= coefficients.mean(axis=1, keepdims=True)
+        stack = _density_values(coefficients, _density_grid()[0])
+        assert stack.shape == (34, 181) and (stack[:, 0] == 0.0).all()
+        assert _json_rows(stack) == per_number_rows(stack)
 
     def test_subnormal_takes_the_per_number_path(self):
         assert "%.10g" % 1.0136653451e-316 == "1.013665345e-316"
-        assert _json_floats([0.5, 1.0136653451e-316]) == "[0.5, 1.01366535e-316]"
+        assert row_text([0.5, 1.0136653451e-316]) == "[0.5, 1.01366535e-316]"
 
-    @pytest.mark.parametrize("argv", ESTIMATE_ARGVS + LARGE_REPORT_ARGVS
+    @pytest.mark.parametrize("argv", ESTIMATE_ARGVS + LARGE_REPORT_ARGVS + REPORT_PAIR_ARGVS
                              + [["probs", "--j1", "1", "--j2", "3/2", "--alpha", "pi/2"]],
                              ids=" ".join)
     def test_stdout_equals_per_number_serialisation(self, capsys, argv):

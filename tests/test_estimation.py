@@ -1060,6 +1060,26 @@ class TestDistributions:
         with pytest.raises(ValueError):
             AngleDensity(coefficients)
 
+    def test_stack_checks_hold_the_constructors_bounds(self):
+        # one bad row of a stack fails it, with the error the caller names
+        weights = np.array([[0.25, 0.75], [1.0 - 1e-13, -1e-13]])
+        clipped = estimation_module._checked_weights(weights, ConsistencyError)
+        assert clipped.tolist() == [
+            DiscreteAngleDistribution(np.array([0.0, math.pi]), row).weights.tolist()
+            for row in weights]
+        for bad in ([[0.5, 0.5], [1.0 + 1e-9, -1e-9]], [[0.5, 0.5], [0.5, 0.5 + 1e-11]],
+                    [[0.5, 0.5], [math.nan, 1.0]]):
+            with pytest.raises(ConsistencyError):
+                estimation_module._checked_weights(np.array(bad), ConsistencyError)
+        coefficients = np.array([[1.0, 1.0], [2.0 - 1e-11, 0.0]])
+        estimation_module._check_coefficients(coefficients, ConsistencyError)
+        for bad in ([[1.0, 1.0], [2.0 + 1e-9, 0.0]], [[1.0, 1.0], [2.0 + 1e-9, -1e-9]],
+                    [[1.0, 1.0], [math.nan, 1.0]]):
+            with pytest.raises(ConsistencyError):
+                estimation_module._check_coefficients(np.array(bad), ConsistencyError)
+            with pytest.raises(ValueError):
+                AngleDensity(bad[1])
+
     def test_density_pdf_keeps_the_input_shape(self):
         density = AngleDensity([0.5, 1.5, 1.0])
         assert density.pdf(0.3).shape == ()
