@@ -9,6 +9,8 @@ Euler convention, R = exp(-i a Jz) exp(-i b Jy) exp(-i g Jz).
 """
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -58,12 +60,8 @@ class SpinQuantumNumber:
 
     @classmethod
     def from_string(cls, text: str) -> "SpinQuantumNumber":
-        """Parse a half-integer such as ``"1/2"``, ``"3"`` or ``"2.5"``."""
-        try:
-            value = Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse spin value {text!r}") from exc
-        return spin(value)
+        """Parse a half-integer such as ``"1/2"``, ``"3"`` or ``"2.5"``, as ``spin`` does."""
+        return spin(_spin_value(text))
 
     def __str__(self) -> str:
         return _spin_label(self.twice_j)
@@ -100,23 +98,68 @@ def _brief(value) -> str:
     return f"{'-' * (value < 0)}{mantissa}e{power:+d}"
 
 
+# Past this many characters an error message quotes only the start of a text.
+_SHOWN_CHARACTERS = 40
+
+
+def _shown(text: str) -> str:
+    """A text as an error message quotes it: its repr, or past _SHOWN_CHARACTERS characters
+    the repr of its start and its length, so that the message stays one short line."""
+    if len(text) <= _SHOWN_CHARACTERS:
+        return repr(text)
+    return f"{text[:_SHOWN_CHARACTERS // 2]!r}... ({len(text)} characters)"
+
+
+# The exponent of a number's text as Fraction reads it: "e", an optional sign, digits.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _digit_limit() -> int:
+    """Python's limit on the digits of integer text (``sys.get_int_max_str_digits``), 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _spin_value(text: str) -> Fraction:
+    """The number a spin's text such as ``"1/2"``, ``"3"`` or ``"2.5e1"`` names; ValueError if
+    it names none.  An exponent e past twice Python's limit on the digits of integer text is
+    refused from the text, before Fraction builds 10**|e|: the digits before and after the
+    point number at most the limit each, so the value is 0, below 1/10 or past 10**limit, and
+    no spin that ``spin`` accepts."""
+    limit = _digit_limit()
+    try:
+        exponent = _EXPONENT.search(text)
+        if not (limit and exponent and abs(int(exponent[1])) > 2 * limit):
+            return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse spin value {_shown(text)}") from exc
+    raise ValueError(f"spin {_shown(text.strip())} has more than {limit} digits, "
+                     "past Python's limit for integer text")
+
+
 def spin(value) -> SpinQuantumNumber:
-    """Coerce a string, integer, exact half-valued float, or Fraction to a spin."""
+    """Coerce a string, integer, exact half-valued float, or Fraction to a spin.
+
+    A spin whose label ("j", or "2j/2" for a half-integer) holds an integer of more digits than
+    Python writes as text (``sys.get_int_max_str_digits``; none where that is 0) is refused."""
     if isinstance(value, SpinQuantumNumber):
         return value
     if isinstance(value, str):
-        return SpinQuantumNumber.from_string(value)
-    if isinstance(value, (int, np.integer)):
-        return SpinQuantumNumber(2 * int(value))
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"{value} is not a half-integer spin")
-        value = Fraction(value)
-    if isinstance(value, Fraction):
-        if value.denominator not in (1, 2):
-            raise ValueError(f"{_brief(value)} is not a half-integer spin")
-        return SpinQuantumNumber(int(value * 2))
-    raise TypeError(f"cannot interpret {value!r} as a spin quantum number")
+        value = _spin_value(value)
+    elif isinstance(value, np.integer):
+        value = int(value)  # Fraction would keep the numpy scalar, which has no bit_length
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{value} is not a half-integer spin")
+    elif not isinstance(value, (int, float, Fraction)):
+        raise TypeError(f"cannot interpret {value!r} as a spin quantum number")
+    value = Fraction(value)
+    limit = _digit_limit()
+    # a numerator below 8**limit, of at most 3 * limit bits, is below 10**limit: no power built
+    if limit and value.numerator.bit_length() > 3 * limit and value.numerator >= 10**limit:
+        raise ValueError(f"spin {_brief(value)} has more than {limit} digits, "
+                         "past Python's limit for integer text")
+    if value.denominator not in (1, 2):
+        raise ValueError(f"{_brief(value)} is not a half-integer spin")
+    return SpinQuantumNumber(int(value * 2))
 
 
 @dataclass(frozen=True)

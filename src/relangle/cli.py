@@ -22,13 +22,11 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from .angular import SpinQuantumNumber, _brief, _spin_label, spin
+from .angular import SpinQuantumNumber, _brief, _shown, _spin_label, _spin_value, spin
 from .coupling import _total_js
 from .errors import CapacityError, ConsistencyError
 from .estimation import (
@@ -72,45 +70,13 @@ _KINDS = {
 }
 
 
-# The exponent of a number's text as Fraction reads it: "e", an optional sign, digits.
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-
-# Past this many characters an error message quotes only the start of an argument.
-_SHOWN_CHARACTERS = 40
-
-
-def _shown(text: str) -> str:
-    """The argument as an error message quotes it: its repr, or past _SHOWN_CHARACTERS
-    characters the repr of its start and its length, so that the message stays one short line."""
-    if len(text) <= _SHOWN_CHARACTERS:
-        return repr(text)
-    return f"{text[:_SHOWN_CHARACTERS // 2]!r}... ({len(text)} characters)"
-
-
 def _spin_type(text: str) -> SpinQuantumNumber:
-    """A spin of at least 1/2; a zero or negative one is refused in terms of the spin, and so
-    is one whose label ("j", or "2j/2" for a half-integer) holds an integer of more digits
-    than Python writes as text (``sys.get_int_max_str_digits``; none where that is 0).
-
-    An exponent e past twice that limit is refused from the text, before Fraction builds
-    10**|e|: the digits before and after the point number at most the limit each, so the value
-    is 0, below 1/10 or past 10**limit, and no spin the label check would accept."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    """A spin of at least 1/2: the text is read by ``angular._spin_value``, a zero or negative
+    spin is refused in terms of the spin, and the rest is left to ``spin``."""
     try:
-        exponent = _EXPONENT.search(text)
-        if limit and exponent and abs(int(exponent[1])) > 2 * limit:
-            raise argparse.ArgumentTypeError(f"spin {_shown(text.strip())} has more than {limit} "
-                                             "digits, past Python's limit for integer text")
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse spin value {_shown(text)}") from exc
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"spin must be at least 1/2, got {_brief(value)}")
-    # a numerator below 8**limit, of at most 3 * limit bits, is below 10**limit: no power built
-    if limit and value.numerator.bit_length() > 3 * limit and value.numerator >= 10**limit:
-        raise argparse.ArgumentTypeError(f"spin {_brief(value)} has more than {limit} digits, "
-                                         "past Python's limit for integer text")
-    try:
+        value = _spin_value(text)
+        if value <= 0:
+            raise ValueError(f"spin must be at least 1/2, got {_brief(value)}")
         return spin(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc

@@ -45,7 +45,8 @@ import numpy as np
 from .angular import SpinQuantumNumber, _brief, spin
 from .coupling import _total_js
 from .errors import CapacityError, ConsistencyError, ImpossibleOutcomeError
-from .polynomials import bernstein_from_power, bernstein_product, bernstein_values, power_basis
+from .polynomials import (_binomials, bernstein_from_power, bernstein_product, bernstein_values,
+                          power_basis)
 from .states import DensityMatrix, InvariantState, invariant_average
 
 __all__ = [
@@ -81,6 +82,9 @@ KERNEL_TWICE_J_LIMIT = 200
 
 # Every integer below 2^53 is a float64, so a product of integers that stays below it is exact.
 _EXACT_FLOAT_INTEGERS = 2**53
+
+# An outcome whose evidence P(o) is at most this cannot occur under the prior.
+_IMPOSSIBLE_EVIDENCE = 1e-14
 
 _QUAD_TOL = 1e-10
 _QUAD_START = 16
@@ -176,7 +180,6 @@ class DiscreteAngleDistribution:
 
     alphas: np.ndarray
     weights: np.ndarray
-    outcome_label: str | None = None
 
     def __post_init__(self):
         alphas = np.array(self.alphas, dtype=float)
@@ -204,14 +207,13 @@ class AngleDensity:
     must be non-negative, and the uniform density is b_k = 1 at any degree.
     """
 
-    def __init__(self, coefficients, outcome_label: str | None = None):
+    def __init__(self, coefficients):
         coefficients = np.array(coefficients, dtype=float)
         if coefficients.ndim != 1 or coefficients.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d array of non-negative numbers")
         _check_coefficients(coefficients)
         coefficients.setflags(write=False)
         self.coefficients = coefficients
-        self.outcome_label = outcome_label
 
     @property
     def degree(self) -> int:
@@ -221,13 +223,15 @@ class AngleDensity:
         return _density_values(self.coefficients, np.asarray(alphas, dtype=float))
 
 
-def _checked_weights(weights: np.ndarray, error=ValueError) -> np.ndarray:
-    """Discrete weights (last axis) clipped at zero; ``error`` unless every weight is at least
-    -1e-12 and each distribution's weights sum to 1 within 1e-12.  NaN fails both checks."""
+def _checked_weights(weights: np.ndarray, error=ValueError, axis=-1) -> np.ndarray:
+    """Weights clipped at zero; ``error`` unless every weight is at least -1e-12 and each
+    distribution's weights sum to 1 within 1e-12 along ``axis``: discrete distributions (last
+    axis), or each block's weights over the outcomes of a POVM (outcomes, blocks; axis -2).
+    NaN fails both checks."""
     if not (weights >= -1e-12).all():
         raise error("weights must be non-negative")
     weights = np.maximum(weights, 0.0)
-    totals = weights.sum(axis=-1)
+    totals = weights.sum(axis=axis)
     deviations = np.abs(totals - 1.0)
     if not (deviations <= 1e-12).all():
         raise error(f"weights sum to {float(np.ravel(totals)[np.argmax(deviations)])}, expected 1")
@@ -262,55 +266,42 @@ def uniform_direction_prior() -> AngleDensity:
     return AngleDensity([1.0])
 
 
-def _checked_povm_weights(weights: np.ndarray) -> np.ndarray:
-    """POVM weights (..., outcomes, blocks) clipped at zero; ValueError unless every weight
-    is at least -1e-12 and each block's weights sum to 1 over outcomes within 1e-12."""
-    if not (weights >= -1e-12).all():  # NaN fails too
-        raise ValueError("POVM weights must be non-negative")
-    weights = np.maximum(weights, 0.0)
-    if not (np.abs(weights.sum(axis=-2) - 1.0) <= 1e-12).all():
-        raise ValueError("weights for each block must sum to 1 over outcomes")
-    return weights
-
-
 @dataclass(frozen=True, eq=False)
 class RotInvariantPovm:
     """POVM commuting with all collective rotations.
 
     Every element is a weighted sum of total-spin projectors;
     ``weights[k, i]`` is the weight of outcome ``labels[k]`` on block
-    ``j_values[i]``.  For each block the weights over outcomes form a
-    probability distribution.
+    ``j_values[i]``, the pair's total spins in increasing order.  For each
+    block the weights over outcomes form a probability distribution.
     """
 
     j1: SpinQuantumNumber
     j2: SpinQuantumNumber
     labels: tuple[str, ...]
-    j_values: tuple[SpinQuantumNumber, ...]
     weights: np.ndarray
 
     def __post_init__(self):
-        expected = _total_js(self.j1.twice_j, self.j2.twice_j)
-        if tuple(self.j_values) != expected:
-            raise ValueError("j_values must list the total spins in increasing order")
         weights = np.array(self.weights, dtype=float)
         if weights.shape != (len(self.labels), len(self.j_values)):
             raise ValueError(f"weights shape {weights.shape} does not match labels x blocks")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("outcome labels must be unique")
-        weights = _checked_povm_weights(weights)
+        weights = _checked_weights(weights, axis=-2)
         weights.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "j_values", expected)
         object.__setattr__(self, "weights", weights)
+
+    @property
+    def j_values(self) -> tuple[SpinQuantumNumber, ...]:
+        return _total_js(self.j1.twice_j, self.j2.twice_j)
 
     @classmethod
     def projective(cls, j1, j2) -> "RotInvariantPovm":
         """The projective measurement of total spin, one outcome per block."""
         j1, j2 = spin(j1), spin(j2)
         j_values = _total_js(j1.twice_j, j2.twice_j)
-        labels = tuple(f"J={J}" for J in j_values)
-        return cls(j1, j2, labels, j_values, np.eye(len(j_values)))
+        return cls(j1, j2, tuple(f"J={J}" for J in j_values), np.eye(len(j_values)))
 
     @property
     def n_outcomes(self) -> int:
@@ -460,10 +451,10 @@ def _joint_rows(prior, weights: np.ndarray, tables: np.ndarray) -> tuple[np.ndar
     return rows.sum(axis=-1) / rows.shape[-1], rows
 
 
-def _posterior(prior, weights: np.ndarray, label: str):
+def _posterior(prior, weights: np.ndarray):
     if isinstance(prior, DiscreteAngleDistribution):
-        return DiscreteAngleDistribution(prior.alphas, weights, outcome_label=label)
-    return AngleDensity(weights, outcome_label=label)
+        return DiscreteAngleDistribution(prior.alphas, weights)
+    return AngleDensity(weights)
 
 
 def bayes_update(prior, j1, j2, povm: RotInvariantPovm, outcome: str):
@@ -471,11 +462,11 @@ def bayes_update(prior, j1, j2, povm: RotInvariantPovm, outcome: str):
     k = povm.index(outcome)
     evidence, rows = _joint_rows(prior, *_stacked(j1, j2, povm))
     p_outcome = float(evidence[0, k])
-    if p_outcome <= 1e-14:
+    if p_outcome <= _IMPOSSIBLE_EVIDENCE:
         raise ImpossibleOutcomeError(
             f"outcome {outcome!r} has probability {p_outcome} under this prior"
         )
-    return _posterior(prior, rows[0, k] / p_outcome, outcome)
+    return _posterior(prior, rows[0, k] / p_outcome)
 
 
 def _linear_x_log_x(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
@@ -572,9 +563,9 @@ def _check_gains(probabilities: np.ndarray, gains: np.ndarray, average) -> None:
 def _gains(prior, weights: np.ndarray, tables: np.ndarray) -> tuple:
     """Outcome probabilities and gains (pairs, outcomes), posteriors (pairs, outcomes, n) and
     average gains (pairs,) for a stack of pairs, checked by ``_check_gains``.  An outcome
-    with evidence at most 1e-14 cannot occur: its probability and gain are zero."""
+    with evidence at most _IMPOSSIBLE_EVIDENCE cannot occur: its probability and gain are zero."""
     evidence, rows = _joint_rows(prior, weights, tables)
-    possible = evidence > 1e-14
+    possible = evidence > _IMPOSSIBLE_EVIDENCE
     probabilities = np.where(possible, evidence, 0.0)
     posteriors = rows / np.where(possible, evidence, 1.0)[..., None]
     gains = np.zeros(evidence.shape)
@@ -614,10 +605,7 @@ class EstimationReport:
         )
 
     def outcome(self, label: str) -> OutcomeReport:
-        for entry in self.outcomes:
-            if entry.label == label:
-                return entry
-        raise ValueError(f"unknown outcome label {label!r}")
+        return self.outcomes[self.povm.index(label)]
 
 
 def average_information_gain(j1, j2, prior, povm: RotInvariantPovm) -> EstimationReport:
@@ -625,7 +613,7 @@ def average_information_gain(j1, j2, prior, povm: RotInvariantPovm) -> Estimatio
     one pair, with a posterior object for each outcome that can occur."""
     probabilities, posteriors, gains, average = _gains(prior, *_stacked(j1, j2, povm))
     entries = tuple(
-        OutcomeReport(label, p, _posterior(prior, q, label) if p > 0.0 else None, gain)
+        OutcomeReport(label, p, _posterior(prior, q) if p > 0.0 else None, gain)
         for label, p, q, gain in zip(povm.labels, probabilities[0].tolist(), posteriors[0],
                                      gains[0].tolist())
     )
@@ -672,7 +660,7 @@ def _povm_weights(kind: str, twice_as, tables: np.ndarray) -> np.ndarray:
     ``twice_as``.  "optimal" measures total spin.  "optimal-local" measures the larger spin a
     with coherent states and then the smaller spin b along the direction found; twirled, its
     outcome m = b - k weighs block J by (2a+1)/(2J+1) T[J, k] / C(2b, k), and the last outcome,
-    k = 2b, takes 1 minus the others; checked by ``_checked_povm_weights``.  Each ratio is the
+    k = 2b, takes 1 minus the others; checked by ``_checked_weights``.  Each ratio is the
     correctly rounded float of the integer quotient: one float64 division over a stack of more
     than one pair whose 2a + 2b + 1 stays below 2^53, where both integers are exact floats, and
     a quotient of Python integers otherwise, for any a.  ValueError for "optimal-local" when
@@ -691,9 +679,9 @@ def _povm_weights(kind: str, twice_as, tables: np.ndarray) -> np.ndarray:
         ratios = np.fromiter(((twice_a + 1) / (twice_a - twice_b + 2 * i + 1)
                               for twice_a in twice_as for i in range(twice_b + 1)),
                              float, tables[..., 0].size).reshape(tables.shape[:2])
-    binomials = np.array([float(math.comb(twice_b, k)) for k in range(twice_b)])
-    rest = (tables[..., :-1] / binomials).transpose(0, 2, 1) * ratios[:, None]
-    return _checked_povm_weights(np.concatenate((rest, 1.0 - rest.sum(axis=1, keepdims=True)), 1))
+    rest = (tables[..., :-1] / _binomials(twice_b)[:-1]).transpose(0, 2, 1) * ratios[:, None]
+    return _checked_weights(np.concatenate((rest, 1.0 - rest.sum(axis=1, keepdims=True)), 1),
+                            axis=-2)
 
 
 def _make_povm(kind: str, j1, j2) -> RotInvariantPovm:
@@ -703,11 +691,10 @@ def _make_povm(kind: str, j1, j2) -> RotInvariantPovm:
     j1, j2 = spin(j1), spin(j2)
     twice_b, twice_a = sorted((j1.twice_j, j2.twice_j))
     weights = _povm_weights(kind, (twice_a,), _table_stack(twice_b, (twice_a,)))[0]
-    j_values = _total_js(j1.twice_j, j2.twice_j)
-    labels = [f"J={J}" for J in j_values] if kind == "optimal" else ["aligned", *(
-        f"m={'-' * (2 * k > twice_b)}{SpinQuantumNumber(abs(twice_b - 2 * k))}"
-        for k in range(1, twice_b)), "antialigned"]
-    return RotInvariantPovm(j1, j2, labels, j_values, weights)
+    labels = [f"J={J}" for J in _total_js(j1.twice_j, j2.twice_j)] if kind == "optimal" else [
+        "aligned", *(f"m={'-' * (2 * k > twice_b)}{SpinQuantumNumber(abs(twice_b - 2 * k))}"
+                     for k in range(1, twice_b)), "antialigned"]
+    return RotInvariantPovm(j1, j2, labels, weights)
 
 
 def infogain_curve(j_list, prior_kind: str, povm_kind: str) -> list:
@@ -754,6 +741,5 @@ def born_limit_check(j1, alpha: float, j2) -> float:
     alphas = np.array([alpha], dtype=float)
     block_probs = _block_probability_matrix(j1, j2, alphas)[:, 0]
     n = j1.twice_j
-    binomials = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    born = binomials * power_basis(alphas, n)[:, 0]  # ordered by decreasing m
+    born = _binomials(n) * power_basis(alphas, n)[:, 0]  # ordered by decreasing m
     return float(np.max(np.abs(block_probs - born[::-1])))

@@ -41,7 +41,8 @@ def power_basis(alphas: np.ndarray, n: int) -> np.ndarray:
 def bernstein_from_power(coefficients: np.ndarray) -> np.ndarray:
     """Bernstein coefficients c_k / C(n, k) of polynomials given by their
     coefficients c_k on the power basis (the last axis runs over k).  The
-    binomials are exact floats, so n is at most 1029."""
+    binomials are the correctly rounded floats of the exact integers (all
+    exact up to n = 56) and finite up to n = 1029, so n is at most 1029."""
     return coefficients / _binomials(coefficients.shape[-1] - 1)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from .angular import Rotation, spin
 from .errors import ConsistencyError
 from .estimation import (
-    AngleDensity,
     DiscreteAngleDistribution,
     RotInvariantPovm,
     _gains,
@@ -114,17 +113,15 @@ def _prior_sampler(prior):
             return prior.alphas[_pick(cumulative, rng, size)]
 
         return draw
-    if isinstance(prior, AngleDensity):
-        n = prior.degree
-        cumulative = np.cumsum(prior.coefficients) / (n + 1)
+    n = prior.degree
+    cumulative = np.cumsum(prior.coefficients) / (n + 1)
 
-        def draw(rng, size):
-            k = _pick(cumulative, rng, size)
-            first, second = rng.standard_gamma(k + 1.0), rng.standard_gamma(n + 1.0 - k)
-            return 2.0 * np.arctan2(np.sqrt(first), np.sqrt(second))
+    def draw(rng, size):
+        k = _pick(cumulative, rng, size)
+        first, second = rng.standard_gamma(k + 1.0), rng.standard_gamma(n + 1.0 - k)
+        return 2.0 * np.arctan2(np.sqrt(first), np.sqrt(second))
 
-        return draw
-    raise TypeError(f"cannot sample from {type(prior).__name__}")
+    return draw
 
 
 def _sample_chunk(povm: RotInvariantPovm, alphas: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -91,9 +91,6 @@ class DensityMatrix:
     def spins(self) -> tuple[SpinQuantumNumber, SpinQuantumNumber]:
         return SpinQuantumNumber(self.dims[0] - 1), SpinQuantumNumber(self.dims[1] - 1)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
 
 @dataclass(frozen=True, eq=False)
 class InvariantState:

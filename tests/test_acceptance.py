@@ -262,7 +262,6 @@ def test_criterion_6_property_suites():
                    f"discrete {discrete_err:.3e}, density {density_err:.3e}"))
 
     # KL non-negativity and the data-processing bound for 50 random samplings
-    j_values = tuple(total_j_values(HALF, spin(1)))
     best = {
         "parallel-antiparallel": average_information_gain(
             HALF, spin(1), parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, spin(1))
@@ -277,9 +276,7 @@ def test_criterion_6_property_suites():
         n_out = int(rng.integers(2, 6))
         raw = rng.random((n_out, 2)) + 1e-9
         weights = raw / raw.sum(axis=0)
-        coarse = RotInvariantPovm(
-            HALF, spin(1), tuple(f"o{i}" for i in range(n_out)), j_values, weights
-        )
+        coarse = RotInvariantPovm(HALF, spin(1), tuple(f"o{i}" for i in range(n_out)), weights)
         prior_kind = "parallel-antiparallel" if trial % 2 == 0 else "uniform-directions"
         prior_obj = (
             parallel_antiparallel_prior()

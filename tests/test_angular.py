@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -40,6 +41,13 @@ class TestSpinQuantumNumber:
     @pytest.mark.parametrize("text,twice", [("1/2", 1), ("3", 6), ("2.5", 5), ("0", 0)])
     def test_parsing(self, text, twice):
         assert SpinQuantumNumber.from_string(text).twice_j == twice
+
+    @pytest.mark.parametrize("value,twice", [
+        (3, 6), (np.int64(3), 6), (np.int32(1), 2), (np.uint8(0), 0), (1.5, 3),
+        (np.float64(2.5), 5), (Fraction(7, 2), 7), ("7/2", 7), (spin("5/2"), 5),
+    ], ids=["int", "int64", "int32", "uint8", "float", "float64", "Fraction", "text", "spin"])
+    def test_coerces_every_accepted_type(self, value, twice):
+        assert spin(value) == SpinQuantumNumber(twice)
 
     def test_string_roundtrip(self):
         for twice in range(0, 11):
@@ -86,8 +94,42 @@ class TestSpinQuantumNumber:
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"^{value} is not a half-integer spin$"):
                 spin(value)
-        with pytest.raises(ValueError):
-            SpinQuantumNumber.from_string("x")
+        for text in ("x", "1/0"):
+            with pytest.raises(ValueError, match=f"^cannot parse spin value '{text}'$"):
+                SpinQuantumNumber.from_string(text)
+        with pytest.raises(ValueError, match=r"^cannot parse spin value 'x{20}'\.\.\. \(3000 "):
+            spin("x" * 3000)  # the text's start, in one short line
+        with pytest.raises(TypeError, match="twice_j must be an integer, got 1.5"):
+            SpinQuantumNumber(1.5)
+        with pytest.raises(TypeError, match="cannot interpret .* as a spin quantum number"):
+            spin(object())
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no limit on the digits of integer text")
+    @pytest.mark.parametrize("make", [
+        lambda digits: "1e10000000", lambda digits: "1E+10000000", lambda digits: "1e-10000000",
+        lambda digits: "2.5e1_000_000", lambda digits: f"1e{digits}",
+        lambda digits: 10**digits, lambda digits: Fraction(10**digits),
+        lambda digits: Fraction(2 * 10**digits + 1, 2),
+    ], ids=["1e10000000", "1E+10000000", "1e-10000000", "2.5e1_000_000", "text", "int",
+            "Fraction", "half-integer"])
+    def test_spin_past_the_integer_text_limit_is_refused(self, make):
+        # the library once built 10**10000000 for 8.5 s, and took "1e5000" and 10**5000
+        # as spins whose str() raised ValueError
+        digits = sys.get_int_max_str_digits()
+        value = make(digits)
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"has more than {digits} digits, past Python's "
+                                             "limit for integer text$"):
+            spin(value)
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no limit on the digits of integer text")
+    def test_spin_label_at_the_integer_text_limit_is_accepted(self):
+        largest = 10**sys.get_int_max_str_digits() - 1  # the largest label, j or 2j of 2j/2
+        assert spin(largest).twice_j == spin(str(largest)).twice_j == 2 * largest
+        assert spin(Fraction(largest, 2)).twice_j == largest
 
     def test_ordering(self):
         assert spin("1/2") < spin(1) < spin("3/2")
@@ -269,6 +311,11 @@ class TestCoherentState:
     def test_state_vector_requires_normalization(self):
         with pytest.raises(ValueError):
             StateVector(HALF, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("amplitudes", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]])
+    def test_state_vector_of_another_length_refused(self, amplitudes):
+        with pytest.raises(ValueError, match="expected 2 amplitudes for spin 1/2"):
+            StateVector(HALF, np.array(amplitudes))
 
     @pytest.mark.parametrize("amplitudes", [[math.nan, 0.0], [1.0, math.nan], [math.inf, 0.0]])
     def test_state_vector_rejects_nan_and_inf(self, amplitudes):

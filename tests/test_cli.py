@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -733,6 +734,20 @@ class TestReportFold:
         assert err.startswith("internal error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize(("change", "message"), [
+        (lambda probabilities, gains, average: (probabilities, -gains, average),
+         "negative information gain in report"),
+        (lambda probabilities, gains, average: (probabilities, gains, average + 1e-9),
+         "average gain is inconsistent with the outcome table"),
+    ])
+    def test_bad_gains_exit_1(self, capsys, monkeypatch, change, message):
+        # the fold's own check, given a table as a fault in the gains would leave it
+        check = estimation_module._check_gains
+        monkeypatch.setattr(estimation_module, "_check_gains", lambda *table: check(*change(*table)))
+        code, out, err = run_cli(capsys, "report", "--j1", "1", "--j2", "2",
+                                 "--prior", "pap", "--povm", "optimal")
+        assert (code, out, err) == (1, "", f"internal error: {message}\n")
+
     @pytest.mark.parametrize("prior", ["pap", "uniform"])
     @pytest.mark.parametrize("povm", ["optimal", "local"])
     def test_zero_evidence_prints_null_as_the_object_path(self, capsys, monkeypatch, prior, povm):
@@ -846,6 +861,23 @@ def per_number_text(argv):
                                  I_av_bits=_sig10(report.average_gain_bits))
 
 
+def assert_same_text(out: str, expected: str) -> None:
+    """out == expected, compared by length and SHA-256 digest: pytest's diff of two texts of
+    megabytes runs for minutes, so a mismatch names only the first differing line and column
+    and quotes a few characters of each text around them."""
+    digests = [(len(text), hashlib.sha256(text.encode()).hexdigest()) for text in (out, expected)]
+    if digests[0] == digests[1]:
+        return
+    first = next((i for i, (a, b) in enumerate(zip(out, expected)) if a != b),
+                 min(len(out), len(expected)))
+    line = out.count("\n", 0, first) + 1
+    column = first - out.rfind("\n", 0, first)
+    start = max(first - 20, 0)
+    pytest.fail(f"texts differ ({len(out)} and {len(expected)} characters) first at line {line}, "
+                f"column {column}: {out[start:first + 20]!r} != {expected[start:first + 20]!r}",
+                pytrace=False)
+
+
 # the command lines of the benchmark's estimate workload (bench/workloads.py)
 ESTIMATE_PAIRS = [("1", "1"), ("3/2", "7/2"), ("2", "3"), ("3", "4"), ("5", "5"), ("1/2", "5/2")]
 ESTIMATE_ARGVS = (
@@ -939,7 +971,7 @@ class TestArrayWriter:
     def test_stdout_equals_per_number_serialisation(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
-        assert out == per_number_text(argv)
+        assert_same_text(out, per_number_text(argv))
 
     def test_grid_texts_are_the_labels_and_csv_fields(self):
         grid, labels_text, alphas = _density_grid()
@@ -1152,6 +1184,15 @@ class TestFlagsAndSpins:
         assert code == 2
         assert out == ""
         assert "unrecognized arguments" in err
+
+    def test_seed_past_64_bits_is_refused(self, capsys):
+        argv = ["simulate", "--j1", "1/2", "--j2", "1/2", "--prior", "pap", "--n", "10"]
+        code, out, err = run_cli(capsys, *argv, "--seed", str(2**64))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == ("relangle simulate: error: argument --seed: "
+                                        "seed must fit in an unsigned 64-bit integer")
+        code, out, err = run_cli(capsys, *argv, "--seed", str(2**64 - 1))
+        assert (code, err) == (0, "") and json.loads(out)["seed"] == 2**64 - 1
 
     def test_simulate_seed_defaults_to_zero(self, capsys):
         code, out, _ = run_cli(

@@ -485,3 +485,8 @@ class TestProjector:
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
             projector(HALF, HALF, spin(2))
+
+    @pytest.mark.parametrize("J", [spin(2), HALF])
+    def test_block_of_a_foreign_j_raises(self, J):
+        with pytest.raises(ValueError, match=rf"J={J} is not a total spin of the pair \(1/2, 1/2\)"):
+            decomposition(HALF, HALF).block(J)

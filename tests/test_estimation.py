@@ -207,13 +207,28 @@ class TestPovm:
 
     def test_block_weights_must_normalize(self):
         with pytest.raises(ValueError):
-            RotInvariantPovm(
-                HALF,
-                HALF,
-                ("x", "y"),
-                tuple(total_j_values(HALF, HALF)),
-                np.array([[0.5, 0.2], [0.2, 0.8]]),
-            )
+            RotInvariantPovm(HALF, HALF, ("x", "y"), np.array([[0.5, 0.2], [0.2, 0.8]]))
+
+    @pytest.mark.parametrize(("labels", "weights", "message"), [
+        (("x", "y"), np.eye(3), r"weights shape \(3, 3\) does not match labels x blocks"),
+        (("x",), np.eye(2), r"weights shape \(2, 2\) does not match labels x blocks"),
+        (("x", "x"), np.eye(2), "outcome labels must be unique"),
+    ])
+    def test_malformed_povm_refused(self, labels, weights, message):
+        with pytest.raises(ValueError, match=message):
+            RotInvariantPovm(HALF, HALF, labels, weights)
+
+    def test_j_values_come_from_the_pair(self):
+        povm = RotInvariantPovm(HALF, spin(1), ("x", "y"), np.eye(2))
+        assert povm.j_values == (HALF, spin("3/2")) == tuple(total_j_values(HALF, spin(1)))
+        with pytest.raises(AttributeError):
+            povm.j_values = ()
+
+    def test_index_of_unknown_label_refused(self):
+        povm = RotInvariantPovm.projective(HALF, HALF)
+        assert povm.index("J=1") == 1
+        with pytest.raises(ValueError, match="unknown outcome label 'J=2'"):
+            povm.index("J=2")
 
     def test_element_matrices_sum_to_identity(self):
         povm = RotInvariantPovm.projective(spin(1), spin(1))
@@ -248,7 +263,6 @@ class TestBayesUpdate:
         assert np.max(np.abs(symmetric.weights - [2.0 / 3.0, 1.0 / 3.0])) < 1e-14
         antisymmetric = bayes_update(prior, HALF, HALF, povm, "J=0")
         assert np.max(np.abs(antisymmetric.weights - [0.0, 1.0])) < 1e-14
-        assert antisymmetric.outcome_label == "J=0"
 
     def test_two_qubit_uniform_posterior_density(self):
         prior = uniform_direction_prior()
@@ -326,6 +340,14 @@ class TestInformationGain:
         gain = information_gain(AngleDensity(prior), AngleDensity(posterior))
         assert abs(gain - nats / math.log(2.0)) <= 1e-13
 
+    @pytest.mark.parametrize(("prior", "posterior"), [
+        (parallel_antiparallel_prior(), uniform_direction_prior()),
+        (uniform_direction_prior(), parallel_antiparallel_prior()),
+    ])
+    def test_mismatched_representation_raises(self, prior, posterior):
+        with pytest.raises(ValueError, match="same representation"):
+            information_gain(prior, posterior)
+
     def test_mismatched_support_raises(self):
         prior = parallel_antiparallel_prior()
         other = DiscreteAngleDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
@@ -341,14 +363,11 @@ class TestInformationGain:
     def test_nonnegative_for_random_coarse_povms(self):
         rng = np.random.default_rng(1)
         prior = parallel_antiparallel_prior()
-        j_values = tuple(total_j_values(HALF, spin(1)))
         for _ in range(10):
             n_out = int(rng.integers(2, 5))
             raw = rng.random((n_out, 2)) + 1e-3
             weights = raw / raw.sum(axis=0)
-            povm = RotInvariantPovm(
-                HALF, spin(1), tuple(f"o{i}" for i in range(n_out)), j_values, weights
-            )
+            povm = RotInvariantPovm(HALF, spin(1), tuple(f"o{i}" for i in range(n_out)), weights)
             report = average_information_gain(HALF, spin(1), prior, povm)
             for entry in report.outcomes:
                 assert entry.information_gain_bits >= -1e-12
@@ -362,6 +381,20 @@ class TestAverageInformationGain:
         assert abs(report.outcome("J=0").probability - 0.25) < 1e-14
         assert abs(report.outcome("J=1").probability - 0.75) < 1e-14
         assert abs(report.average_gain_bits - AVERAGE_PAP) < 1e-14
+
+    def test_unknown_outcome_label_refused(self):
+        report = average_information_gain(
+            HALF, HALF, parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, HALF)
+        )
+        assert report.outcome("J=1") is report.outcomes[1]
+        with pytest.raises(ValueError, match="unknown outcome label 'J=2'"):
+            report.outcome("J=2")
+
+    def test_povm_of_another_pair_refused(self):
+        # (1/2, 2) also has two blocks, so its weights would fit the (1/2, 1) table
+        povm = RotInvariantPovm.projective(HALF, spin(2))
+        with pytest.raises(ValueError, match="requested spin pair"):
+            average_information_gain(HALF, spin(1), parallel_antiparallel_prior(), povm)
 
     def test_two_qubit_uniform(self):
         report = average_information_gain(
@@ -380,14 +413,11 @@ class TestAverageInformationGain:
         prior = uniform_direction_prior()
         povm = RotInvariantPovm.projective(HALF, spin(1))
         best = average_information_gain(HALF, spin(1), prior, povm).average_gain_bits
-        j_values = tuple(total_j_values(HALF, spin(1)))
         for _ in range(10):
             n_out = int(rng.integers(2, 6))
             raw = rng.random((n_out, 2)) + 1e-6
             weights = raw / raw.sum(axis=0)
-            coarse = RotInvariantPovm(
-                HALF, spin(1), tuple(f"o{i}" for i in range(n_out)), j_values, weights
-            )
+            coarse = RotInvariantPovm(HALF, spin(1), tuple(f"o{i}" for i in range(n_out)), weights)
             sampled = average_information_gain(HALF, spin(1), prior, coarse).average_gain_bits
             assert sampled <= best + 1e-10
 
@@ -493,9 +523,8 @@ class TestExactEvidencesAndGains:
     @pytest.mark.parametrize("high_weight", [0.5, 0.5 + 1e-9, 0.5 + 1e-7, 0.52, 0.5 + 0.0525, 0.6])
     def test_nearly_uninformative_povm(self, high_weight):
         # posteriors with nearly equal end values take the series branch (|t| < 0.1)
-        j_values = tuple(total_j_values(HALF, HALF))
         weights = [[0.5, high_weight], [0.5, 1.0 - high_weight]]
-        povm = RotInvariantPovm(HALF, HALF, ("x", "y"), j_values, weights)
+        povm = RotInvariantPovm(HALF, HALF, ("x", "y"), weights)
         prior = uniform_direction_prior()
         report = average_information_gain(HALF, HALF, prior, povm)
         for k, entry in enumerate(report.outcomes):
@@ -637,6 +666,10 @@ class TestInfoGainCurve:
             for povm_kind in ("optimal", "optimal-local"):
                 gains = [g for _, g in infogain_curve(j_list, prior_kind, povm_kind)]
                 assert all(b > a for a, b in zip(gains, gains[1:]))
+
+    def test_numpy_integer_spins_equal_python_ones(self):
+        rows = infogain_curve(np.arange(1, 4), "uniform-directions", "optimal")
+        assert rows == infogain_curve([1, 2, 3], "uniform-directions", "optimal")
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -1050,6 +1083,17 @@ class TestDistributions:
     def test_discrete_requires_normalization(self):
         with pytest.raises(ValueError):
             DiscreteAngleDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.4]))
+
+    @pytest.mark.parametrize(("alphas", "weights", "message"), [
+        ([[0.0, 1.0]], [[0.5, 0.5]], "1-d arrays of equal length"),
+        ([0.0, 1.0], [1.0], "1-d arrays of equal length"),
+        ([-0.1, 1.0], [0.5, 0.5], r"lie in \[0, pi\]"),
+        ([0.0, math.pi + 1e-9], [0.5, 0.5], r"lie in \[0, pi\]"),
+        ([0.0, math.nan], [0.5, 0.5], r"lie in \[0, pi\]"),
+    ])
+    def test_discrete_rejects_malformed_support(self, alphas, weights, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteAngleDistribution(np.array(alphas), np.array(weights))
 
     def test_density_requires_normalization(self):
         with pytest.raises(ValueError):

@@ -241,6 +241,11 @@ class TestPptThreshold:
         with pytest.raises(ConsistencyError):
             ppt_threshold(HALF)
 
+    @pytest.mark.parametrize("j", [0, "0", SpinQuantumNumber(0)])
+    def test_spin_zero_refused(self, j):
+        with pytest.raises(ValueError, match="the larger spin must be at least 1/2"):
+            ppt_threshold(j)
+
     def test_capacity_limit(self):
         at_limit = ppt_threshold(SpinQuantumNumber(PPT_TWICE_J_LIMIT))
         assert abs(at_limit - 1.0 / (PPT_TWICE_J_LIMIT + 2.0)) <= 1e-15

@@ -298,6 +298,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="does not match dims"):
             DensityMatrix._pure(vector, (2, 3))
 
+    @pytest.mark.parametrize("shape", [(4, 4), (6,), (6, 5)])
+    def test_matrix_of_another_shape_refused(self, shape):
+        matrix = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"matrix shape .* does not match dims \(2, 3\)"):
+            DensityMatrix(matrix, (2, 3))
+
     def test_pure_state_rejects_nan(self):
         vector = np.array([math.nan, 1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="squared norm nan"):
@@ -321,6 +327,12 @@ class TestValidation:
         rho = product_coherent_pair(HALF, HALF, Direction(0, 0), Direction(1.0, 0))
         with pytest.raises(ConsistencyError, match="sum to nan"):
             invariant_average(rho)
+
+    def test_invariant_state_requires_every_block(self):
+        with pytest.raises(ValueError, match="do not cover the total-spin range"):
+            InvariantState(HALF, spin(1), {HALF: 1.0})
+        with pytest.raises(ValueError, match="do not cover the total-spin range"):
+            InvariantState(HALF, HALF, {spin(0): 0.5, spin(1): 0.25, spin(2): 0.25})
 
     def test_invariant_state_requires_normalized_weights(self):
         with pytest.raises(ValueError):
