@@ -136,6 +136,16 @@ def _spin_value(text: str) -> Fraction:
                      "past Python's limit for integer text")
 
 
+def _check_label_digits(value: Fraction, name: str) -> None:
+    """ValueError naming ``name`` if the label of the spin ``value`` ("j", or "2j/2" for a
+    half-integer) holds an integer of more digits than Python writes as text."""
+    limit = _digit_limit()
+    # a numerator below 8**limit, of at most 3 * limit bits, is below 10**limit: no power built
+    if limit and value.numerator.bit_length() > 3 * limit and value.numerator >= 10**limit:
+        raise ValueError(f"{name} {_brief(value)} has more than {limit} digits, "
+                         "past Python's limit for integer text")
+
+
 def spin(value) -> SpinQuantumNumber:
     """Coerce a string, integer, exact half-valued float, or Fraction to a spin.
 
@@ -152,11 +162,7 @@ def spin(value) -> SpinQuantumNumber:
     elif not isinstance(value, (int, float, Fraction)):
         raise TypeError(f"cannot interpret {value!r} as a spin quantum number")
     value = Fraction(value)
-    limit = _digit_limit()
-    # a numerator below 8**limit, of at most 3 * limit bits, is below 10**limit: no power built
-    if limit and value.numerator.bit_length() > 3 * limit and value.numerator >= 10**limit:
-        raise ValueError(f"spin {_brief(value)} has more than {limit} digits, "
-                         "past Python's limit for integer text")
+    _check_label_digits(value, "spin")
     if value.denominator not in (1, 2):
         raise ValueError(f"{_brief(value)} is not a half-integer spin")
     return SpinQuantumNumber(int(value * 2))

@@ -4,9 +4,11 @@ Subcommands: ``probs`` (outcome probability tables), ``report`` (full
 estimation report), ``curve`` (average information gain versus j),
 ``ppt`` (separability threshold), and ``simulate`` (Monte Carlo experiment).
 Data goes to stdout (or ``--out``); diagnostics go to stderr.  Exit codes:
-0 success, 2 usage or configuration error, 1 internal-consistency error.  Each command
-has its own parser, declaring each flag once; the full parser is assembled from them only
-for top-level help and errors.  ``_json_text`` writes every JSON header.
+0 success, 2 usage or configuration error, 1 internal-consistency error.  One table,
+``_FLAGS``, declares each command's flags, each flag once.  A line made only of a command and
+exact ``--flag value`` pairs is read from that table; the full argparse parser, built from the
+same table, serves help, errors and every other form, such as ``--flag=value``, an
+abbreviation or a value starting with "-".  ``_json_text`` writes every JSON header.
 
 Long float arrays are written whole, not number by number: ``probs`` CSV is one
 %-format per grid, ``curve`` CSV one %-format for all its scenarios, and each
@@ -27,7 +29,7 @@ import sys
 import numpy as np
 
 from .angular import SpinQuantumNumber, _brief, _shown, _spin_label, _spin_value, spin
-from .coupling import _total_js
+from .coupling import _total_spin_labels
 from .errors import CapacityError, ConsistencyError
 from .estimation import (
     DiscreteAngleDistribution,
@@ -161,65 +163,97 @@ _COMMAND_HELP = {
     "simulate": "Monte Carlo repetition of the single-shot experiment",
 }
 
+# The flags that more than one command reads
+_OUT = ("--out", dict(default=None, help="output path (default: stdout)"))
+_FORMAT = ("--format", dict(choices=("csv", "json"), default="csv",
+                            help="output format (default: csv)"))
+_J1 = ("--j1", dict(type=_spin_type, required=True))
+_J2 = ("--j2", dict(type=_spin_type, required=True))
+_PRIOR = ("--prior", dict(choices=("pap", "uniform"), required=True))
 
-@functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """One command's parser, built on first use and reused.  Each flag is declared once, for
-    every command that reads it; shared ones come first: --out, --format, --j1/--j2, --prior."""
-    parser = _Parser(prog=f"relangle {name}")
-    add = parser.add_argument
-    add("--out", default=None, help="output path (default: stdout)")
-    if name in ("probs", "curve"):
-        add("--format", choices=("csv", "json"), default="csv", help="output format (default: csv)")
-    if name in ("probs", "report", "simulate"):
-        add("--j1", type=_spin_type, required=True)
-        add("--j2", type=_spin_type, required=True)
-    if name in ("report", "simulate"):
-        add("--prior", choices=("pap", "uniform"), required=True)
-    if name == "probs":
-        add("--alpha", type=_alpha_type, default=None,
-            help="single relative angle instead of the default 181-point grid")
-    elif name == "report":
-        add("--povm", choices=("optimal", "local"), required=True)
-    elif name == "curve":
-        add("--j-min", type=_spin_type, default=SpinQuantumNumber(1))
-        add("--j-max", type=_spin_type, default=SpinQuantumNumber(20))
-        add("--j-step", type=_spin_type, default=SpinQuantumNumber(1),
-            help="must land on --j-max, unless it is longer than the whole range, "
-                 "which gives --j-min alone")
-        add("--curves", type=_curves_type, default=("a", "b", "c", "d"),
-            help="comma-separated subset of a,b,c,d "
-                 "(a: pap/optimal, b: pap/local, c: uniform/optimal, d: uniform/local)")
-    elif name == "ppt":
-        add("--j", type=_spin_type, required=True)
-    elif name == "simulate":
-        add("--povm", choices=("optimal", "local"), default="optimal")
-        add("--n", type=_trials_type, default=100_000, help="number of trials")
-        add("--seed", type=_seed_type, default=0, help="RNG seed (u64, default: 0)")
-    return parser
+# Each command's flags, in its usage order, as (flag, add_argument keywords): the one place a
+# flag is declared.  Shared flags come first: --out, --format, --j1/--j2, --prior.
+_FLAGS = {
+    "probs": dict([
+        _OUT, _FORMAT, _J1, _J2,
+        ("--alpha", dict(type=_alpha_type, default=None,
+                         help="single relative angle instead of the default 181-point grid")),
+    ]),
+    "report": dict([
+        _OUT, _J1, _J2, _PRIOR,
+        ("--povm", dict(choices=("optimal", "local"), required=True)),
+    ]),
+    "curve": dict([
+        _OUT, _FORMAT,
+        ("--j-min", dict(type=_spin_type, default=SpinQuantumNumber(1))),
+        ("--j-max", dict(type=_spin_type, default=SpinQuantumNumber(20))),
+        ("--j-step", dict(type=_spin_type, default=SpinQuantumNumber(1),
+                          help="must land on --j-max, unless it is longer than the whole range, "
+                               "which gives --j-min alone")),
+        ("--curves", dict(type=_curves_type, default=("a", "b", "c", "d"),
+                          help="comma-separated subset of a,b,c,d (a: pap/optimal, "
+                               "b: pap/local, c: uniform/optimal, d: uniform/local)")),
+    ]),
+    "ppt": dict([
+        _OUT,
+        ("--j", dict(type=_spin_type, required=True)),
+    ]),
+    "simulate": dict([
+        _OUT, _J1, _J2, _PRIOR,
+        ("--povm", dict(choices=("optimal", "local"), default="optimal")),
+        ("--n", dict(type=_trials_type, default=100_000, help="number of trials")),
+        ("--seed", dict(type=_seed_type, default=0, help="RNG seed (u64, default: 0)")),
+    ]),
+}
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The full parser, each command's parser under its name, built on first use and reused:
-    for top-level help and errors, and a command's extras, which argparse reports from the top."""
+    """The full argparse tree, built from ``_FLAGS`` on first use and reused: for help, errors
+    and every line that ``_parse`` does not read itself."""
     parser = _Parser(prog="relangle",
                      description="Estimation of the relative angle between two spin systems")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in _COMMAND_HELP.items():
-        sub.add_parser(name, parents=[_command_parser(name)], add_help=False, help=text)
+    for name, flags in _FLAGS.items():
+        command = sub.add_parser(name, help=_COMMAND_HELP[name])
+        for flag, keywords in flags.items():
+            command.add_argument(flag, **keywords)
     return parser
 
 
+def _read(argv: list) -> argparse.Namespace | None:
+    """The Namespace that the full parser gives for a command followed only by exact
+    ``--flag value`` pairs of its own, none of whose values starts with "-", read from
+    ``_FLAGS``: each value through its flag's type and choices, as argparse reads it, then the
+    defaults.  None for any other line, and for a value or a missing flag that argparse
+    refuses."""
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None or len(argv) % 2 == 0:
+        return None
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):  # a repeated flag keeps its last value
+        keywords = flags.get(flag)
+        if keywords is None or text.startswith("-"):
+            return None
+        try:
+            value = keywords["type"](text) if "type" in keywords else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    if any(keywords.get("required") and flag not in given for flag, keywords in flags.items()):
+        return None
+    return argparse.Namespace(command=argv[0], **{
+        flag[2:].replace("-", "_"): given.get(flag, keywords.get("default"))
+        for flag, keywords in flags.items()})
+
+
 def _parse(argv: list) -> argparse.Namespace:
-    """A line that names a command and holds only its flags is parsed by the command's parser
-    alone, any other by the full parser."""
-    if argv and argv[0] in _COMMAND_HELP:
-        args, extras = _command_parser(argv[0]).parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return _build_parser().parse_args(argv)
+    """A line that ``_read`` reads from the flag table is parsed there; the full parser
+    parses every other, and writes its usage, help and errors."""
+    args = _read(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def _sig10(x: float) -> float:
@@ -287,9 +321,9 @@ def _scenario(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_probs(args: argparse.Namespace) -> str:
+    labels = _total_spin_labels(args.j1.twice_j, args.j2.twice_j)
     grid = _density_grid()[0] if args.alpha is None else np.array([args.alpha])
     probabilities = _block_probability_matrix(args.j1, args.j2, grid).T
-    labels = [str(J) for J in _total_js(args.j1.twice_j, args.j2.twice_j)]
     if args.format == "csv":
         alphas = _density_grid()[2] if args.alpha is None else [_csv(args.alpha)]
         fields = [f",{J},%.12g\n" for J in labels]

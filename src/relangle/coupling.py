@@ -19,11 +19,12 @@ sum.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .angular import SpinQuantumNumber, _brief, spin
+from .angular import SpinQuantumNumber, _brief, _check_label_digits, spin
 from .errors import CapacityError
 
 __all__ = [
@@ -54,6 +55,14 @@ def _total_js(twice_j1: int, twice_j2: int) -> tuple[SpinQuantumNumber, ...]:
     """``total_j_values`` of the pair as a shared tuple, for the package's own callers."""
     lo = abs(twice_j1 - twice_j2)
     return tuple(SpinQuantumNumber(tj) for tj in range(lo, twice_j1 + twice_j2 + 2, 2))
+
+
+def _total_spin_labels(twice_j1: int, twice_j2: int) -> list[str]:
+    """The text of each total spin of the pair, as ``str`` writes it.  A pair is refused in
+    terms of the spins, as ``spin`` refuses a spin, if its largest total spin j1 + j2, whose
+    label is the longest, has more digits than Python writes as text."""
+    _check_label_digits(Fraction(twice_j1 + twice_j2, 2), "total spin j1 + j2 =")
+    return [str(J) for J in _total_js(twice_j1, twice_j2)]
 
 
 def clebsch_gordan(j1, j2, twice_m1: int, twice_m2: int, J, twice_M: int) -> float:

@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import SpinQuantumNumber, _brief, spin
-from .coupling import _total_js
+from .coupling import _total_js, _total_spin_labels
 from .errors import CapacityError, ConsistencyError, ImpossibleOutcomeError
 from .polynomials import (_binomials, bernstein_from_power, bernstein_product, bernstein_values,
                           power_basis)
@@ -300,8 +300,8 @@ class RotInvariantPovm:
     def projective(cls, j1, j2) -> "RotInvariantPovm":
         """The projective measurement of total spin, one outcome per block."""
         j1, j2 = spin(j1), spin(j2)
-        j_values = _total_js(j1.twice_j, j2.twice_j)
-        return cls(j1, j2, tuple(f"J={J}" for J in j_values), np.eye(len(j_values)))
+        labels = _total_spin_labels(j1.twice_j, j2.twice_j)
+        return cls(j1, j2, tuple(f"J={J}" for J in labels), np.eye(len(labels)))
 
     @property
     def n_outcomes(self) -> int:
@@ -691,7 +691,7 @@ def _make_povm(kind: str, j1, j2) -> RotInvariantPovm:
     j1, j2 = spin(j1), spin(j2)
     twice_b, twice_a = sorted((j1.twice_j, j2.twice_j))
     weights = _povm_weights(kind, (twice_a,), _table_stack(twice_b, (twice_a,)))[0]
-    labels = [f"J={J}" for J in _total_js(j1.twice_j, j2.twice_j)] if kind == "optimal" else [
+    labels = [f"J={J}" for J in _total_spin_labels(twice_b, twice_a)] if kind == "optimal" else [
         "aligned", *(f"m={'-' * (2 * k > twice_b)}{SpinQuantumNumber(abs(twice_b - 2 * k))}"
                      for k in range(1, twice_b)), "antialigned"]
     return RotInvariantPovm(j1, j2, labels, weights)

@@ -1,7 +1,11 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -26,7 +30,6 @@ from relangle.cli import (
     CURVE_MAX_POINTS,
     CURVE_SCENARIOS,
     _build_parser,
-    _command_parser,
     _csv,
     _density_grid,
     _json_rows,
@@ -642,28 +645,27 @@ class TestJsonHeader:
 
 class TestParserReuse:
     @pytest.mark.parametrize(
-        "sequence, codes",
+        "sequence, codes, built",
         [
             ([["probs", "--j1", "1", "--j2", "3/2", "--format", "json"],
-              ["probs", "--j1", "1", "--j2", "3/2"]], [0, 0]),
-            ([SIMULATE + ["--seed", "5"], SIMULATE], [0, 0]),
+              ["probs", "--j1", "1", "--j2", "3/2"]], [0, 0], 0),
+            ([SIMULATE + ["--seed", "5"], SIMULATE], [0, 0], 0),
             ([["report", "--j1", "1", "--j2", "1", "--prior", "pap"],  # --povm is required
-              ["report", "--j1", "1", "--j2", "1", "--prior", "pap", "--povm", "optimal"]], [2, 0]),
+              ["report", "--j1", "1", "--j2", "1", "--prior", "pap", "--povm", "optimal"]],
+             [2, 0], 1),
         ],
         ids=["format-then-default", "seed-then-default", "rejected-then-valid"],
     )
-    def test_each_call_gives_what_it_gives_alone(self, capsys, sequence, codes):
+    def test_each_call_gives_what_it_gives_alone(self, capsys, sequence, codes, built):
         alone = []
         for argv in sequence:
-            _command_parser.cache_clear()
+            _build_parser.cache_clear()
             alone.append(run_cli(capsys, *argv)[:2])
-        _command_parser.cache_clear()
         _build_parser.cache_clear()
         together = [run_cli(capsys, *argv)[:2] for argv in sequence]
         assert together == alone
-        # one parser per command served every call, and the full tree was never built
-        assert _command_parser.cache_info().misses == len({argv[0] for argv in sequence})
-        assert _build_parser.cache_info().misses == 0
+        # the flag table read every valid line; a refused one built the full tree, once
+        assert _build_parser.cache_info().misses == built
         assert [code for code, _ in alone] == codes
 
     def test_defaults_survive_reuse(self, capsys):
@@ -681,15 +683,14 @@ class TestParserReuse:
 
     def test_parser_is_not_built_at_import(self):
         script = ("import relangle.cli as cli\n"
-                  "print(cli._build_parser.cache_info().currsize,"
-                  " cli._command_parser.cache_info().currsize)\n")
+                  "print(cli._build_parser.cache_info().currsize)\n")
         src = Path(__file__).resolve().parents[1] / "src"
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "0 0"
+        assert result.stdout.strip() == "0"
 
 
 def fold_with(change):
@@ -797,7 +798,7 @@ def full_tree_result(capsys, argv):
 
 
 class TestCommandParser:
-    """A command line is parsed by its command's parser alone, with what the full parser gives."""
+    """A command line is read from the flag table, with what the full parser gives."""
 
     @pytest.mark.parametrize("command", list(PARITY_LINES))
     def test_valid_line_parses_as_in_the_full_parser(self, command):
@@ -816,17 +817,17 @@ class TestCommandParser:
         assert (out + err).startswith("usage: relangle [-h] {probs,report,curve,ppt,simulate}")
         assert code == (0 if argv == ["-h"] else 2)
 
-    @pytest.mark.parametrize("argv", [["ppt", "--j", "3/2"], ["ppt", "--j", "0"], SIMULATE])
-    def test_console_script_reads_sys_argv(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv, built", [(["ppt", "--j", "3/2"], 0), (["ppt", "--j", "0"], 1),
+                                             (SIMULATE, 0)])
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch, argv, built):
         expected = run_cli(capsys, *argv)
-        _command_parser.cache_clear()
         _build_parser.cache_clear()
         monkeypatch.setattr(sys, "argv", ["relangle", *argv])
         code = main()
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == expected
-        assert _command_parser.cache_info().misses == 1
-        assert _build_parser.cache_info().misses == 0
+        # a valid line is read from the flag table; a refused spin builds the full tree
+        assert _build_parser.cache_info().misses == built
 
 
 def per_number_text(argv):
@@ -1066,6 +1067,38 @@ class TestFlagsAndSpins:
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
                         reason="no limit on the digits of integer text")
+    @pytest.mark.parametrize("argv", [
+        ["probs", "--j1", "1", "--j2"],
+        ["report", "--j1", "1/2", "--prior", "pap", "--povm", "optimal", "--j2"],
+        ["simulate", "--j1", "1/2", "--prior", "pap", "--n", "10", "--j2"],
+    ], ids=["probs", "report", "simulate"])
+    def test_total_spin_past_the_integer_text_limit_is_refused(self, capsys, argv):
+        # J = j1 + j2 has 4301 digits: each line once exited 2 with Python's own
+        # "Exceeds the limit (4300 digits) for integer string conversion" text
+        digits = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, *argv, "9" * digits)
+        assert (code, out) == (2, "")
+        assert err == (f"error: total spin j1 + j2 = 1e+{digits} has more than {digits} "
+                       "digits, past Python's limit for integer text\n")
+        assert len(err.encode()) < 200
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no limit on the digits of integer text")
+    @pytest.mark.parametrize("argv", [
+        ["report", "--j1", "1/2", "--j2", "N", "--prior", "uniform", "--povm", "local"],
+        ["simulate", "--j1", "1/2", "--j2", "N", "--prior", "pap", "--povm", "local", "--n", "10"],
+        ["curve", "--j-min", "N", "--j-max", "N"],
+    ], ids=["report", "simulate", "curve"])
+    def test_pair_whose_total_spins_are_not_written_is_served(self, capsys, argv):
+        # the local POVM's outcomes and curve's rows name no total spin; N is the largest
+        # spin label Python writes
+        largest = "9" * sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, *(largest if word == "N" else word for word in argv))
+        assert (code, err) == (0, "")
+        assert json.loads(out) if argv[0] != "curve" else out.startswith("j,I_av_bits,scenario\n")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no limit on the digits of integer text")
     @pytest.mark.parametrize("text", ["1e10000000", "1E+10000000", "1e-10000000", "2.5e1_000_000"])
     def test_huge_exponent_is_refused_before_the_number_is_built(self, capsys, text):
         # Fraction("1e10000000") builds 10**10000000: about 9 s before the command exited 2
@@ -1200,6 +1233,154 @@ class TestFlagsAndSpins:
         )
         assert code == 0
         assert json.loads(out)["seed"] == 0
+
+
+# the benchmark's command lines (bench/workloads.py): estimate, curve, and the mc mix
+BENCHMARK_ARGVS = ESTIMATE_ARGVS + [
+    ["curve", "--j-min", "1/2", "--j-max", "500", "--j-step", "1/2", "--curves", "a,b,c,d"],
+] + [["simulate", "--j1", j1, "--j2", j2, "--prior", prior, "--povm", povm, "--n", str(n),
+      "--seed", "4611686018427387904"]
+     for j1, j2, prior, povm, n in [("1/2", "1/2", "pap", "optimal", 2000),
+                                    ("1/2", "3/2", "uniform", "local", 2000),
+                                    ("2", "3", "uniform", "optimal", 1000)]]
+
+# values that each flag reads, then values that its type or its choices refuse
+SPIN_TEXTS = (["1/2", "1", "3/2", "2.5", "7", "1e3", " 2 ", "4/2"],
+              ["0", "1/3", "x", "nan", "inf", "1e10000000", "", "2**3"])
+FLAG_VALUES = {
+    "--out": (["o.txt", "out/r.json", "", "x y"], []),
+    "--format": (["csv", "json"], ["xml", "CSV", ""]),
+    "--j1": SPIN_TEXTS, "--j2": SPIN_TEXTS, "--j": SPIN_TEXTS,
+    "--j-min": SPIN_TEXTS, "--j-max": SPIN_TEXTS, "--j-step": SPIN_TEXTS,
+    "--prior": (["pap", "uniform"], ["flat", "pa", ""]),
+    "--povm": (["optimal", "local"], ["joint", "Optimal", ""]),
+    "--alpha": (["0", "pi", "pi/3", "2pi", "0.5", "1e-10", " PI/4 "], ["p", "pi/0", "", "1/2"]),
+    "--curves": (["a", "d,a", "a,b,c,d", " b , c "], ["z", ",", "a,e", ""]),
+    "--n": (["1", "50", "9007199254740992"], ["0", "9007199254740993", "1.5", "x", ""]),
+    "--seed": (["0", "5", "18446744073709551615"], ["18446744073709551616", "x", "1e3", ""]),
+}
+# forms that argparse reads on its own, each at least once
+FORM_LINES = [
+    ["report", "--j1", "1", "--j2", "1", "--pri", "pap", "--povm", "optimal"],
+    ["probs", "--j1=1", "--j2", "1"],
+    *(["probs", "--j1", "1", "--j2", "1", *alpha]
+      for alpha in (["--alpha=-1e-10"], ["--alpha", "-0.5"], ["--alpha", "-1e-10"])),
+    ["probs", "--j1", "1", "--j2", "1", "--"], ["probs", "--", "--j1", "1", "--j2", "1"],
+    ["probs", "-h"], ["ppt", "--j", "1", "--j", "2"], ["ppt"], ["ppt", "--j", ""],
+    ["report", "--j1", "1/3", "--j2", "1", "--prior", "pap", "--povm", "optimal"],
+    ["curve", "--j-min", "1/2", "--j-max", "5", "--format", "xml"],
+    ["simulate", "--j1", "1", "--j2", "1", "--prior", "pap", "--n", "0"],
+    ["simulate", "--j1", "1", "--j2", "1", "--prior", "pap", "--seed", "x"],
+    ["ppt", "--j", "1", "extra"],
+]
+DASHED_VALUES = ["-1", "-0.5", "-1e-10", "-1/2", "--", "-h", "-x", "--j1"]
+STRAY_TOKENS = ["--", "-h", "--help", "extra", "--bogus", "--seed", "--format", "--j", "-"]
+
+
+def random_line(rng: random.Random) -> list:
+    """A command line: a command's exact --flag value pairs in a random order, then, in about
+    half of the lines, one to three changes of a form that argparse reads on its own (an
+    abbreviation, --flag=value, a value starting with "-", a stray or trailing token, a
+    missing required flag), or a value its type or choices refuse, or a repeated flag."""
+    if rng.random() < 0.02:
+        return rng.choice([[], ["bogus"], ["-h"], ["--help"], ["--", "ppt", "--j", "1"]])
+    command = rng.choice(list(cli_module._FLAGS))
+    flags = cli_module._FLAGS[command]
+    chosen = [flag for flag, keywords in flags.items()
+              if keywords.get("required") or rng.random() < 0.4]
+    rng.shuffle(chosen)
+    pairs = [[flag, rng.choice(FLAG_VALUES[flag][0])] for flag in chosen]
+    for _ in range(rng.choice([0, 0, 0, 0, 0, 1, 1, 2, 3])):
+        flag = rng.choice(list(flags))
+        whole = [pair for pair in pairs if len(pair) == 2]  # the --flag value pairs
+        pair = rng.choice(whole) if whole else [flag, rng.choice(FLAG_VALUES[flag][0])]
+        change = rng.randrange(8)
+        if change == 0:  # a refused value (or, after an abbreviation, any value)
+            read, refused = FLAG_VALUES.get(pair[0], FLAG_VALUES[flag])
+            pair[1] = rng.choice(refused or read)
+        elif change == 1:  # a value starting with "-"
+            pair[1] = rng.choice(DASHED_VALUES)
+        elif change == 2:  # --flag=value
+            pair[:] = [f"{pair[0]}={pair[1]}"]
+        elif change == 3:  # an abbreviation, unique or ambiguous
+            pair[0] = pair[0][:rng.randrange(3, len(pair[0]))] if len(pair[0]) > 3 else pair[0]
+        elif change == 4:  # a repeated flag, its value read or refused
+            pairs.append([flag, rng.choice(rng.choice(FLAG_VALUES[flag]) or ["1"])])
+        elif change == 5:  # a missing flag
+            pair.clear()
+        elif change == 6:  # a stray token
+            pairs.insert(rng.randrange(len(pairs) + 1), [rng.choice(STRAY_TOKENS)])
+        else:  # a flag of another command, or a trailing flag without its value
+            other = rng.choice(list(FLAG_VALUES))
+            pairs.append([other, rng.choice(FLAG_VALUES[other][0])][:rng.randrange(1, 3)])
+    return [command] + [token for pair in pairs for token in pair]
+
+
+def parse_result(parse, argv):
+    """vars() of the Namespace that ``parse`` gives for ``argv``, or its exit code, with what
+    it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestFlagTable:
+    """``_parse`` reads the lines it can from ``_FLAGS`` and gives the full parser the rest;
+    either way the line parses, or exits, as the full parser alone has it."""
+
+    def test_random_lines_parse_as_in_the_full_parser(self, monkeypatch):
+        full_parser = _build_parser
+        passed_on = []
+        monkeypatch.setattr(cli_module, "_build_parser",
+                            lambda: passed_on.append(True) or full_parser())
+        rng = random.Random(29)
+        read = 0
+        for argv in [*FORM_LINES, *(random_line(rng) for _ in range(5000))]:
+            before = len(passed_on)
+            result = parse_result(cli_module._parse, argv)
+            assert result == parse_result(full_parser().parse_args, argv), argv
+            read += len(passed_on) == before
+        assert 0.3 * 5000 <= read < 5000 - len(FORM_LINES)  # both paths are taken
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--j1=1", "--j2", "1", "--pri", "pap", "--povm", "optimal"],
+        ["probs", "--j1", "1", "--j2", "2", "--j2", "1"],
+    ])
+    def test_other_forms_print_what_the_exact_form_prints(self, capsys, argv):
+        exact = {"report": ["report", "--j1", "1", "--j2", "1", "--prior", "pap",
+                            "--povm", "optimal"],
+                 "probs": ["probs", "--j1", "1", "--j2", "1"]}[argv[0]]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(capsys, *exact)
+
+    @pytest.mark.parametrize("argv", BENCHMARK_ARGVS, ids=" ".join)
+    def test_benchmark_line_builds_no_parser(self, monkeypatch, argv):
+        built = []
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda *args, **kwargs: built.append(args))
+        _build_parser.cache_clear()
+        args = cli_module._parse(argv)
+        assert (args.command, built) == (argv[0], [])
+        assert _build_parser.cache_info().misses == 0
+
+    def test_only_the_full_parser_builds_argparse(self, monkeypatch):
+        # a line that is passed on builds the full tree once, and it is reused
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kwargs: built.append(kwargs.get("prog"))
+                            or init(self, *args, **kwargs))
+        _build_parser.cache_clear()
+        results = [parse_result(cli_module._parse, argv)[0]
+                   for argv in (["probs", "--j1=1", "--j2", "1"], ["ppt", "--j", "0"])]
+        assert results[0]["j1"] == SpinQuantumNumber(2) and results[1] == 2
+        assert built[0] == "relangle" and len(built) == 1 + len(cli_module._FLAGS)
+        assert _build_parser.cache_info().misses == 1
 
 
 class TestNumpyOnly:

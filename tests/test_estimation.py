@@ -1,6 +1,7 @@
 import collections
 import decimal
 import math
+import sys
 import time
 import tracemalloc
 import warnings
@@ -254,6 +255,24 @@ class TestPovm:
         with pytest.raises(ValueError, match="different spin pairs"):
             povm_probabilities_from_state(povm, state)
 
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no limit on the digits of integer text")
+    def test_total_spin_label_past_the_integer_text_limit_is_refused(self):
+        # j2 has the largest label Python writes, but J = j1 + j2 = 1e4300 has one digit more:
+        # the J=<J> labels once failed with Python's "Exceeds the limit" text
+        digits = sys.get_int_max_str_digits()
+        j2 = str(10**digits - 1)
+        with pytest.raises(ValueError, match=f"^total spin j1 \\+ j2 = 1e\\+{digits} has more "
+                                             f"than {digits} digits, past Python's limit for "
+                                             "integer text$"):
+            RotInvariantPovm.projective(spin(1), spin(j2))
+        with pytest.raises(ValueError, match=f"^total spin j1 \\+ j2 = 1e\\+{digits} has"):
+            _make_povm("optimal", spin(j2), HALF)
+        # the pair itself is served where no total spin is written
+        assert len(total_j_values(spin(1), spin(j2))) == 3
+        assert _make_povm("optimal-local", HALF, spin(j2)).labels == ("aligned", "antialigned")
+        assert RotInvariantPovm.projective(spin(1), spin(j2[:-1])).n_outcomes == 3
 
 class TestBayesUpdate:
     def test_two_qubit_pap_posteriors(self):
