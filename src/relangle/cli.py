@@ -343,7 +343,7 @@ def _cmd_report(args: argparse.Namespace) -> str:
     checked as a stack, as their objects' constructors would check them (ConsistencyError);
     a density's grid labels and values are _RAW, all its densities evaluated at once."""
     prior, povm = _scenario(args)
-    probabilities, posteriors, gains, average = _gains(prior, *_stacked(args.j1, args.j2, povm))
+    probabilities, posteriors, gains, average = _gains(prior, *_stacked(povm))
     possible = probabilities[0] > 0.0
     rows = posteriors[0][possible]
     texts = []
@@ -403,7 +403,7 @@ def _cmd_ppt(args: argparse.Namespace) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
-    summary = run_experiment(args.j1, args.j2, *_scenario(args), args.n, args.seed)
+    summary = run_experiment(*_scenario(args), args.n, args.seed)
     outcomes = [
         {"label": label, "frequency": _sig10(freq), "frequency_se": _sig10(se),
          "analytic_p": _sig10(p)}

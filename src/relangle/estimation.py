@@ -431,10 +431,8 @@ def povm_probabilities_from_state(povm: RotInvariantPovm, state) -> np.ndarray:
     return povm.weights @ state.weight_array()
 
 
-def _stacked(j1, j2, povm: RotInvariantPovm) -> tuple[np.ndarray, np.ndarray]:
+def _stacked(povm: RotInvariantPovm) -> tuple[np.ndarray, np.ndarray]:
     """The POVM's weights and its pair's likelihood table, as a stack of one pair."""
-    if (povm.j1, povm.j2) != (spin(j1), spin(j2)):
-        raise ValueError("POVM does not act on the requested spin pair")
     twice_b, twice_a = sorted((povm.j1.twice_j, povm.j2.twice_j))
     return povm.weights[None], _table_stack(twice_b, (twice_a,))
 
@@ -457,10 +455,10 @@ def _posterior(prior, weights: np.ndarray):
     return AngleDensity(weights)
 
 
-def bayes_update(prior, j1, j2, povm: RotInvariantPovm, outcome: str):
-    """Posterior over the relative angle after observing the given outcome."""
+def bayes_update(prior, povm: RotInvariantPovm, outcome: str):
+    """Posterior over the relative angle after the given outcome of the POVM on its own pair."""
     k = povm.index(outcome)
-    evidence, rows = _joint_rows(prior, *_stacked(j1, j2, povm))
+    evidence, rows = _joint_rows(prior, *_stacked(povm))
     p_outcome = float(evidence[0, k])
     if p_outcome <= _IMPOSSIBLE_EVIDENCE:
         raise ImpossibleOutcomeError(
@@ -608,10 +606,10 @@ class EstimationReport:
         return self.outcomes[self.povm.index(label)]
 
 
-def average_information_gain(j1, j2, prior, povm: RotInvariantPovm) -> EstimationReport:
-    """Full estimation report for a prior and a rotationally invariant POVM: the stack of
-    one pair, with a posterior object for each outcome that can occur."""
-    probabilities, posteriors, gains, average = _gains(prior, *_stacked(j1, j2, povm))
+def average_information_gain(prior, povm: RotInvariantPovm) -> EstimationReport:
+    """Full estimation report for a prior and a rotationally invariant POVM on its own spin
+    pair: the stack of one pair, with a posterior object for each outcome that can occur."""
+    probabilities, posteriors, gains, average = _gains(prior, *_stacked(povm))
     entries = tuple(
         OutcomeReport(label, p, _posterior(prior, q) if p > 0.0 else None, gain)
         for label, p, q, gain in zip(povm.labels, probabilities[0].tolist(), posteriors[0],

@@ -1,5 +1,5 @@
-"""Stochastic oracles: Haar-random collective rotations, outcome sampling,
-and repeated single-shot experiments used to validate the analytic results.
+"""Stochastic oracles: Haar-random collective rotations, outcome sampling, and repeated
+single-shot experiments on the spin pair their POVM names, to validate the analytic results.
 
 Every routine takes an explicit numpy Generator or integer seed; replaying a
 seed reproduces every sample bit-exactly.  Experiments run in chunks of
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import Rotation, spin
+from .angular import Rotation
 from .errors import ConsistencyError
 from .estimation import (
     DiscreteAngleDistribution,
@@ -131,11 +131,11 @@ def _sample_chunk(povm: RotInvariantPovm, alphas: np.ndarray, rng: np.random.Gen
 
 
 def run_experiment(
-    j1, j2, prior, povm: RotInvariantPovm, n_trials: int = 100_000, seed: int = 0
+    prior, povm: RotInvariantPovm, n_trials: int = 100_000, seed: int = 0
 ) -> ExperimentSummary:
     """Repeat the single-shot experiment: draw an angle from the prior,
     sample an outcome of the coherent pair at that angle, and score its
-    information gain.
+    information gain.  The pair is the POVM's own.
 
     The POVM commutes with every collective rotation, so the Haar-random
     orientation of the pair cannot change an outcome probability, and each
@@ -148,13 +148,14 @@ def run_experiment(
     ``SeedSequence(seed, spawn_key=(c,))``.  The mean gain and its standard
     error follow exactly from the outcome counts.
 
-    A trial count outside [1, ``MAX_TRIALS``] raises ValueError before any
-    work is done.  No dense matrix is built, so every pair within the
-    likelihood kernel's limit runs."""
-    j1, j2 = spin(j1), spin(j2)
+    A trial count that is not an integer (a bool is not) raises TypeError, and
+    one outside [1, ``MAX_TRIALS``] ValueError, before any work.  No dense
+    matrix is built, so every pair within the likelihood kernel's limit runs."""
+    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)):
+        raise TypeError(f"n_trials must be an integer, got {type(n_trials).__name__}")
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, 2**53], got {n_trials}")
-    (analytic,), _, (gains,), (average,) = _gains(prior, *_stacked(j1, j2, povm))
+    (analytic,), _, (gains,), (average,) = _gains(prior, *_stacked(povm))
     draw_angles = _prior_sampler(prior)
 
     counts = np.zeros(povm.n_outcomes, dtype=np.int64)
@@ -173,7 +174,7 @@ def run_experiment(
         freq_se = np.zeros_like(frequencies)
         gain_se = 0.0
     return ExperimentSummary(
-        n_trials=n_trials,
+        n_trials=int(n_trials),
         labels=povm.labels,
         counts=counts,
         frequencies=frequencies,

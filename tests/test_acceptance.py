@@ -58,7 +58,7 @@ def test_criterion_1_two_qubit_parallel_antiparallel():
     checks = []
     prior = parallel_antiparallel_prior()
     povm = RotInvariantPovm.projective(HALF, HALF)
-    report = average_information_gain(HALF, HALF, prior, povm)
+    report = average_information_gain(prior, povm)
     antisym = report.outcome("J=0")
     sym = report.outcome("J=1")
     checks.append(("I_A = 1 bit", abs(antisym.information_gain_bits - 1.0) < 1e-12,
@@ -86,7 +86,7 @@ def test_criterion_2_two_qubit_uniform_prior():
     checks = []
     prior = uniform_direction_prior()
     povm = RotInvariantPovm.projective(HALF, HALF)
-    report = average_information_gain(HALF, HALF, prior, povm)
+    report = average_information_gain(prior, povm)
     antisym = report.outcome("J=0")
     sym = report.outcome("J=1")
     exact_antisym_gain = 1.0 - 1.0 / (2.0 * math.log(2.0))
@@ -127,14 +127,14 @@ def test_criterion_3_spin_half_with_spin_j():
     posterior_ok = True
     for j in half_integers(1, 10):
         povm = RotInvariantPovm.projective(HALF, j)
-        posterior = bayes_update(parallel_antiparallel_prior(), HALF, j, povm, povm.labels[1])
+        posterior = bayes_update(parallel_antiparallel_prior(), povm, povm.labels[1])
         expected = (j.twice_j + 1.0) / (j.twice_j + 2.0)
         posterior_ok &= abs(posterior.weights[0] - expected) < 1e-12
         posterior_ok &= abs(posterior.weights[1] - 1.0 / (j.twice_j + 2.0)) < 1e-12
     checks.append(("posteriors (2j+1)/(2j+2) and 1/(2j+2)", posterior_ok, "per-j comparison"))
 
     two_qubit = average_information_gain(
-        HALF, HALF, parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, HALF)
+        parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, HALF)
     ).average_gain_bits
     curve_a_half = infogain_curve([HALF], "parallel-antiparallel", "optimal")[0][1]
     checks.append(("curve a at j=1/2 equals the two-qubit value",
@@ -155,10 +155,10 @@ def test_criterion_4_optimal_local_measurements():
     pap = parallel_antiparallel_prior()
     uniform = uniform_direction_prior()
     local_half = optimal_local_povm(HALF)
-    local_pap = average_information_gain(HALF, HALF, pap, local_half).average_gain_bits
+    local_pap = average_information_gain(pap, local_half).average_gain_bits
     checks.append(("local gain 0.0817 for the two-point prior",
                    abs(local_pap - 0.0817) < 5e-5, f"{local_pap!r}"))
-    local_uniform = average_information_gain(HALF, HALF, uniform, local_half).average_gain_bits
+    local_uniform = average_information_gain(uniform, local_half).average_gain_bits
     checks.append(("local gain 0.02702 for the uniform prior",
                    abs(local_uniform - 0.02702) < 5e-5, f"{local_uniform!r}"))
 
@@ -250,10 +250,10 @@ def test_criterion_6_property_suites():
         k = povm.index(label)
         like = povm_outcome_probabilities(povm, prior.alphas)[k]
         p = float(np.dot(prior.weights, like))
-        mix += p * bayes_update(prior, HALF, spin(2), povm, label).weights
+        mix += p * bayes_update(prior, povm, label).weights
     discrete_err = float(np.max(np.abs(mix - prior.weights)))
     density_prior = uniform_direction_prior()
-    report = average_information_gain(HALF, spin(1), density_prior, RotInvariantPovm.projective(HALF, spin(1)))
+    report = average_information_gain(density_prior, RotInvariantPovm.projective(HALF, spin(1)))
     grid = np.linspace(0.02, math.pi - 0.02, 40)
     density_mix = sum(e.probability * e.posterior.pdf(grid) for e in report.outcomes)
     density_err = float(np.max(np.abs(density_mix - density_prior.pdf(grid))))
@@ -264,10 +264,10 @@ def test_criterion_6_property_suites():
     # KL non-negativity and the data-processing bound for 50 random samplings
     best = {
         "parallel-antiparallel": average_information_gain(
-            HALF, spin(1), parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, spin(1))
+            parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, spin(1))
         ).average_gain_bits,
         "uniform-directions": average_information_gain(
-            HALF, spin(1), uniform_direction_prior(), RotInvariantPovm.projective(HALF, spin(1))
+            uniform_direction_prior(), RotInvariantPovm.projective(HALF, spin(1))
         ).average_gain_bits,
     }
     gains_ok = True
@@ -283,7 +283,7 @@ def test_criterion_6_property_suites():
             if prior_kind == "parallel-antiparallel"
             else uniform_direction_prior()
         )
-        rep = average_information_gain(HALF, spin(1), prior_obj, coarse)
+        rep = average_information_gain(prior_obj, coarse)
         gains_ok &= all(e.information_gain_bits >= -1e-12 for e in rep.outcomes)
         coarse_ok &= rep.average_gain_bits <= best[prior_kind] + 1e-10
     checks.append(("KL non-negativity", gains_ok, "50 random POVMs"))
@@ -331,7 +331,7 @@ def test_criterion_6_property_suites():
                    f"freq {hits / MC_TRIALS:.4f}"))
 
     # Monte Carlo: mean information gain against the analytic average
-    summary = run_experiment(HALF, HALF, parallel_antiparallel_prior(), povm, MC_TRIALS, seed=314)
+    summary = run_experiment(parallel_antiparallel_prior(), povm, MC_TRIALS, seed=314)
     gain_ok = abs(summary.mean_gain_bits - summary.analytic_average_gain_bits) <= (
         5.0 * summary.gain_standard_error_bits
     )

@@ -213,7 +213,7 @@ class TestReport:
             capsys, "report", "--j1", "1", "--j2", "1", "--prior", "pap", "--povm", "local"
         )
         assert code == 0
-        expected = average_information_gain(1, 1, parallel_antiparallel_prior(),
+        expected = average_information_gain(parallel_antiparallel_prior(),
                                             _make_povm("optimal-local", 1, 1))
         payload = json.loads(out)
         assert [entry["label"] for entry in payload["outcomes"]] == ["aligned", "m=0", "antialigned"]
@@ -238,7 +238,7 @@ class TestReport:
         )
         assert code == 0
         prior = uniform_direction_prior()
-        expected = average_information_gain(j1, j2, prior, _make_povm("optimal-local", j1, j2))
+        expected = average_information_gain(prior, _make_povm("optimal-local", j1, j2))
         outcomes = json.loads(out)["outcomes"]
         assert [entry["label"] for entry in outcomes] == list(expected.povm.labels)
         assert [entry["p"] for entry in outcomes] == [
@@ -854,7 +854,7 @@ def per_number_text(argv):
         return {"type": "density", "alpha": labels,
                 "density": [_sig10(v) for v in q.pdf(grid).tolist()]}
 
-    report = average_information_gain(args.j1, args.j2, *cli_module._scenario(args))
+    report = average_information_gain(*cli_module._scenario(args))
     outcomes = [{"label": entry.label, "p": _sig10(entry.probability),
                  "I_bits": _sig10(entry.information_gain_bits),
                  "posterior": posterior(entry.posterior)} for entry in report.outcomes]

@@ -278,15 +278,15 @@ class TestBayesUpdate:
     def test_two_qubit_pap_posteriors(self):
         prior = parallel_antiparallel_prior()
         povm = RotInvariantPovm.projective(HALF, HALF)
-        symmetric = bayes_update(prior, HALF, HALF, povm, "J=1")
+        symmetric = bayes_update(prior, povm, "J=1")
         assert np.max(np.abs(symmetric.weights - [2.0 / 3.0, 1.0 / 3.0])) < 1e-14
-        antisymmetric = bayes_update(prior, HALF, HALF, povm, "J=0")
+        antisymmetric = bayes_update(prior, povm, "J=0")
         assert np.max(np.abs(antisymmetric.weights - [0.0, 1.0])) < 1e-14
 
     def test_two_qubit_uniform_posterior_density(self):
         prior = uniform_direction_prior()
         povm = RotInvariantPovm.projective(HALF, HALF)
-        posterior = bayes_update(prior, HALF, HALF, povm, "J=0")
+        posterior = bayes_update(prior, povm, "J=0")
         grid = np.linspace(0.1, math.pi - 0.1, 40)
         expected = np.sin(grid / 2.0) ** 2 * np.sin(grid)
         assert np.max(np.abs(posterior.pdf(grid) - expected)) < 1e-10
@@ -296,7 +296,7 @@ class TestBayesUpdate:
         j = spin(f"{twice_j}/2") if twice_j % 2 else spin(twice_j // 2)
         prior = parallel_antiparallel_prior()
         povm = RotInvariantPovm.projective(HALF, j)
-        posterior = bayes_update(prior, HALF, j, povm, povm.labels[1])
+        posterior = bayes_update(prior, povm, povm.labels[1])
         expected_parallel = (twice_j + 1.0) / (twice_j + 2.0)
         assert abs(posterior.weights[0] - expected_parallel) < 1e-14
         assert abs(posterior.weights[1] - 1.0 / (twice_j + 2.0)) < 1e-14
@@ -305,7 +305,7 @@ class TestBayesUpdate:
         prior = DiscreteAngleDistribution(np.array([0.0]), np.array([1.0]))
         povm = RotInvariantPovm.projective(HALF, HALF)
         with pytest.raises(ImpossibleOutcomeError):
-            bayes_update(prior, HALF, HALF, povm, "J=0")
+            bayes_update(prior, povm, "J=0")
 
     def test_posteriors_average_back_to_prior_discrete(self):
         prior = parallel_antiparallel_prior()
@@ -315,13 +315,13 @@ class TestBayesUpdate:
             k = povm.index(label)
             likelihood = povm_outcome_probabilities(povm, prior.alphas)[k]
             p = float(np.dot(prior.weights, likelihood))
-            mix += p * bayes_update(prior, HALF, spin(3), povm, label).weights
+            mix += p * bayes_update(prior, povm, label).weights
         assert np.max(np.abs(mix - prior.weights)) < 1e-10
 
     def test_posteriors_average_back_to_prior_density(self):
         prior = uniform_direction_prior()
         povm = RotInvariantPovm.projective(HALF, spin(2))
-        report = average_information_gain(HALF, spin(2), prior, povm)
+        report = average_information_gain(prior, povm)
         grid = np.linspace(0.05, math.pi - 0.05, 50)
         mix = np.zeros_like(grid)
         for entry in report.outcomes:
@@ -337,17 +337,17 @@ class TestInformationGain:
     def test_two_qubit_pap_gains(self):
         prior = parallel_antiparallel_prior()
         povm = RotInvariantPovm.projective(HALF, HALF)
-        singlet = bayes_update(prior, HALF, HALF, povm, "J=0")
+        singlet = bayes_update(prior, povm, "J=0")
         assert abs(information_gain(prior, singlet) - 1.0) < 1e-14
-        triplet = bayes_update(prior, HALF, HALF, povm, "J=1")
+        triplet = bayes_update(prior, povm, "J=1")
         assert abs(information_gain(prior, triplet) - GAIN_TRIPLET_PAP) < 1e-14
 
     def test_two_qubit_uniform_gains(self):
         prior = uniform_direction_prior()
         povm = RotInvariantPovm.projective(HALF, HALF)
-        singlet = bayes_update(prior, HALF, HALF, povm, "J=0")
+        singlet = bayes_update(prior, povm, "J=0")
         assert abs(information_gain(prior, singlet) - GAIN_SINGLET_UNIFORM) < 1e-9
-        triplet = bayes_update(prior, HALF, HALF, povm, "J=1")
+        triplet = bayes_update(prior, povm, "J=1")
         assert abs(information_gain(prior, triplet) - GAIN_TRIPLET_UNIFORM) < 1e-9
 
     @pytest.mark.parametrize("prior, posterior, nats", [
@@ -387,7 +387,7 @@ class TestInformationGain:
             raw = rng.random((n_out, 2)) + 1e-3
             weights = raw / raw.sum(axis=0)
             povm = RotInvariantPovm(HALF, spin(1), tuple(f"o{i}" for i in range(n_out)), weights)
-            report = average_information_gain(HALF, spin(1), prior, povm)
+            report = average_information_gain(prior, povm)
             for entry in report.outcomes:
                 assert entry.information_gain_bits >= -1e-12
 
@@ -395,7 +395,7 @@ class TestInformationGain:
 class TestAverageInformationGain:
     def test_two_qubit_pap(self):
         report = average_information_gain(
-            HALF, HALF, parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, HALF)
+            parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, HALF)
         )
         assert abs(report.outcome("J=0").probability - 0.25) < 1e-14
         assert abs(report.outcome("J=1").probability - 0.75) < 1e-14
@@ -403,27 +403,41 @@ class TestAverageInformationGain:
 
     def test_unknown_outcome_label_refused(self):
         report = average_information_gain(
-            HALF, HALF, parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, HALF)
+            parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, HALF)
         )
         assert report.outcome("J=1") is report.outcomes[1]
         with pytest.raises(ValueError, match="unknown outcome label 'J=2'"):
             report.outcome("J=2")
 
-    def test_povm_of_another_pair_refused(self):
-        # (1/2, 2) also has two blocks, so its weights would fit the (1/2, 1) table
-        povm = RotInvariantPovm.projective(HALF, spin(2))
-        with pytest.raises(ValueError, match="requested spin pair"):
-            average_information_gain(HALF, spin(1), parallel_antiparallel_prior(), povm)
+    @pytest.mark.parametrize("prior_kind", estimation_module.PRIOR_KINDS)
+    @pytest.mark.parametrize("povm_kind", estimation_module.POVM_KINDS)
+    @pytest.mark.parametrize("a, b", [("1/2", 2), ("3/2", 1), (2, 3)])
+    def test_either_pair_order_gives_the_same_bits(self, prior_kind, povm_kind, a, b):
+        # the POVM names its pair, and (a, b) and (b, a) are one measurement
+        prior = _make_prior(prior_kind)
+        povms = [_make_povm(povm_kind, a, b), _make_povm(povm_kind, b, a)]
+        first, second = (average_information_gain(prior, povm) for povm in povms)
+        assert [(o.label, o.probability, o.information_gain_bits) for o in first.outcomes] == [
+            (o.label, o.probability, o.information_gain_bits) for o in second.outcomes]
+        assert first.average_gain_bits == second.average_gain_bits
+        for entry in first.outcomes:
+            if entry.probability == 0.0:
+                continue
+            posteriors = [bayes_update(prior, povm, entry.label) for povm in povms]
+            arrays = [q.weights if isinstance(q, DiscreteAngleDistribution) else q.coefficients
+                      for q in posteriors]
+            assert np.array_equal(arrays[0], arrays[1])
+            assert information_gain(prior, posteriors[0]) == information_gain(prior, posteriors[1])
 
     def test_two_qubit_uniform(self):
         report = average_information_gain(
-            HALF, HALF, uniform_direction_prior(), RotInvariantPovm.projective(HALF, HALF)
+            uniform_direction_prior(), RotInvariantPovm.projective(HALF, HALF)
         )
         assert abs(report.average_gain_bits - AVERAGE_UNIFORM) < 1e-9
 
     def test_two_qubit_uniform_local(self):
         report = average_information_gain(
-            HALF, HALF, uniform_direction_prior(), optimal_local_povm(HALF)
+            uniform_direction_prior(), optimal_local_povm(HALF)
         )
         assert abs(report.average_gain_bits - GAIN_TRIPLET_UNIFORM) < 1e-9
 
@@ -431,13 +445,13 @@ class TestAverageInformationGain:
         rng = np.random.default_rng(2)
         prior = uniform_direction_prior()
         povm = RotInvariantPovm.projective(HALF, spin(1))
-        best = average_information_gain(HALF, spin(1), prior, povm).average_gain_bits
+        best = average_information_gain(prior, povm).average_gain_bits
         for _ in range(10):
             n_out = int(rng.integers(2, 6))
             raw = rng.random((n_out, 2)) + 1e-6
             weights = raw / raw.sum(axis=0)
             coarse = RotInvariantPovm(HALF, spin(1), tuple(f"o{i}" for i in range(n_out)), weights)
-            sampled = average_information_gain(HALF, spin(1), prior, coarse).average_gain_bits
+            sampled = average_information_gain(prior, coarse).average_gain_bits
             assert sampled <= best + 1e-10
 
     def test_report_rotation_invariant_dense_path(self):
@@ -480,7 +494,7 @@ class TestExactEvidencesAndGains:
     def test_uniform_prior_evidences(self, j1, j2):
         prior = uniform_direction_prior()
         povm = RotInvariantPovm.projective(j1, j2)
-        evidence = _joint_rows(prior, *_stacked(j1, j2, povm))[0][0]
+        evidence = _joint_rows(prior, *_stacked(povm))[0][0]
         assert np.max(np.abs(evidence / oracle_evidences(prior, povm) - 1.0)) < 1e-12
         assert abs(float(evidence.sum()) - 1.0) < 1e-14
         # uniform directions average each coherent state to the maximally mixed one
@@ -493,7 +507,7 @@ class TestExactEvidencesAndGains:
     def test_linear_posterior_gain_matches_quadrature(self, povm_kind, j):
         prior = uniform_direction_prior()
         povm = _make_povm(povm_kind, HALF, j)
-        report = average_information_gain(HALF, j, prior, povm)
+        report = average_information_gain(prior, povm)
         for k, entry in enumerate(report.outcomes):
             assert entry.posterior.degree == 1
             assert abs(entry.information_gain_bits - oracle_gain(prior, povm, k)) < 1e-12
@@ -509,7 +523,7 @@ class TestExactEvidencesAndGains:
         # integral at (100, 100).  The degree-3 prior vanishes at both ends.
         prior = AngleDensity(prior_coefficients)
         povm = RotInvariantPovm.projective(j1, j2)
-        _, posteriors, gains, _ = _gains(prior, *_stacked(j1, j2, povm))
+        _, posteriors, gains, _ = _gains(prior, *_stacked(povm))
 
         def density(coefficients, s):
             n = coefficients.size - 1
@@ -535,7 +549,7 @@ class TestExactEvidencesAndGains:
         for twice_a in (twice_b, twice_b + 3, 4 * twice_b):
             b, a = SpinQuantumNumber(twice_b), SpinQuantumNumber(twice_a)
             povm = RotInvariantPovm.projective(b, a)
-            posterior = bayes_update(prior, b, a, povm, povm.labels[0])
+            posterior = bayes_update(prior, povm, povm.labels[0])
             assert np.count_nonzero(posterior.coefficients) == 1
             assert abs(information_gain(prior, posterior) - exact) <= 5e-14
 
@@ -545,7 +559,7 @@ class TestExactEvidencesAndGains:
         weights = [[0.5, high_weight], [0.5, 1.0 - high_weight]]
         povm = RotInvariantPovm(HALF, HALF, ("x", "y"), weights)
         prior = uniform_direction_prior()
-        report = average_information_gain(HALF, HALF, prior, povm)
+        report = average_information_gain(prior, povm)
         for k, entry in enumerate(report.outcomes):
             assert entry.information_gain_bits >= -1e-15  # rounding of a unit mass
             assert abs(entry.information_gain_bits - oracle_gain(prior, povm, k)) < 1e-14
@@ -574,7 +588,7 @@ class TestSequentialUpdate:
         k = 100
         posterior = uniform_direction_prior()
         for _ in range(10):
-            posterior = bayes_update(posterior, 100, 800, povm, povm.labels[k])
+            posterior = bayes_update(posterior, povm, povm.labels[k])
         assert posterior.degree == 2000
         assert np.all(np.isfinite(posterior.coefficients))
         assert abs(gauss_legendre_alpha(posterior.pdf, 1024) - 1.0) < 1e-12
@@ -592,7 +606,7 @@ class TestSequentialUpdate:
         povm = RotInvariantPovm.projective(spin(1), spin(2))
         posterior = uniform_direction_prior()
         for _ in range(600):
-            posterior = bayes_update(posterior, 1, 2, povm, "J=2")
+            posterior = bayes_update(posterior, povm, "J=2")
         assert posterior.degree == 1200
         assert abs(gauss_legendre_alpha(posterior.pdf, 1024) - 1.0) < 1e-12
         tracemalloc.start()
@@ -609,8 +623,8 @@ class TestSequentialUpdate:
     def test_density_posterior_update_matches_pointwise_product(self):
         prior = uniform_direction_prior()
         povm = RotInvariantPovm.projective(spin(1), spin(2))
-        first = bayes_update(prior, 1, 2, povm, "J=1")
-        second = bayes_update(first, 1, 2, povm, "J=3")
+        first = bayes_update(prior, povm, "J=1")
+        second = bayes_update(first, povm, "J=3")
         assert second.degree == 4
 
         def joint(a):
@@ -626,13 +640,13 @@ class TestMapEstimate:
     def test_singlet_posterior_peak(self):
         prior = uniform_direction_prior()
         povm = RotInvariantPovm.projective(HALF, HALF)
-        posterior = bayes_update(prior, HALF, HALF, povm, "J=0")
+        posterior = bayes_update(prior, povm, "J=0")
         assert abs(map_estimate(posterior) - 2.0 * math.pi / 3.0) < 1e-6
 
     def test_triplet_posterior_peak(self):
         prior = uniform_direction_prior()
         povm = RotInvariantPovm.projective(HALF, HALF)
-        posterior = bayes_update(prior, HALF, HALF, povm, "J=1")
+        posterior = bayes_update(prior, povm, "J=1")
         # analytic maximizer of (3 + cos a) sin a on [0, pi]
         expected = math.acos((math.sqrt(17.0) - 3.0) / 4.0)
         assert abs(map_estimate(posterior) - expected) < 1e-6
@@ -648,7 +662,7 @@ class TestMapEstimate:
     def test_peaked_posterior_matches_fine_grid(self):
         prior = uniform_direction_prior()
         povm = RotInvariantPovm.projective(spin(20), spin(60))
-        posterior = bayes_update(prior, 20, 60, povm, povm.labels[0])
+        posterior = bayes_update(prior, povm, povm.labels[0])
         grid = np.linspace(0.0, math.pi, 400_001)
         best = grid[int(np.argmax(posterior.pdf(grid)))]
         assert abs(map_estimate(posterior) - best) < 1e-5
@@ -704,7 +718,7 @@ class TestInfoGainCurve:
         assert [j for j, _ in rows] == j_list
         prior = _make_prior(prior_kind)
         for j, gain in rows:
-            report = average_information_gain(HALF, j, prior, _make_povm(povm_kind, HALF, j))
+            report = average_information_gain(prior, _make_povm(povm_kind, HALF, j))
             assert gain == report.average_gain_bits
 
     def test_empty_and_repeated_j(self):
@@ -812,7 +826,7 @@ class TestBatchedQuadrature:
     @pytest.mark.parametrize("j1, j2", [(5, 5), (2, 3), ("3/2", "7/2")])
     def test_each_row_equals_its_one_row_integral_bit_for_bit(self, monkeypatch, j1, j2):
         prior = uniform_direction_prior()
-        rows = _gains(prior, *_stacked(j1, j2, RotInvariantPovm.projective(j1, j2)))[1][0]
+        rows = _gains(prior, *_stacked(RotInvariantPovm.projective(j1, j2)))[1][0]
         oracle = [one_row_integral(one_row_kl_integrand(prior, row)) for row in rows]
         levels = [n for _, n in oracle]
         if (j1, j2) == (5, 5):  # rows stop at different rules, so rows drop out part way
@@ -868,7 +882,7 @@ class TestBatchedQuadrature:
         monkeypatch.setattr(estimation_module, "_adaptive_integral", recorded)
         tracemalloc.start()
         try:
-            report = average_information_gain(j, j, uniform_direction_prior(),
+            report = average_information_gain(uniform_direction_prior(),
                                               RotInvariantPovm.projective(j, j))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1049,9 +1063,9 @@ class TestScenarioFactories:
         # the pair once refused for want of a spin-1/2 probe: three outcomes, the middle one m = 0
         povm = _make_povm("optimal-local", 1, 1)
         assert povm.labels == ("aligned", "m=0", "antialigned")
-        report = average_information_gain(1, 1, uniform_direction_prior(), povm)
+        report = average_information_gain(uniform_direction_prior(), povm)
         assert round(report.average_gain_bits, 6) == 0.094726
-        joint = average_information_gain(1, 1, uniform_direction_prior(), _make_povm("optimal", 1, 1))
+        joint = average_information_gain(uniform_direction_prior(), _make_povm("optimal", 1, 1))
         assert report.average_gain_bits < joint.average_gain_bits
 
 

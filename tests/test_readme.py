@@ -74,7 +74,7 @@ def test_criterion_2_singlet_gain():
     (printed,) = re.findall(r"`1 - 1/\(2 ln 2\) = ([\d.]+?)\.\.\.`", README)
     assert printed == "0.27865247955"
     half = spin("1/2")
-    report = average_information_gain(half, half, uniform_direction_prior(),
+    report = average_information_gain(uniform_direction_prior(),
                                       RotInvariantPovm.projective(half, half))
     for value in (report.outcome("J=0").information_gain_bits, 1.0 - 1.0 / (2.0 * math.log(2.0))):
         assert f"{value:.16f}".startswith(printed)

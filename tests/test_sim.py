@@ -39,7 +39,7 @@ MC_CASES = (
 )
 
 
-def dense_run_experiment(j1, j2, prior, povm, n_trials, seed):
+def dense_run_experiment(prior, povm, n_trials, seed):
     """Outcome counts of the experiment simulated one dense state per trial.
 
     Each trial draws an angle and a Haar-random collective orientation from
@@ -47,7 +47,7 @@ def dense_run_experiment(j1, j2, prior, povm, n_trials, seed):
     outcome from its group-averaged block weights: the reference that the
     closed-form sampling in ``run_experiment`` must agree with.
     """
-    j1, j2 = spin(j1), spin(j2)
+    j1, j2 = povm.j1, povm.j2
     draw_angles = _prior_sampler(prior)
     top1 = coherent_state(j1, Direction(0.0, 0.0)).amplitudes
     dims = (j1.dimension, j2.dimension)
@@ -180,8 +180,6 @@ class TestSampleOutcome:
 class TestRunExperiment:
     def test_mean_gain_matches_analytic(self):
         summary = run_experiment(
-            HALF,
-            HALF,
             parallel_antiparallel_prior(),
             RotInvariantPovm.projective(HALF, HALF),
             20_000,
@@ -196,13 +194,7 @@ class TestRunExperiment:
             assert abs(freq - p) <= 5.0 * se + 1e-12
 
     def test_same_seed_reproduces_summary(self):
-        args = (
-            HALF,
-            HALF,
-            parallel_antiparallel_prior(),
-            RotInvariantPovm.projective(HALF, HALF),
-            400,
-        )
+        args = (parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, HALF), 400)
         first = run_experiment(*args, seed=99)
         second = run_experiment(*args, seed=99)
         assert np.array_equal(first.counts, second.counts)
@@ -211,8 +203,6 @@ class TestRunExperiment:
 
     def test_single_trial(self):
         summary = run_experiment(
-            HALF,
-            HALF,
             parallel_antiparallel_prior(),
             RotInvariantPovm.projective(HALF, HALF),
             1,
@@ -225,8 +215,6 @@ class TestRunExperiment:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_experiment(
-                HALF,
-                HALF,
                 parallel_antiparallel_prior(),
                 RotInvariantPovm.projective(HALF, HALF),
                 0,
@@ -241,19 +229,42 @@ class TestRunExperiment:
         monkeypatch.setattr(sim_module, "_sample_chunk", no_trials)
         with pytest.raises(ValueError, match=r"\[1, 2\*\*53\]"):
             run_experiment(
-                HALF,
-                HALF,
                 parallel_antiparallel_prior(),
                 RotInvariantPovm.projective(HALF, HALF),
                 MAX_TRIALS + 1,
                 seed=1,
             )
 
+    @pytest.mark.parametrize("n_trials", [2.5, "10", True])
+    def test_rejects_a_trial_count_that_is_not_an_integer(self, monkeypatch, n_trials):
+        def no_work(*args):
+            raise AssertionError("work done before the trial count was checked")
+
+        monkeypatch.setattr(sim_module, "_gains", no_work)
+        monkeypatch.setattr(sim_module, "_sample_chunk", no_work)
+        with pytest.raises(TypeError, match="n_trials"):
+            run_experiment(parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, HALF),
+                           n_trials, seed=1)
+
+    def test_accepts_a_numpy_integer_trial_count(self):
+        summary = run_experiment(parallel_antiparallel_prior(),
+                                 RotInvariantPovm.projective(HALF, HALF), np.int64(5), seed=1)
+        assert type(summary.n_trials) is int and summary.n_trials == 5
+        assert int(summary.counts.sum()) == 5
+
+    def test_either_pair_order_gives_the_same_counts(self):
+        # the POVM names its pair, and (a, b) and (b, a) are one measurement
+        prior = uniform_direction_prior()
+        first, second = (run_experiment(prior, _make_povm("optimal-local", *pair), 3000, seed=8)
+                         for pair in ((spin("3/2"), 1), (1, spin("3/2"))))
+        assert np.array_equal(first.counts, second.counts)
+        assert first.mean_gain_bits == second.mean_gain_bits
+
     def test_joint_beats_local_in_paired_runs(self):
         prior = parallel_antiparallel_prior()
         n = 100_000
-        joint = run_experiment(HALF, HALF, prior, RotInvariantPovm.projective(HALF, HALF), n, seed=21)
-        local = run_experiment(HALF, HALF, prior, optimal_local_povm(HALF), n, seed=22)
+        joint = run_experiment(prior, RotInvariantPovm.projective(HALF, HALF), n, seed=21)
+        local = run_experiment(prior, optimal_local_povm(HALF), n, seed=22)
         difference = joint.mean_gain_bits - local.mean_gain_bits
         sigma = math.hypot(joint.gain_standard_error_bits, local.gain_standard_error_bits)
         assert difference > 3.0 * sigma
@@ -262,8 +273,6 @@ class TestRunExperiment:
         from relangle import uniform_direction_prior
 
         summary = run_experiment(
-            HALF,
-            HALF,
             uniform_direction_prior(),
             RotInvariantPovm.projective(HALF, HALF),
             20_000,
@@ -280,8 +289,8 @@ class TestChunkedExperiment:
         n = 2000
         for j1, j2, make_prior, make_povm in MC_CASES:
             prior, povm = make_prior(), make_povm()
-            dense = dense_run_experiment(j1, j2, prior, povm, n, seed=61) / n
-            fast = run_experiment(j1, j2, prior, povm, n, seed=62).frequencies
+            dense = dense_run_experiment(prior, povm, n, seed=61) / n
+            fast = run_experiment(prior, povm, n, seed=62).frequencies
             pooled = 0.5 * (dense + fast)
             sigma = np.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
             assert np.all(np.abs(dense - fast) <= 5.0 * sigma + 1e-12), (j1, j2)
@@ -292,7 +301,7 @@ class TestChunkedExperiment:
         j1, j2, prior = spin("3/2"), spin(1), uniform_direction_prior()
         povm = _make_povm("optimal-local", j1, j2)
         assert povm.labels == ("aligned", "m=0", "antialigned")
-        summary = run_experiment(j1, j2, prior, povm, 20_000, seed=64)
+        summary = run_experiment(prior, povm, 20_000, seed=64)
         for freq, p, se in zip(
             summary.frequencies, summary.analytic_probabilities, summary.frequency_standard_errors
         ):
@@ -300,10 +309,10 @@ class TestChunkedExperiment:
         gap = abs(summary.mean_gain_bits - summary.analytic_average_gain_bits)
         assert gap <= 5.0 * summary.gain_standard_error_bits
         assert summary.analytic_average_gain_bits == (
-            average_information_gain(j1, j2, prior, povm).average_gain_bits)
+            average_information_gain(prior, povm).average_gain_bits)
         n = 2000
-        dense = dense_run_experiment(j1, j2, prior, povm, n, seed=65) / n
-        fast = run_experiment(j1, j2, prior, povm, n, seed=66).frequencies
+        dense = dense_run_experiment(prior, povm, n, seed=65) / n
+        fast = run_experiment(prior, povm, n, seed=66).frequencies
         pooled = 0.5 * (dense + fast)
         sigma = np.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
         assert np.all(np.abs(dense - fast) <= 5.0 * sigma + 1e-12)
@@ -316,7 +325,7 @@ class TestChunkedExperiment:
         # product dimensions 41 * 201 and 2 * 2000001, past DENSE_DIMENSION_CAP: sampling
         # reads only the closed-form likelihood, so no dense limit applies
         prior, povm = make_prior(), _make_povm("optimal", j1, j2)
-        summary = run_experiment(j1, j2, prior, povm, 20_000, seed=67)
+        summary = run_experiment(prior, povm, 20_000, seed=67)
         for freq, p, se in zip(
             summary.frequencies, summary.analytic_probabilities, summary.frequency_standard_errors
         ):
@@ -324,7 +333,7 @@ class TestChunkedExperiment:
         gap = abs(summary.mean_gain_bits - summary.analytic_average_gain_bits)
         assert gap <= 5.0 * summary.gain_standard_error_bits
         assert summary.analytic_average_gain_bits == (
-            average_information_gain(j1, j2, prior, povm).average_gain_bits)
+            average_information_gain(prior, povm).average_gain_bits)
 
     def test_never_builds_dense_states(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -340,15 +349,15 @@ class TestChunkedExperiment:
         monkeypatch.setattr(CouplingDecomposition, "block_probabilities", forbidden)
         monkeypatch.setattr(CouplingDecomposition, "_rank_one_block_probabilities", forbidden)
         monkeypatch.setattr(sim_module, "haar_rotation", forbidden)
-        for j1, j2, make_prior, make_povm in MC_CASES:
-            summary = run_experiment(j1, j2, make_prior(), make_povm(), 500, seed=63)
+        for _, _, make_prior, make_povm in MC_CASES:
+            summary = run_experiment(make_prior(), make_povm(), 500, seed=63)
             assert int(summary.counts.sum()) == 500
 
     @pytest.mark.parametrize(
         "n", [CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1, 2 * CHUNK_TRIALS + 1]
     )
     def test_chunk_edges(self, n):
-        args = (HALF, HALF, parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, HALF))
+        args = (parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, HALF))
         first = run_experiment(*args, n, seed=64)
         second = run_experiment(*args, n, seed=64)
         assert int(first.counts.sum()) == n
@@ -364,8 +373,8 @@ class TestChunkedExperiment:
     def test_gain_summary_matches_per_trial_formulas(self):
         for j1, j2, make_prior, make_povm in (MC_CASES[0], MC_CASES[2]):
             prior, povm = make_prior(), make_povm()
-            summary = run_experiment(j1, j2, prior, povm, 20_000, seed=65)
-            report = average_information_gain(j1, j2, prior, povm)
+            summary = run_experiment(prior, povm, 20_000, seed=65)
+            report = average_information_gain(prior, povm)
             gains = np.repeat([entry.information_gain_bits for entry in report.outcomes],
                               summary.counts)
             standard_error = gains.std(ddof=1) / math.sqrt(gains.size)
@@ -383,7 +392,7 @@ class TestChunkedExperiment:
         )
         with pytest.raises(ConsistencyError):
             run_experiment(
-                HALF, HALF, parallel_antiparallel_prior(),
+                parallel_antiparallel_prior(),
                 RotInvariantPovm.projective(HALF, HALF), 100, seed=66,
             )
 
@@ -391,7 +400,7 @@ class TestChunkedExperiment:
         prior, povm = uniform_direction_prior(), RotInvariantPovm.projective(2, 3)
         tracemalloc.start()
         try:
-            summary = run_experiment(spin(2), spin(3), prior, povm, 1_000_000, seed=67)
+            summary = run_experiment(prior, povm, 1_000_000, seed=67)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -422,7 +431,7 @@ class TestPriorSampler:
         # a degree-4 posterior: its CDF in s is the Bernstein polynomial of degree n + 1 with
         # coefficients [0, cumsum(b) / (n + 1)], the antiderivative of the density in s
         povm = RotInvariantPovm.projective(spin(2), spin(3))
-        posterior = bayes_update(uniform_direction_prior(), 2, 3, povm, povm.labels[1])
+        posterior = bayes_update(uniform_direction_prior(), povm, povm.labels[1])
         b = posterior.coefficients
         n = b.size - 1
         assert n == 4 and np.ptp(b) > 0.5
@@ -450,7 +459,7 @@ class TestPriorSampler:
         povm = RotInvariantPovm.projective(2, 3)
         tracemalloc.start()
         try:
-            summary = run_experiment(spin(2), spin(3), prior, povm, 1_000_000, seed=72)
+            summary = run_experiment(prior, povm, 1_000_000, seed=72)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
