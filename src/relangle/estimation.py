@@ -623,13 +623,14 @@ def map_estimate(posterior) -> float:
 
     Discrete posteriors return the max-weight support point, breaking ties in
     favor of the smaller angle.  Densities are searched on a uniform grid in
-    alpha that grows with the degree, then on 65-point grids between the two
-    neighbours of the best point until they are 1e-9 apart."""
+    alpha of about 4 sqrt(n) points per radian at degree n, finer than any
+    feature, as none is narrower than about 1 / sqrt(n), then on 65-point grids
+    between the two neighbours of the best point until they are 1e-9 apart."""
     if isinstance(posterior, DiscreteAngleDistribution):
         best = float(np.max(posterior.weights))
         candidates = posterior.alphas[posterior.weights >= best - 1e-15]
         return float(np.min(candidates))
-    lo, hi, points = 0.0, math.pi, 16 * posterior.degree + 65
+    lo, hi, points = 0.0, math.pi, 65 + math.ceil(4.0 * math.pi * math.sqrt(posterior.degree))
     while hi - lo > 1e-9:
         grid = np.linspace(lo, hi, points)
         best = int(np.argmax(posterior.pdf(grid)))

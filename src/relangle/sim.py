@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import Rotation
+from .angular import Rotation, _brief
 from .errors import ConsistencyError
 from .estimation import (
     DiscreteAngleDistribution,
@@ -148,13 +148,17 @@ def run_experiment(
     ``SeedSequence(seed, spawn_key=(c,))``.  The mean gain and its standard
     error follow exactly from the outcome counts.
 
-    A trial count that is not an integer (a bool is not) raises TypeError, and
-    one outside [1, ``MAX_TRIALS``] ValueError, before any work.  No dense
-    matrix is built, so every pair within the likelihood kernel's limit runs."""
-    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)):
-        raise TypeError(f"n_trials must be an integer, got {type(n_trials).__name__}")
+    A trial count or seed that is not an integer (a bool is not) raises
+    TypeError, and a trial count outside [1, ``MAX_TRIALS``] or a negative seed
+    ValueError, before any work.  No dense matrix is built, so every pair within
+    the likelihood kernel's limit runs."""
+    for name, value in (("n_trials", n_trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     if not 1 <= n_trials <= MAX_TRIALS:
-        raise ValueError(f"n_trials must lie in [1, 2**53], got {n_trials}")
+        raise ValueError(f"n_trials must lie in [1, 2**53], got {_brief(n_trials)}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {_brief(seed)}")
     (analytic,), _, (gains,), (average,) = _gains(prior, *_stacked(povm))
     draw_angles = _prior_sampler(prior)
 

@@ -1,9 +1,10 @@
 """Independent references that the unit tests check the library against.
 
 Rotations on the defining SU(2) and SO(3) representations, random rotations
-and directions, directions from 3-vectors, and the dense matrix of a
-rotationally invariant POVM element.  None of them is on a library path; each
-is written from its definition.
+and directions, directions from 3-vectors, the dense matrix of a
+rotationally invariant POVM element, and a matrix-free sampler of the local
+measurement.  None of them is on a library path; each is written from its
+definition.
 """
 
 import cmath
@@ -92,3 +93,18 @@ def povm_element_matrix(povm, k: int) -> np.ndarray:
         if weight != 0.0:
             matrix += weight * projector(povm.j1, povm.j2, J).matrix
     return matrix
+
+
+def sample_local_povm(twice_a: int, twice_b: int, alpha: float, n_trials: int, rng) -> np.ndarray:
+    """Outcome counts, indexed by k = b - m, of the local measurement on a coherent pair at
+    relative angle alpha, sampled with no matrix.  Spin a points along +z and is measured with
+    coherent states: the direction n found has u = (1 + cos g)/2 ~ Beta(2a + 1, 1), so
+    u = U^(1/(2a+1)), at a uniform azimuth.  Spin b, at angle alpha from a in the xz-plane, is
+    then measured along n, so k ~ Binomial(2b, (1 - n.b)/2)."""
+    one_minus_u = -np.expm1(np.log1p(-rng.random(n_trials)) / (twice_a + 1))
+    cos_g = 1.0 - 2.0 * one_minus_u
+    sin_g = 2.0 * np.sqrt(one_minus_u * (1.0 - one_minus_u))
+    azimuth = rng.uniform(0.0, 2.0 * math.pi, n_trials)
+    overlap = sin_g * np.cos(azimuth) * math.sin(alpha) + cos_g * math.cos(alpha)
+    k = rng.binomial(twice_b, np.clip((1.0 - overlap) / 2.0, 0.0, 1.0))
+    return np.bincount(k, minlength=twice_b + 1)

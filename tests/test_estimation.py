@@ -58,7 +58,7 @@ from relangle.estimation import (
 from relangle.polynomials import _bernstein_basis
 from relangle.states import InvariantState, collective_rotate, product_coherent_pair
 
-from oracles import direction_from_vector, povm_element_matrix, random_rotation
+from oracles import direction_from_vector, povm_element_matrix, random_rotation, sample_local_povm
 
 HALF = spin("1/2")
 
@@ -601,8 +601,8 @@ class TestSequentialUpdate:
         assert np.max(np.abs(posterior.pdf(grid) - expected)) < 1e-11 * np.max(expected)
 
     def test_many_small_updates_and_their_map_in_bounded_memory(self):
-        # 600 updates at (1, 2) reach degree 1200; the MAP search evaluates the
-        # density at 16 * 1200 + 65 angles, block by block
+        # 600 updates at (1, 2) reach degree 1200; the MAP search seeds with
+        # 65 + ceil(4 pi sqrt(1200)) = 501 angles, then refines on 65-point grids
         povm = RotInvariantPovm.projective(spin(1), spin(2))
         posterior = uniform_direction_prior()
         for _ in range(600):
@@ -615,7 +615,7 @@ class TestSequentialUpdate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6  # one (1201 x 19265) basis array alone would be 185 MB
+        assert peak < 16e6  # the seed grid's (1201 x 501) basis values are 4.8 MB
         grid = np.linspace(1e-9, math.pi - 1e-9, 400_001)
         log_density = 600 * np.log(povm_outcome_probabilities(povm, grid)[1]) + np.log(np.sin(grid))
         assert abs(estimate - grid[int(np.argmax(log_density))]) < 1e-5
@@ -1067,6 +1067,34 @@ class TestScenarioFactories:
         assert round(report.average_gain_bits, 6) == 0.094726
         joint = average_information_gain(uniform_direction_prior(), _make_povm("optimal", 1, 1))
         assert report.average_gain_bits < joint.average_gain_bits
+
+
+# (larger spin a, smaller spin b), from spin 1/2 up to the kernel's limit 2b = 200
+SAMPLED_LOCAL_PAIRS = [("1/2", "1/2"), ("2", "1"), ("3/2", "3/2"), ("10", "10"), ("100", "100"),
+                       ("1000", "100"), ("1000000", "10")]
+
+
+class TestLocalPovmSampler:
+    @pytest.mark.parametrize(("seed", "a", "b"), [(seed, a, b) for seed, (a, b)
+                                                  in enumerate(SAMPLED_LOCAL_PAIRS)],
+                             ids=[f"{a},{b}" for a, b in SAMPLED_LOCAL_PAIRS])
+    def test_sampled_frequencies_match_the_table(self, seed, a, b):
+        # the protocol itself, sampled with no matrix and no code shared with the table: each
+        # outcome expected 20 or more times lies within 5 sigma, and the rest, pooled, within
+        # chi^2 = 25 of their joint mass (n p << 1 breaks the normal approximation)
+        n = 400_000
+        a, b = spin(a), spin(b)
+        alphas = np.array([0.4, math.pi / 2, 2.6])
+        table = povm_outcome_probabilities(_make_povm("optimal-local", a, b), alphas)
+        for i, (alpha, p) in enumerate(zip(alphas, table.T)):
+            rng = np.random.default_rng([seed, i])
+            counts = sample_local_povm(a.twice_j, b.twice_j, alpha, n, rng)
+            expected = n * p
+            well = expected >= 20.0
+            z = (counts[well] - expected[well]) / np.sqrt(expected[well] * (1.0 - p[well]))
+            assert np.max(np.abs(z)) < 5.0
+            pooled, mass = counts[~well].sum(), expected[~well].sum()
+            assert (pooled - mass) ** 2 < 25.0 * mass or pooled == mass == 0.0
 
 
 def born_limit_oracle(j1, alpha, j2):

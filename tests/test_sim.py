@@ -221,17 +221,19 @@ class TestRunExperiment:
                 seed=1,
             )
 
-    def test_rejects_trials_past_exact_counts(self, monkeypatch):
-        # refused arithmetically: a run this long would never finish, so no trial may start
+    @pytest.mark.parametrize("n_trials", [MAX_TRIALS + 1, 10**5000], ids=["2**53+1", "10**5000"])
+    def test_rejects_trials_past_exact_counts(self, monkeypatch, n_trials):
+        # refused arithmetically: a run this long would never finish, so no trial may start;
+        # a count past Python's digit limit for integer text is named in scientific form
         def no_trials(*args):
             raise AssertionError("trials sampled")
 
         monkeypatch.setattr(sim_module, "_sample_chunk", no_trials)
-        with pytest.raises(ValueError, match=r"\[1, 2\*\*53\]"):
+        with pytest.raises(ValueError, match=r"\[1, 2\*\*53\], got [\de+.]+$"):
             run_experiment(
                 parallel_antiparallel_prior(),
                 RotInvariantPovm.projective(HALF, HALF),
-                MAX_TRIALS + 1,
+                n_trials,
                 seed=1,
             )
 
@@ -251,6 +253,25 @@ class TestRunExperiment:
                                  RotInvariantPovm.projective(HALF, HALF), np.int64(5), seed=1)
         assert type(summary.n_trials) is int and summary.n_trials == 5
         assert int(summary.counts.sum()) == 5
+
+    @pytest.mark.parametrize(("seed", "error"), [(True, TypeError), (2.5, TypeError),
+                                                 ("3", TypeError), (-1, ValueError),
+                                                 (-10**5000, ValueError)],
+                             ids=["True", "2.5", "'3'", "-1", "-10**5000"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, monkeypatch, seed, error):
+        def no_work(*args):
+            raise AssertionError("work done before the seed was checked")
+
+        monkeypatch.setattr(sim_module, "_gains", no_work)
+        monkeypatch.setattr(sim_module, "_sample_chunk", no_work)
+        with pytest.raises(error, match="seed"):
+            run_experiment(parallel_antiparallel_prior(), RotInvariantPovm.projective(HALF, HALF),
+                           10, seed=seed)
+
+    def test_a_numpy_integer_seed_runs_as_its_int(self):
+        args = (uniform_direction_prior(), RotInvariantPovm.projective(HALF, HALF), 400)
+        first, second = run_experiment(*args, seed=np.int64(5)), run_experiment(*args, seed=5)
+        assert np.array_equal(first.counts, second.counts)
 
     def test_either_pair_order_gives_the_same_counts(self):
         # the POVM names its pair, and (a, b) and (b, a) are one measurement
